@@ -16,9 +16,9 @@ from .assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
 from .fespace import (FEFunction, FiniteElementSpace, composed_velocity_eval,
                       interpolate, multiplier_space, pressure_space,
                       solid_space, velocity_space)
-from .geom_intersect import (CompositeQuadScheme, build_all_schemes,
-                             build_composite_scheme, clip_triangle,
-                             fan_triangulate, polygon_area)
+from .geom_intersect import (CompositeQuadScheme, IntersectionTable,
+                             build_all_schemes, build_composite_scheme,
+                             clip_triangle, fan_triangulate, polygon_area)
 from .manufactured_errors import (ManufacturedSolution, curl_of_potential,
                                   dual_norm, error_norms,
                                   inverse_inequality_check,

@@ -6,26 +6,31 @@ scalar ones, and the fluid-structure coupling matrix couples equal
 components only.
 
 The coupling matrix between the multiplier space on the structure mesh
-and the velocity space on the refined fluid mesh comes in two variants:
-the exact one integrates on the subcells obtained by clipping each
-mapped structure element against the fluid mesh (the integrand is
-polynomial on every subcell, so the degree-2 rule is exact), while the
-approximate one applies a single rule per structure element, with the
-degree-2 edge-midpoint rule for the mass part and the one-point
-centroid rule for the gradient part, locating the fluid element of
-every quadrature node by structured lookup.
+and the velocity space on the refined fluid mesh, and the coupling
+loads, all run through one quadrature core over node sets: M cells of
+K nodes, cell m lying in structure element parent[m] and fluid triangle
+owner[m], with nodes s (M, K, 2) in structure and x (M, K, 2) in fluid
+coordinates, the Jacobian jac (M, 2, 2) of the placement map, and a
+weight w (M, K, F) per node and integrand feature.  The l2 integrand
+has the one feature mu * v, the h1 integrand adds the two components
+of grad mu . grad(v o xbar).  Exact mode takes the supermesh subcells
+under one rule (for the matrix the degree-2 rule, exact on every
+subcell); approx mode takes whole structure elements, with the
+edge-midpoint nodes weighing the mass feature and the centroids the
+gradient features, and locates every node in the fluid mesh.
 
 Right-hand sides are produced by inserting the analytic solution into
 the left-hand side forms, so the discrete problem is consistent by
 construction; smooth volume terms use the degree-6 rule.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geom_intersect import build_all_schemes
+from .geom_intersect import _xbar_parts, build_all_schemes
 from .mesh import DomainViolationError
 from .quadrature import rule_for_degree
 
@@ -42,19 +47,6 @@ __all__ = [
     "pressure_mean_row",
     "dump_matrix",
 ]
-
-# Worker cap honored by the CLI threads flag; assembly currently runs on
-# a single worker, which trivially respects any cap.
-_worker_cap = 1
-
-
-def set_worker_cap(n):
-    global _worker_cap
-    n = int(n)
-    if n < 1:
-        raise ValueError("worker cap must be at least 1")
-    _worker_cap = n
-
 
 @dataclass(frozen=True)
 class FormParams:
@@ -187,84 +179,122 @@ def assemble_Cs(L, S, coupling):
     return _vector_block(A.tocsr())
 
 
-def _xbar_parts(xbar, n_elements):
-    """Per-element matrices (n, 2, 2) and offsets (n, 2) from one map or a list."""
-    if hasattr(xbar, "apply"):
-        mats = np.broadcast_to(xbar.matrix, (n_elements, 2, 2))
-        offs = np.broadcast_to(xbar.offset, (n_elements, 2))
-        return mats, offs, [xbar] * n_elements
-    maps = list(xbar)
-    if len(maps) != n_elements:
-        raise ValueError("one placement map per structure element required")
-    mats = np.stack([m.matrix for m in maps])
-    offs = np.stack([m.offset for m in maps])
-    return mats, offs, maps
+# -- fluid-structure coupling --------------------------------------------
+
+_Nodes = namedtuple("_Nodes", "parent owner s x w jac")
 
 
-def _fluid_basis_at(mesh_f, owners, pts):
-    """P1 basis values of the owning fluid triangles at physical points.
+def _features(mesh, tris, pts, coupling, jac=None):
+    """P1 features on triangles tris (M,) at pts (M, K, 2), as (M, K, 3, F).
 
-    owners (..., ) indexes triangles, pts (..., 2); returns (..., 3).
+    Feature 0 holds the three hat values; for h1, features 1-2 hold
+    their gradients, pulled back through the Jacobians jac (M, 2, 2)
+    when given.
     """
-    g = mesh_f.grads[owners]
-    d = pts - mesh_f.centroids[owners]
-    return 1.0 / 3.0 + np.einsum("...id,...d->...i", g, d)
+    g = mesh.grads[tris]
+    d = pts - mesh.centroids[tris][:, None, :]
+    val = 1.0 / 3.0 + d @ g.swapaxes(1, 2)
+    if coupling == "l2":
+        return val[..., None]
+    if jac is not None:
+        g = g @ jac
+    grad = np.broadcast_to(g[:, None], val.shape + (2,))
+    return np.concatenate([val[..., None], grad], axis=-1)
+
+
+def _field_features(field, grad, s, coupling):
+    """Values (M, K, 2, F) of a vector field and, for h1, its gradient."""
+    v = np.asarray(field(s))[..., None]
+    if coupling == "l2":
+        return v
+    return np.concatenate([v, np.asarray(grad(s))], axis=-1)
+
+
+def _load(mesh, tris, pts, w, values, coupling, jac=None):
+    """sum_nodes w * values . features of the P1 hats of mesh, per dof."""
+    feat = _features(mesh, tris, pts, coupling, jac)
+    vals = np.einsum("mkf,mkcf,mkjf->mcj", w, values, feat, optimize=True)
+    dofs = (np.arange(2)[:, None] * mesh.n_vertices
+            + mesh.triangles[tris][:, None, :])
+    return np.bincount(dofs.ravel(), weights=vals.ravel(),
+                       minlength=2 * mesh.n_vertices)
+
+
+def _rule_nodes(tris, areas, rule, coupling):
+    """Nodes (M, K, 2) of rule on triangles (M, 3, 2), weighing all features."""
+    s = _basis_table(rule) @ tris
+    w = areas[:, None] * rule.weights
+    return s, np.repeat(w[..., None], 1 if coupling == "l2" else 3, axis=-1)
+
+
+def _single_rule_nodes(mesh, coupling):
+    """(parent, s, w) of the single-element rules, one node per cell.
+
+    Edge midpoints (degree-2 rule) weigh the mass feature, centroids
+    (h1 only) the gradient features.
+    """
+    n = mesh.n_triangles
+    rule = rule_for_degree(2)
+    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas, rule, "l2")
+    parent = np.repeat(np.arange(n), len(rule))
+    s, w = s.reshape(-1, 1, 2), w.reshape(-1, 1, 1)
+    if coupling == "h1":
+        s = np.concatenate([s, mesh.centroids[:, None, :]])
+        parent = np.concatenate([parent, np.arange(n)])
+        w = np.concatenate([w * (1.0, 0.0, 0.0),
+                            mesh.areas[:, None, None] * (0.0, 1.0, 1.0)])
+    return parent, s, w
+
+
+def _coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
+    """Node set of the exact (supermesh subcells under rule) or approx
+    (single-element rules, nodes located in the fluid mesh) coupling."""
+    mats, offs = _xbar_parts(xbar, L.mesh.n_triangles)
+    if mode == "exact":
+        if schemes is None:
+            schemes = build_all_schemes(L.mesh, xbar, V.mesh)
+        parent, owner = schemes.parent, schemes.owner
+        s, w = _rule_nodes(schemes.subcells, schemes.s_areas, rule, coupling)
+    else:
+        parent, s, w = _single_rule_nodes(L.mesh, coupling)
+    jac = mats[parent]
+    x = s @ jac.swapaxes(1, 2) + offs[parent][:, None, :]
+    if mode == "approx":
+        owner = V.mesh.locate_points(x.reshape(-1, 2))
+        if np.any(owner < 0):
+            raise DomainViolationError(
+                "mapped quadrature node leaves the fluid domain")
+    return _Nodes(parent, owner, s, x, w, jac)
+
+
+def _coupling_matrix(L, V, coupling, nodes):
+    """Coupling matrix of a node set: rows multiplier, columns velocity
+    dofs, equal components only."""
+    vals = np.einsum("mkf,mkif,mkjf->mij", nodes.w,
+                     _features(L.mesh, nodes.parent, nodes.s, coupling),
+                     _features(V.mesh, nodes.owner, nodes.x, coupling,
+                               nodes.jac), optimize=True)
+    r = np.broadcast_to(L.mesh.triangles[nodes.parent][:, :, None],
+                        vals.shape).ravel()
+    c = np.broadcast_to(V.mesh.triangles[nodes.owner][:, None, :],
+                        vals.shape).ravel()
+    v = vals.ravel()
+    return _csr(np.concatenate([r, r + L.n_vertices]),
+                np.concatenate([c, c + V.n_vertices]),
+                np.concatenate([v, v]), (L.n_dofs, V.n_dofs))
 
 
 def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
-    """Coupling matrix integrated exactly on mesh-intersection subcells.
+    """Coupling matrix integrated exactly on the supermesh subcells.
 
-    Rows are multiplier dofs, columns velocity dofs; only equal
-    components couple.  Precomputed composite schemes (one per structure
-    element) can be passed to amortize the clipping cost.
+    The integrand is a degree-2 polynomial on every subcell, where the
+    degree-2 rule is exact.  A precomputed IntersectionTable
+    (build_all_schemes) can be passed to amortize the clipping cost.
     """
     _check_coupling(coupling)
-    mesh_b = L.mesh
-    mesh_f = V.mesh
-    rule = rule_for_degree(2)
-    basis = _basis_table(rule)
-    w = rule.weights
-    mats, _, maps = _xbar_parts(xbar, mesh_b.n_triangles)
-    if schemes is None:
-        schemes = build_all_schemes(mesh_b, xbar, mesh_f, rule)
-
-    tri_b = mesh_b.triangles
-    tri_f = mesh_f.triangles
-    rows_l = []
-    cols_l = []
-    vals_l = []
-    for t in range(mesh_b.n_triangles):
-        sch = schemes[t]
-        m = len(sch)
-        if m == 0:
-            continue
-        sq = np.einsum("ki,mid->mkd", basis, sch.subcells)
-        mu = (1.0 / 3.0
-              + np.einsum("id,mkd->mki", mesh_b.grads[t],
-                          sq - mesh_b.centroids[t]))
-        xq = maps[t].apply(sq)
-        vf = _fluid_basis_at(mesh_f, sch.owners[:, None], xq)
-        loc = np.einsum("m,k,mki,mkj->mij", sch.s_areas, w, mu, vf)
-        if coupling == "h1":
-            gv = np.einsum("ed,mje->mjd", mats[t], mesh_f.grads[sch.owners])
-            loc = loc + np.einsum("m,id,mjd->mij", sch.s_areas,
-                                  mesh_b.grads[t], gv)
-        rows_l.append(np.broadcast_to(tri_b[t][None, :, None], loc.shape).ravel())
-        cols_l.append(np.broadcast_to(tri_f[sch.owners][:, None, :], loc.shape).ravel())
-        vals_l.append(loc.ravel())
-
-    if rows_l:
-        r = np.concatenate(rows_l)
-        c = np.concatenate(cols_l)
-        v = np.concatenate(vals_l)
-    else:
-        r = c = v = np.empty(0)
-    nvb = L.n_vertices
-    nvf = V.n_vertices
-    rows = np.concatenate([r, r + nvb])
-    cols = np.concatenate([c, c + nvf])
-    vals = np.concatenate([v, v])
-    return _csr(rows, cols, vals, (L.n_dofs, V.n_dofs))
+    nodes = _coupling_nodes(L, V, xbar, coupling, "exact",
+                            rule_for_degree(2), schemes)
+    return _coupling_matrix(L, V, coupling, nodes)
 
 
 def assemble_Cf_approx(L, V, xbar, coupling="l2"):
@@ -275,50 +305,8 @@ def assemble_Cf_approx(L, V, xbar, coupling="l2"):
     fluid mesh independently.
     """
     _check_coupling(coupling)
-    mesh_b = L.mesh
-    mesh_f = V.mesh
-    rule = rule_for_degree(2)
-    basis = _basis_table(rule)
-    w = rule.weights
-    ntb = mesh_b.n_triangles
-    mats, offs, _ = _xbar_parts(xbar, ntb)
-    tri_b = mesh_b.triangles
-    tri_f = mesh_f.triangles
-
-    pverts = mesh_b.vertices[tri_b]
-    sq = np.einsum("ki,mid->mkd", basis, pverts)
-    xq = np.einsum("med,mkd->mke", mats, sq) + offs[:, None, :]
-    owners = mesh_f.locate_points(xq.reshape(-1, 2)).reshape(ntb, len(rule))
-    if np.any(owners < 0):
-        raise DomainViolationError("mapped quadrature node leaves the fluid domain")
-    vf = _fluid_basis_at(mesh_f, owners, xq)
-    vals = np.einsum("m,k,ki,mkj->mkij", mesh_b.areas, w, basis, vf)
-    rows = np.broadcast_to(tri_b[:, None, :, None], vals.shape)
-    cols = np.broadcast_to(tri_f[owners][:, :, None, :], vals.shape)
-    r = rows.ravel()
-    c = cols.ravel()
-    v = vals.ravel()
-
-    if coupling == "h1":
-        sc = mesh_b.centroids
-        xc = np.einsum("med,md->me", mats, sc) + offs
-        ownc = mesh_f.locate_points(xc)
-        if np.any(ownc < 0):
-            raise DomainViolationError("mapped centroid leaves the fluid domain")
-        gv = np.einsum("med,mje->mjd", mats, mesh_f.grads[ownc])
-        locg = np.einsum("m,mid,mjd->mij", mesh_b.areas, mesh_b.grads, gv)
-        rg = np.broadcast_to(tri_b[:, :, None], locg.shape).ravel()
-        cg = np.broadcast_to(tri_f[ownc][:, None, :], locg.shape).ravel()
-        r = np.concatenate([r, rg])
-        c = np.concatenate([c, cg])
-        v = np.concatenate([v, locg.ravel()])
-
-    nvb = L.n_vertices
-    nvf = V.n_vertices
-    rows = np.concatenate([r, r + nvb])
-    cols = np.concatenate([c, c + nvf])
-    vals = np.concatenate([v, v])
-    return _csr(rows, cols, vals, (L.n_dofs, V.n_dofs))
+    return _coupling_matrix(L, V, coupling,
+                            _coupling_nodes(L, V, xbar, coupling, "approx"))
 
 
 def matrix_1norm_diff(Aex, Aap):
@@ -363,74 +351,6 @@ def _volume_rhs_fluid(V, exact, params, rule):
     return F
 
 
-def _coupling_rhs_exact(V, L, exact, xbar, coupling, schemes):
-    """c(lambda, phi o xbar) on composite subcells with the degree-6 rule."""
-    mesh_b = L.mesh
-    mesh_f = V.mesh
-    rule = rule_for_degree(6)
-    basis = _basis_table(rule)
-    w = rule.weights
-    mats, _, maps = _xbar_parts(xbar, mesh_b.n_triangles)
-    F = np.zeros(V.n_dofs)
-    nv = V.n_vertices
-    tri_f = mesh_f.triangles
-    for t in range(mesh_b.n_triangles):
-        sch = schemes[t]
-        if len(sch) == 0:
-            continue
-        sq = np.einsum("ki,mid->mkd", basis, sch.subcells)
-        xq = maps[t].apply(sq)
-        vf = _fluid_basis_at(mesh_f, sch.owners[:, None], xq)
-        lv = np.asarray(exact.lam(sq))
-        loc = np.einsum("m,k,mkc,mkj->mjc", sch.s_areas, w, lv, vf)
-        if coupling == "h1":
-            gl = np.asarray(exact.grad_lam(sq))
-            gv = np.einsum("ed,mje->mjd", mats[t], mesh_f.grads[sch.owners])
-            loc = loc + np.einsum("m,k,mkcd,mjd->mjc",
-                                  sch.s_areas, w, gl, gv)
-        for c in range(2):
-            np.add.at(F, c * nv + tri_f[sch.owners], loc[..., c])
-    return F
-
-
-def _coupling_rhs_approx(V, L, exact, xbar, coupling):
-    """c(lambda, phi o xbar) with the single-element rules."""
-    mesh_b = L.mesh
-    mesh_f = V.mesh
-    rule = rule_for_degree(2)
-    basis = _basis_table(rule)
-    w = rule.weights
-    ntb = mesh_b.n_triangles
-    mats, offs, _ = _xbar_parts(xbar, ntb)
-    tri_f = mesh_f.triangles
-    F = np.zeros(V.n_dofs)
-    nv = V.n_vertices
-
-    sq = np.einsum("ki,mid->mkd", basis, mesh_b.vertices[mesh_b.triangles])
-    xq = np.einsum("med,mkd->mke", mats, sq) + offs[:, None, :]
-    owners = mesh_f.locate_points(xq.reshape(-1, 2)).reshape(ntb, len(rule))
-    if np.any(owners < 0):
-        raise DomainViolationError("mapped quadrature node leaves the fluid domain")
-    vf = _fluid_basis_at(mesh_f, owners, xq)
-    lv = np.asarray(exact.lam(sq))
-    vals = np.einsum("m,k,mkc,mkj->mkjc", mesh_b.areas, w, lv, vf)
-    for c in range(2):
-        np.add.at(F, c * nv + tri_f[owners], vals[..., c])
-
-    if coupling == "h1":
-        sc = mesh_b.centroids
-        xc = np.einsum("med,md->me", mats, sc) + offs
-        ownc = mesh_f.locate_points(xc)
-        if np.any(ownc < 0):
-            raise DomainViolationError("mapped centroid leaves the fluid domain")
-        gl = np.asarray(exact.grad_lam(sc))
-        gv = np.einsum("med,mje->mjd", mats, mesh_f.grads[ownc])
-        locg = np.einsum("m,mcd,mjd->mjc", mesh_b.areas, gl, gv)
-        for c in range(2):
-            np.add.at(F, c * nv + tri_f[ownc], locg[..., c])
-    return F
-
-
 def _structure_rhs(S, exact, params, coupling):
     """a_s(X, Y) - c(lambda, Y) on the structure mesh with the degree-6 rule."""
     mesh = S.mesh
@@ -465,33 +385,14 @@ def _constraint_rhs(L, exact, coupling, mode):
     gradient part).
     """
     mesh = L.mesh
-    D = np.zeros(L.n_dofs)
-    nv = L.n_vertices
     if mode == "exact":
-        rule = rule_for_degree(6)
-        basis = _basis_table(rule)
-        pts = np.einsum("ki,mid->mkd", basis, mesh.vertices[mesh.triangles])
-        w = rule.weights
-        dv = np.asarray(exact.d(pts))
-        contrib = np.einsum("m,k,mkc,ki->mic", mesh.areas, w, dv, basis)
-        if coupling == "h1":
-            gd = np.asarray(exact.grad_d(pts))
-            contrib += np.einsum("m,k,mkcd,mid->mic",
-                                 mesh.areas, w, gd, mesh.grads)
-        for c in range(2):
-            np.add.at(D, c * nv + mesh.triangles, contrib[..., c])
-        return D
-    rule = rule_for_degree(2)
-    basis = _basis_table(rule)
-    pts = np.einsum("ki,mid->mkd", basis, mesh.vertices[mesh.triangles])
-    dv = np.asarray(exact.d(pts))
-    contrib = np.einsum("m,k,mkc,ki->mic", mesh.areas, rule.weights, dv, basis)
-    if coupling == "h1":
-        gd = np.asarray(exact.grad_d(mesh.centroids))
-        contrib += np.einsum("m,mcd,mid->mic", mesh.areas, gd, mesh.grads)
-    for c in range(2):
-        np.add.at(D, c * nv + mesh.triangles, contrib[..., c])
-    return D
+        parent = np.arange(mesh.n_triangles)
+        s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas,
+                           rule_for_degree(6), coupling)
+    else:
+        parent, s, w = _single_rule_nodes(mesh, coupling)
+    return _load(mesh, parent, s, w,
+                 _field_features(exact.d, exact.grad_d, s, coupling), coupling)
 
 
 def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
@@ -503,21 +404,20 @@ def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
     D(mu) = c(mu, d) with d = u(xbar) - X.
 
     mode selects how the velocity coupling term (and the constraint
-    data) are integrated: "exact" uses the composite subcell scheme,
-    "approx" the single-element rules.
+    data) are integrated: "exact" uses the supermesh subcells (passed
+    as schemes, or built) under the degree-6 rule, "approx" the
+    single-element rules.
     """
     _check_coupling(coupling)
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
     params = params or FormParams()
     F = _volume_rhs_fluid(V, exact, params, rule_for_degree(6))
-    if mode == "exact":
-        if schemes is None:
-            schemes = build_all_schemes(L.mesh, xbar, V.mesh,
-                                        rule_for_degree(2))
-        F += _coupling_rhs_exact(V, L, exact, xbar, coupling, schemes)
-    else:
-        F += _coupling_rhs_approx(V, L, exact, xbar, coupling)
+    nodes = _coupling_nodes(L, V, xbar, coupling, mode, rule_for_degree(6),
+                            schemes)
+    F += _load(V.mesh, nodes.owner, nodes.x, nodes.w,
+               _field_features(exact.lam, exact.grad_lam, nodes.s, coupling),
+               coupling, nodes.jac)
     G = _structure_rhs(S, exact, params, coupling)
     D = _constraint_rhs(L, exact, coupling, mode)
     return F, G, D

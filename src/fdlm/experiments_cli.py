@@ -18,12 +18,10 @@ byte-identical.
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import assembly
 from .assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                        assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
                        assemble_rhs, matrix_1norm_diff, pressure_mean_row)
@@ -268,8 +266,6 @@ def _add_common(parser, with_assembly=True):
                             default="approx",
                             help="coupling matrix integration mode")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (overrides FDLM_THREADS)")
 
 
 def _build_parser():
@@ -299,34 +295,12 @@ def _build_parser():
     return parser
 
 
-def _resolve_threads(args):
-    """Worker cap from --threads or FDLM_THREADS; None means default."""
-    if args.threads is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("FDLM_THREADS")
-        if not env:
-            return
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError("FDLM_THREADS must be an integer, got %r" % env)
-    if n < 1:
-        raise ValueError("thread count must be at least 1")
-    assembly.set_worker_cap(n)
-
-
 def cli_main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        _resolve_threads(args)
-    except ValueError as exc:
-        print("fdlm: error: %s" % exc, file=sys.stderr)
-        return 2
 
     try:
         if args.command == "run":

@@ -1,15 +1,27 @@
-"""Triangle-triangle intersection and composite quadrature schemes.
+"""Triangle-triangle clipping and the flat supermesh of two meshes.
 
 The coupling matrix between the structure multiplier space and the
 fluid velocity space has piecewise-polynomial integrands whose pieces
-follow the fluid mesh.  Integrating them exactly requires clipping each
-mapped structure element against the fluid triangles it overlaps,
-triangulating the resulting convex polygons, and pulling the pieces
-back to structure coordinates where the multiplier basis is native.
+follow the fluid mesh.  Integrating them exactly needs the supermesh:
+each mapped structure element is clipped against the fluid triangles
+it overlaps, the convex intersection polygons are fan-triangulated
+from their first vertex, and the pieces are pulled back to structure
+coordinates where the multiplier basis is native.
 
-Clipping runs in physical coordinates with Sutherland-Hodgman
-half-plane clipping; tolerance-based predicates are sufficient because
-acceptance of the downstream studies is rate-based, not bit-exact.
+``build_all_schemes`` builds the supermesh of a whole structure mesh
+as one flat ``IntersectionTable``: subcell k lies in structure element
+``parent[k]`` and fluid triangle ``owner[k]``, and the subcells of
+element t are the rows ``offsets[t]:offsets[t + 1]``, ordered by cell
+row, cell column, triangle within the cell and fan index.  Candidate
+(element, fluid triangle) pairs come from the structured-grid bounding
+box of every mapped element, and all pairs are clipped together by a
+Sutherland-Hodgman pass over masked polygon arrays; a triangle clipped
+by three half-planes keeps at most six vertices.
+
+Clipping runs in physical coordinates; tolerance-based predicates are
+sufficient because acceptance of the downstream studies is rate-based,
+not bit-exact.  ``clip_triangle`` and ``fan_triangulate`` expose the
+same clipping and triangulation for a single pair.
 """
 
 import numpy as np
@@ -22,12 +34,16 @@ __all__ = [
     "polygon_area",
     "fan_triangulate",
     "CompositeQuadScheme",
+    "IntersectionTable",
     "build_composite_scheme",
     "build_all_schemes",
 ]
 
 _SLIVER_REL = 1e-14
 _COLLINEAR_REL = 1e-12
+# Candidate pairs clipped together; bounds the transient memory of the
+# batched clipper independently of the mesh sizes.
+_PAIR_BLOCK = 1 << 15
 
 
 def polygon_area(pts):
@@ -40,102 +56,26 @@ def polygon_area(pts):
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _clip_raw(subject, clip, diam):
-    """Sutherland-Hodgman core on lists of (x, y) tuples; clip is CCW."""
-    out = subject
-    for k in range(3):
-        ax, ay = clip[k]
-        bx, by = clip[(k + 1) % 3]
-        ex, ey = bx - ax, by - ay
-        elen = (ex * ex + ey * ey) ** 0.5
-        tol = -_COLLINEAR_REL * diam * elen
-        nxt = []
-        m = len(out)
-        if m == 0:
-            return nxt
-        px, py = out[-1]
-        dp = ex * (py - ay) - ey * (px - ax)
-        for i in range(m):
-            cx, cy = out[i]
-            dc = ex * (cy - ay) - ey * (cx - ax)
-            if dc >= tol:
-                if dp < tol:
-                    t = dp / (dp - dc)
-                    nxt.append((px + t * (cx - px), py + t * (cy - py)))
-                nxt.append((cx, cy))
-            elif dp >= tol:
-                t = dp / (dp - dc)
-                nxt.append((px + t * (cx - px), py + t * (cy - py)))
-            px, py, dp = cx, cy, dc
-        out = nxt
-    return out
-
-
-def _cleanup(pts, diam):
-    """Drop duplicate and collinear vertices (tolerance 1e-12 * diameter)."""
-    tol = _COLLINEAR_REL * diam
-    m = len(pts)
-    if m < 3:
-        return []
-    keep = []
-    for i in range(m):
-        px, py = pts[i]
-        if keep:
-            qx, qy = keep[-1]
-            if abs(px - qx) <= tol and abs(py - qy) <= tol:
-                continue
-        keep.append((px, py))
-    if len(keep) >= 2:
-        qx, qy = keep[-1]
-        px, py = keep[0]
-        if abs(px - qx) <= tol and abs(py - qy) <= tol:
-            keep.pop()
-    m = len(keep)
-    if m < 3:
-        return []
-    out = []
-    for i in range(m):
-        ax, ay = keep[i - 1]
-        bx, by = keep[i]
-        cx, cy = keep[(i + 1) % m]
-        ux, uy = cx - ax, cy - ay
-        ulen = (ux * ux + uy * uy) ** 0.5
-        if abs(ux * (by - ay) - uy * (bx - ax)) > tol * ulen:
-            out.append((bx, by))
-    return out if len(out) >= 3 else []
-
-
-def _tri_diam(t):
-    d2 = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            dx = t[i][0] - t[j][0]
-            dy = t[i][1] - t[j][1]
-            d2 = max(d2, dx * dx + dy * dy)
-    return d2 ** 0.5
-
-
 def clip_triangle(subject, clip):
     """Intersection polygon of two triangles, as an (m, 2) CCW array.
 
     Returns an empty (0, 2) array when the triangles are disjoint.
-    Degenerate (zero-area) inputs raise ValueError.
+    Degenerate (zero-area) inputs raise ValueError.  This is the batched
+    clipper of the supermesh applied to one pair.
     """
     s = np.asarray(subject, dtype=float).reshape(3, 2)
     c = np.asarray(clip, dtype=float).reshape(3, 2)
-    s_list = [tuple(p) for p in s]
-    c_list = [tuple(p) for p in c]
     sa = polygon_area(s)
     ca = polygon_area(c)
     if sa == 0.0 or ca == 0.0:
         raise ValueError("degenerate input triangle")
-    if sa < 0:
-        s_list.reverse()
-    if ca < 0:
-        c_list.reverse()
-    diam = max(_tri_diam(s_list), _tri_diam(c_list))
-    poly = _cleanup(_clip_raw(s_list, c_list, diam), diam)
-    return np.asarray(poly, dtype=float).reshape(-1, 2)
+    s = s[::-1] if sa < 0 else s
+    c = c[::-1] if ca < 0 else c
+    diam = np.maximum(_diameters(s), _diameters(c)).reshape(1)
+    lane, poly, count = _clip_pairs(s[None], c[None], diam)
+    poly, count = _cleanup_pairs(poly, count, diam[lane])
+    # At most one lane survives, so its vertices lead the flattened array.
+    return poly.reshape(-1, 2)[:count.sum()]
 
 
 def fan_triangulate(poly):
@@ -152,26 +92,23 @@ def fan_triangulate(poly):
 
 
 class CompositeQuadScheme:
-    """Subcell decomposition of one structure element against the fluid mesh.
+    """Subcells of one structure element, a view into an IntersectionTable.
 
     Attributes
     ----------
     subcells : (m, 3, 2) array of subcell triangles in structure coordinates
     owners : (m,) int array, owning fluid triangle per subcell
-    rule : QuadratureRule applied on each subcell
     s_areas : (m,) subcell areas in structure coordinates
+    rule : QuadratureRule meant for each subcell
     """
 
-    __slots__ = ("subcells", "owners", "rule", "s_areas")
+    __slots__ = ("subcells", "owners", "s_areas", "rule")
 
-    def __init__(self, subcells, owners, rule):
-        self.subcells = np.asarray(subcells, dtype=float).reshape(-1, 3, 2)
-        self.owners = np.asarray(owners, dtype=np.int64).reshape(-1)
+    def __init__(self, subcells, owners, s_areas, rule):
+        self.subcells = subcells
+        self.owners = owners
+        self.s_areas = s_areas
         self.rule = rule
-        p = self.subcells
-        self.s_areas = 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
     def total_s_area(self):
         return float(self.s_areas.sum())
@@ -180,84 +117,251 @@ class CompositeQuadScheme:
         return self.owners.shape[0]
 
 
-def build_composite_scheme(solid_tri, xbar_map, fluid_mesh, rule=None):
-    """Clip the mapped structure element against the fluid mesh.
+class IntersectionTable:
+    """Flat supermesh of a structure mesh against a fluid mesh.
 
-    solid_tri is the (3, 2) element in structure coordinates, xbar_map
-    the affine placement map on that element.  Candidate fluid
-    triangles come from the structured-grid bounding box; each nonempty
-    intersection polygon is fan-triangulated and pulled back to
-    structure coordinates.  Raises DomainViolationError if the mapped
-    element leaves the fluid rectangle.
+    Attributes
+    ----------
+    parent : (M,) int array, structure element of each subcell (sorted)
+    owner : (M,) int array, fluid triangle of each subcell
+    subcells : (M, 3, 2) subcell triangles in structure coordinates
+    s_areas : (M,) subcell areas in structure coordinates
+    offsets : (n_elements + 1,) int array; element t owns rows
+        offsets[t]:offsets[t + 1]
+    rule : QuadratureRule meant for each subcell
+
+    len() is the number of structure elements; indexing and iteration
+    give per-element CompositeQuadScheme views.
     """
+
+    def __init__(self, parent, owner, subcells, n_elements, rule):
+        self.parent = parent
+        self.owner = owner
+        self.subcells = subcells
+        self.s_areas = np.abs(_signed_areas(subcells))
+        self.offsets = np.searchsorted(parent, np.arange(n_elements + 1))
+        self.rule = rule
+
+    def __len__(self):
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, t):
+        t = range(len(self))[t]
+        rows = slice(self.offsets[t], self.offsets[t + 1])
+        return CompositeQuadScheme(self.subcells[rows], self.owner[rows],
+                                   self.s_areas[rows], self.rule)
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+
+def _xbar_parts(xbar, n_elements):
+    """Per-element matrices (n, 2, 2) and offsets (n, 2) of one map or a list."""
+    if hasattr(xbar, "apply"):
+        return (np.broadcast_to(xbar.matrix, (n_elements, 2, 2)),
+                np.broadcast_to(xbar.offset, (n_elements, 2)))
+    maps = list(xbar)
+    if len(maps) != n_elements:
+        raise ValueError("one placement map per structure element required")
+    return (np.stack([m.matrix for m in maps]),
+            np.stack([m.offset for m in maps]))
+
+
+def _signed_areas(tris):
+    """Areas of a (..., 3, 2) stack of triangles, counterclockwise positive."""
+    u = tris[..., 1, :] - tris[..., 0, :]
+    v = tris[..., 2, :] - tris[..., 0, :]
+    return 0.5 * (u[..., 0] * v[..., 1] - v[..., 0] * u[..., 1])
+
+
+def _diameters(tris):
+    """Longest edge of each triangle in a (..., 3, 2) stack."""
+    d2 = [((tris[..., i, :] - tris[..., j, :]) ** 2).sum(axis=-1)
+          for i, j in ((0, 1), (0, 2), (1, 2))]
+    return np.sqrt(np.maximum(np.maximum(d2[0], d2[1]), d2[2]))
+
+
+def _clip_pairs(subject, clip, diam):
+    """Sutherland-Hodgman clipping of subject (P, 3, 2) by CCW triangles
+    clip (P, 3, 2), pair by pair; diam (P,) scales the tolerances.
+
+    A vertex counts as inside an edge's half-plane when it lies at most
+    _COLLINEAR_REL * diam * edge length outside it.
+
+    Returns (lane, poly, count): the pairs whose polygon survived, their
+    vertices (Q, W, 2) padded with zeros, and their vertex counts.
+    Intersection points are computed on crossing edges only.
+    """
+    lane = np.arange(subject.shape[0])
+    poly = subject
+    count = np.full(lane.shape, 3)
+    for k in range(3):
+        a = clip[lane, k]
+        e = clip[lane, (k + 1) % 3] - a
+        tol = -_COLLINEAR_REL * diam[lane] * np.sqrt((e * e).sum(axis=1))
+        col = np.arange(poly.shape[1])
+        d = (e[:, None, 0] * (poly[..., 1] - a[:, None, 1])
+             - e[:, None, 1] * (poly[..., 0] - a[:, None, 0]))
+        prev = np.where(col == 0, count[:, None] - 1, col - 1)
+        d_prev = np.take_along_axis(d, prev, axis=1)
+        valid = col < count[:, None]
+        inside = valid & (d >= tol[:, None])
+        crossing = valid & (inside != (d_prev >= tol[:, None]))
+        emitted = crossing.astype(np.int64) + inside
+        end = np.cumsum(emitted, axis=1)
+        new_count = end[:, -1]
+        out = np.zeros((lane.size, max(int(new_count.max(initial=0)), 1), 2))
+        q, i = np.nonzero(crossing)
+        dp, dc = d_prev[q, i], d[q, i]
+        p = poly[q, prev[q, i]]
+        t = (dp / (dp - dc))[:, None]
+        out[q, end[q, i] - emitted[q, i]] = p + t * (poly[q, i] - p)
+        q, i = np.nonzero(inside)
+        out[q, end[q, i] - 1] = poly[q, i]
+        keep = new_count > 0
+        lane, poly, count = lane[keep], out[keep], new_count[keep]
+    return lane, poly, count
+
+
+def _cleanup_pairs(poly, count, diam):
+    """Drop repeated and collinear vertices (tolerance 1e-12 * diam).
+
+    A vertex within the tolerance of the last kept one is dropped, and
+    so is a last vertex that repeats the first; then every vertex whose
+    distance to the chord of its two neighbours is within the tolerance.
+    Polygons left with fewer than three vertices get count 0.
+    """
+    tol = _COLLINEAR_REL * diam
+    n, width = count.shape[0], poly.shape[1]
+    rows = np.arange(n)
+    kept = np.zeros_like(poly)
+    m = np.zeros(n, dtype=np.int64)
+    last = np.zeros((n, 2))
+    for i in range(width):
+        p = poly[:, i]
+        repeat = (m > 0) & (np.abs(p - last) <= tol[:, None]).all(axis=1)
+        take = (i < count) & ~repeat
+        kept[take, m[take]] = p[take]
+        last[take] = p[take]
+        m += take
+    back = np.abs(kept[rows, np.maximum(m - 1, 0)] - kept[:, 0])
+    closing = (m >= 2) & (back <= tol[:, None]).all(axis=1)
+    m -= closing
+    m[count < 3] = 0
+
+    col = np.arange(width)
+    safe = np.maximum(m, 1)[:, None]
+    a = np.take_along_axis(kept, ((col - 1) % safe)[..., None], axis=1)
+    c = np.take_along_axis(kept, ((col + 1) % safe)[..., None], axis=1)
+    u = c - a
+    ulen = np.sqrt((u * u).sum(axis=-1))
+    cross = (u[..., 0] * (kept[..., 1] - a[..., 1])
+             - u[..., 1] * (kept[..., 0] - a[..., 0]))
+    corner = (col < m[:, None]) & (np.abs(cross) > tol[:, None] * ulen)
+    pos = np.cumsum(corner, axis=1) - 1
+    out = np.zeros_like(poly)
+    q, i = np.nonzero(corner)
+    out[q, pos[q, i]] = kept[q, i]
+    n_out = corner.sum(axis=1)
+    n_out[n_out < 3] = 0
+    return out, n_out
+
+
+def _fan_pairs(poly, count, sliver):
+    """Fan triangles from vertex 0 of each polygon, as (q, tris): the
+    polygon index (S,) and the triangles (S, 3, 2).
+
+    Polygons and fan triangles with area below their sliver bound are
+    dropped; the rest keep polygon and fan order.
+    """
+    col = np.arange(poly.shape[1])
+    nxt = np.take_along_axis(
+        poly, ((col + 1) % np.maximum(count, 1)[:, None])[..., None], axis=1)
+    shoelace = poly[..., 0] * nxt[..., 1] - poly[..., 1] * nxt[..., 0]
+    shoelace = np.where(col < count[:, None], shoelace, 0.0)
+    area = 0.5 * np.abs(shoelace.sum(axis=1))
+    fans = np.stack(np.broadcast_arrays(poly[:, :1], poly[:, 1:-1],
+                                        poly[:, 2:]), axis=2)
+    keep = (((count >= 3) & (area >= sliver))[:, None]
+            & (col[1:-1] <= count[:, None] - 2)
+            & (np.abs(_signed_areas(fans)) >= sliver[:, None]))
+    q, i = np.nonzero(keep)
+    return q, fans[q, i]
+
+
+def _supermesh(solid_tris, mats, offs, fluid_mesh, rule):
+    """IntersectionTable of the elements solid_tris (E, 3, 2) placed by
+    x = mats[e] @ s + offs[e] against the fluid mesh."""
     if rule is None:
         rule = rule_for_degree(2)
-    solid_tri = np.asarray(solid_tri, dtype=float).reshape(3, 2)
-    mapped = xbar_map.apply(solid_tri)
+    n_el = solid_tris.shape[0]
+    mapped = solid_tris @ mats.swapaxes(1, 2) + offs[:, None, :]
     xmin, ymin, xmax, ymax = fluid_mesh.domain
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
-    if (mapped[:, 0].min() < xmin - tol or mapped[:, 0].max() > xmax + tol
-            or mapped[:, 1].min() < ymin - tol or mapped[:, 1].max() > ymax + tol):
-        raise DomainViolationError("mapped structure element leaves the fluid domain")
+    lo, hi = mapped.min(axis=1), mapped.max(axis=1)
+    if (np.any(lo < (xmin - tol, ymin - tol))
+            or np.any(hi > (xmax + tol, ymax + tol))):
+        raise DomainViolationError(
+            "mapped structure element leaves the fluid domain")
 
+    # Candidate pairs in (element, cell row, cell column, triangle) order.
     n = fluid_mesh.n_cells_per_side
-    hx, hy = fluid_mesh.hx, fluid_mesh.hy
-    ix0 = min(max(int((mapped[:, 0].min() - xmin) / hx - 1e-12), 0), n - 1)
-    ix1 = min(max(int((mapped[:, 0].max() - xmin) / hx + 1e-12), 0), n - 1)
-    iy0 = min(max(int((mapped[:, 1].min() - ymin) / hy - 1e-12), 0), n - 1)
-    iy1 = min(max(int((mapped[:, 1].max() - ymin) / hy + 1e-12), 0), n - 1)
+    origin, h = (xmin, ymin), (fluid_mesh.hx, fluid_mesh.hy)
+    i0 = np.clip(np.trunc((lo - origin) / h - 1e-12), 0, n - 1).astype(int)
+    i1 = np.clip(np.trunc((hi - origin) / h + 1e-12), 0, n - 1).astype(int)
+    nx = i1[:, 0] - i0[:, 0] + 1
+    per_el = 2 * nx * (i1[:, 1] - i0[:, 1] + 1)
+    el = np.repeat(np.arange(n_el), per_el)
+    k = np.arange(el.size) - np.repeat(np.cumsum(per_el) - per_el, per_el)
+    cell = ((i0[el, 1] + k // 2 // nx[el]) * n
+            + i0[el, 0] + k // 2 % nx[el])
+    tri = fluid_mesh.cell_tris[cell, k % 2]
 
-    area_mapped = abs(polygon_area(mapped))
-    sliver = _SLIVER_REL * area_mapped
-    m_list = [tuple(p) for p in mapped]
-    if polygon_area(mapped) < 0:
-        m_list.reverse()
-    verts = fluid_mesh.vertices
-    tris = fluid_mesh.triangles
-    cell_tris = fluid_mesh.cell_tris
+    signed = _signed_areas(mapped)
+    subject = np.where((signed < 0)[:, None, None], mapped[:, ::-1], mapped)
+    sliver = _SLIVER_REL * np.abs(signed)
+    fluid_tris = fluid_mesh.vertices[fluid_mesh.triangles]
+    diam = np.maximum(_diameters(mapped)[el], _diameters(fluid_tris)[tri])
 
-    subcells = []
-    owners = []
-    for jy in range(iy0, iy1 + 1):
-        base = jy * n
-        for jx in range(ix0, ix1 + 1):
-            for t in cell_tris[base + jx]:
-                tv = verts[tris[t]]
-                c_list = [(tv[0, 0], tv[0, 1]), (tv[1, 0], tv[1, 1]),
-                          (tv[2, 0], tv[2, 1])]
-                diam = max(_tri_diam(m_list), _tri_diam(c_list))
-                poly = _cleanup(_clip_raw(m_list, c_list, diam), diam)
-                if len(poly) < 3:
-                    continue
-                if abs(polygon_area(np.asarray(poly))) < sliver:
-                    continue
-                p0 = poly[0]
-                for i in range(1, len(poly) - 1):
-                    a = 0.5 * abs((poly[i][0] - p0[0]) * (poly[i + 1][1] - p0[1])
-                                  - (poly[i + 1][0] - p0[0]) * (poly[i][1] - p0[1]))
-                    if a < sliver:
-                        continue
-                    subcells.append((p0, poly[i], poly[i + 1]))
-                    owners.append(t)
-    if subcells:
-        sub = xbar_map.apply_inverse(np.asarray(subcells, dtype=float))
-    else:
-        sub = np.empty((0, 3, 2))
-    return CompositeQuadScheme(sub, owners, rule)
+    pairs = [np.empty(0, dtype=np.int64)]
+    pieces = [np.empty((0, 3, 2))]
+    for start in range(0, el.size, _PAIR_BLOCK):
+        pair = np.arange(start, min(start + _PAIR_BLOCK, el.size))
+        lane, poly, count = _clip_pairs(subject[el[pair]],
+                                        fluid_tris[tri[pair]], diam[pair])
+        pair = pair[lane]
+        poly, count = _cleanup_pairs(poly, count, diam[pair])
+        q, sub = _fan_pairs(poly, count, sliver[el[pair]])
+        pairs.append(pair[q])
+        pieces.append(sub)
+    pair = np.concatenate(pairs)
+    sub = np.concatenate(pieces)
+    parent = el[pair]
+    inv = np.linalg.inv(mats)[parent]
+    sub = (sub - offs[parent][:, None, :]) @ inv.swapaxes(1, 2)
+    return IntersectionTable(parent, tri[pair], sub, n_el, rule)
+
+
+def build_composite_scheme(solid_tri, xbar_map, fluid_mesh, rule=None):
+    """Subcells of one structure element clipped against the fluid mesh.
+
+    solid_tri is the (3, 2) element in structure coordinates, xbar_map
+    the affine placement map on that element.  Raises
+    DomainViolationError if the mapped element leaves the fluid
+    rectangle.
+    """
+    solid_tri = np.asarray(solid_tri, dtype=float).reshape(1, 3, 2)
+    return _supermesh(solid_tri, xbar_map.matrix[None], xbar_map.offset[None],
+                      fluid_mesh, rule)[0]
 
 
 def build_all_schemes(solid_mesh, xbar, fluid_mesh, rule=None):
-    """Composite schemes for every element of the structure mesh.
+    """IntersectionTable of every structure element against the fluid mesh.
 
     xbar is a single AffineMap used for all elements, or a sequence of
-    per-element maps.
+    per-element maps.  Raises DomainViolationError if any mapped element
+    leaves the fluid rectangle.
     """
-    if rule is None:
-        rule = rule_for_degree(2)
-    single = hasattr(xbar, "apply")
-    schemes = []
-    for t in range(solid_mesh.n_triangles):
-        amap = xbar if single else xbar[t]
-        schemes.append(build_composite_scheme(
-            solid_mesh.triangle_vertices(t), amap, fluid_mesh, rule))
-    return schemes
+    mats, offs = _xbar_parts(xbar, solid_mesh.n_triangles)
+    return _supermesh(solid_mesh.vertices[solid_mesh.triangles], mats, offs,
+                      fluid_mesh, rule)

@@ -28,11 +28,14 @@ __all__ = [
     "locate_point",
 ]
 
-# Barycentric containment tolerance for point location, and the wider
-# band around cell edges that routes a query through the careful
-# tie-breaking path.
+# Barycentric containment tolerances for point location (tight, then
+# wide), the band around cell edges that routes a query through the
+# careful tie-breaking path, and the number of such queries resolved
+# together.
 _BARY_TOL = 1e-12
+_BARY_TOL_WIDE = 1e-9
 _EDGE_BAND = 1e-9
+_TIE_BLOCK = 4096
 
 
 class DomainViolationError(RuntimeError):
@@ -192,23 +195,20 @@ class Triangulation:
                     cells.append(jy * n + jx)
         return cells
 
-    def _contains(self, t, x, y, tol):
-        i0, i1, i2 = self.triangles[t]
-        v = self.vertices
-        x0, y0 = v[i0]
-        x1, y1 = v[i1]
-        x2, y2 = v[i2]
+    def _worst_barycentric(self, t, x, y):
+        """Smallest barycentric coordinate of (x, y) in triangle t."""
+        (x0, y0), (x1, y1), (x2, y2) = self.vertices[self.triangles[t]]
         d = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / d
         l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / d
-        l0 = 1.0 - l1 - l2
-        return l0 >= -tol and l1 >= -tol and l2 >= -tol
+        return min(1.0 - l1 - l2, l1, l2)
 
     def locate_point(self, x):
         """Return the index of a triangle containing x, or None if outside.
 
         Points on shared edges or vertices resolve to the smallest
-        containing triangle index, so assembly is deterministic.
+        containing triangle index, so assembly is deterministic.  This
+        scalar scan is the reference for locate_points.
         """
         px, py = float(x[0]), float(x[1])
         xmin, ymin, xmax, ymax = self.domain
@@ -220,34 +220,26 @@ class Triangulation:
         ix = min(max(int((px - xmin) / self.hx), 0), n - 1)
         iy = min(max(int((py - ymin) / self.hy), 0), n - 1)
         cand = np.unique(self.cell_tris[self._candidate_cells(ix, iy)])
-        for tol in (_BARY_TOL, 1e-9):
+        for tol in (_BARY_TOL, _BARY_TOL_WIDE):
             for t in cand:
-                if self._contains(int(t), px, py, tol):
+                if self._worst_barycentric(int(t), px, py) >= -tol:
                     return int(t)
         # The point is inside the rectangle but rounding pushed it just
         # outside every candidate; take the nearest one by barycentric
         # defect so interior queries never fail.
-        best, best_def = None, -np.inf
-        for t in cand:
-            i0, i1, i2 = self.triangles[int(t)]
-            v = self.vertices
-            d = ((v[i1, 0] - v[i0, 0]) * (v[i2, 1] - v[i0, 1])
-                 - (v[i2, 0] - v[i0, 0]) * (v[i1, 1] - v[i0, 1]))
-            l1 = ((px - v[i0, 0]) * (v[i2, 1] - v[i0, 1])
-                  - (v[i2, 0] - v[i0, 0]) * (py - v[i0, 1])) / d
-            l2 = ((v[i1, 0] - v[i0, 0]) * (py - v[i0, 1])
-                  - (px - v[i0, 0]) * (v[i1, 1] - v[i0, 1])) / d
-            defect = min(1.0 - l1 - l2, l1, l2)
-            if defect > best_def:
-                best, best_def = int(t), defect
-        return best
+        worst = [self._worst_barycentric(int(t), px, py) for t in cand]
+        return int(cand[int(np.argmax(worst))])
 
     def locate_points(self, pts):
         """Vectorized locate_point; returns -1 for outside points.
 
-        Points well inside a cell use a direct structured lookup; points
-        near any cell edge or the cell diagonal fall back to the scalar
-        path so the smallest-index tie-break is preserved.
+        Same ownership policy as locate_point: a point goes to the first
+        of the triangles around its grid cell, in ascending index order,
+        whose barycentric coordinates are all >= -1e-12, else all
+        >= -1e-9, else to the first with the largest smallest one.  So
+        points on shared edges and vertices go to the smallest
+        containing index.  Points off every cell edge and diagonal by
+        more than 1e-9 cell widths use the direct structured lookup.
         """
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         xmin, ymin, xmax, ymax = self.domain
@@ -273,11 +265,37 @@ class Triangulation:
         cells = iy * n + ix
         fast = inside & ~near
         out[fast] = self.cell_tris[cells[fast], np.where(low[fast], 0, 1)]
-        slow = inside & near
-        for i in np.nonzero(slow)[0]:
-            t = self.locate_point(pts[i])
-            out[i] = -1 if t is None else t
+        slow = np.nonzero(inside & near)[0]
+        for start in range(0, slow.size, _TIE_BLOCK):
+            i = slow[start:start + _TIE_BLOCK]
+            out[i] = self._break_ties(pts[i], ix[i], iy[i])
         return out
+
+    def _break_ties(self, pts, ix, iy):
+        """locate_point's candidate scan for points (P, 2) in cells (ix, iy)."""
+        n = self.n_cells_per_side
+        shift = np.arange(-1, 2)
+        jx = (ix[:, None] + shift).repeat(3, axis=1)
+        jy = np.tile(iy[:, None] + shift, 3)
+        ok = (jx >= 0) & (jx < n) & (jy >= 0) & (jy < n)
+        cand = self.cell_tris[np.where(ok, jy * n + jx, 0)].reshape(-1, 18)
+        none = self.n_triangles
+        cand = np.sort(np.where(ok.repeat(2, axis=1), cand, none), axis=1)
+        v = self.vertices[self.triangles[np.minimum(cand, none - 1)]]
+        x0, y0 = v[..., 0, 0], v[..., 0, 1]
+        x1, y1 = v[..., 1, 0], v[..., 1, 1]
+        x2, y2 = v[..., 2, 0], v[..., 2, 1]
+        px, py = pts[:, :1], pts[:, 1:]
+        d = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        l1 = ((px - x0) * (y2 - y0) - (x2 - x0) * (py - y0)) / d
+        l2 = ((x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)) / d
+        worst = np.minimum(np.minimum(1.0 - l1 - l2, l1), l2)
+        worst[cand == none] = -np.inf
+        pick = np.argmax(worst, axis=1)
+        for tol in (_BARY_TOL_WIDE, _BARY_TOL):
+            hit = worst >= -tol
+            pick = np.where(hit.any(axis=1), np.argmax(hit, axis=1), pick)
+        return cand[np.arange(cand.shape[0]), pick]
 
     # -- output ----------------------------------------------------------
 

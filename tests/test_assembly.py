@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
                            assemble_rhs, dump_matrix, matrix_1norm_diff,
-                           pressure_mean_row, set_worker_cap)
+                           pressure_mean_row)
 from fdlm.fespace import (FEFunction, interpolate, multiplier_space,
                           pressure_space, solid_space, velocity_space)
 from fdlm.geom_intersect import build_all_schemes
@@ -98,12 +98,6 @@ class TestFormParams:
             FormParams(kappa=0.0)
         with pytest.raises(ValueError):
             FormParams(gamma=2.0)
-
-    def test_worker_cap(self):
-        set_worker_cap(4)
-        set_worker_cap(1)
-        with pytest.raises(ValueError):
-            set_worker_cap(0)
 
 
 class TestVolumeMatrices:

@@ -151,25 +151,6 @@ class TestCli:
     def test_missing_out(self):
         assert cli_main(["quaderr", "--test", "1"]) == 2
 
-    def test_bad_thread_count(self, tmp_path):
-        out = str(tmp_path / "x.csv")
-        assert cli_main(["quaderr", "--test", "1", "--out", out,
-                         "--threads", "0"]) == 2
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FDLM_THREADS", "many")
-        out = str(tmp_path / "x.csv")
-        assert cli_main(["quaderr", "--test", "1", "--out", out]) == 2
-
-    def test_thread_env_applies(self, tmp_path, monkeypatch):
-        import fdlm.assembly as assembly
-        monkeypatch.setenv("FDLM_THREADS", "2")
-        out = str(tmp_path / "q.csv")
-        assert cli_main(["quaderr", "--test", "1", "--levels", "2",
-                         "--out", out]) == 0
-        assert assembly._worker_cap == 2
-        assembly.set_worker_cap(1)
-
     def test_single_level_rejected(self, tmp_path):
         out = str(tmp_path / "x.csv")
         assert cli_main(["run", "--test", "1", "--levels", "1",

@@ -8,11 +8,19 @@ independent half-plane clipping oracle in exact rational arithmetic:
     -> pentagon ((0,0),(2/3,0),(3/4,1/4),(1/4,3/4),(0,2/3)), area 5/12
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdlm.geom_intersect import (build_all_schemes, build_composite_scheme,
-                                 clip_triangle, fan_triangulate, polygon_area)
+from fdlm.assembly import (assemble_Cf_approx, assemble_Cf_exact,
+                           matrix_1norm_diff)
+from fdlm.fespace import multiplier_space, velocity_space
+from fdlm.geom_intersect import (IntersectionTable, build_all_schemes,
+                                 build_composite_scheme, clip_triangle,
+                                 fan_triangulate, polygon_area)
 from fdlm.mesh import (AffineMap, DomainViolationError, midpoint_refine,
                        uniform_mesh)
 from fdlm.quadrature import rule_for_degree
@@ -201,3 +209,212 @@ class TestCompositeScheme:
 def test_polygon_area_sign():
     assert polygon_area(REF) == pytest.approx(0.5)
     assert polygon_area(REF[::-1]) == pytest.approx(-0.5)
+
+
+# -- batched supermesh against a scalar per-pair reference -------------------
+
+SLIVER_REL = 1e-14
+COLLINEAR_REL = 1e-12
+
+
+def reference_clip(subject, clip):
+    """Scalar Sutherland-Hodgman on CCW triangles, then removal of
+    repeated and collinear vertices; the library's tolerances."""
+    d2 = [((t[i] - t[j]) ** 2).sum() for t in (subject, clip)
+          for i, j in ((0, 1), (0, 2), (1, 2))]
+    diam = max(d2) ** 0.5
+    out = [tuple(p) for p in subject]
+    for k in range(3):
+        (ax, ay), (bx, by) = clip[k], clip[(k + 1) % 3]
+        ex, ey = bx - ax, by - ay
+        tol = -COLLINEAR_REL * diam * (ex * ex + ey * ey) ** 0.5
+        nxt = []
+        for i, (cx, cy) in enumerate(out):
+            px, py = out[i - 1]
+            dp = ex * (py - ay) - ey * (px - ax)
+            dc = ex * (cy - ay) - ey * (cx - ax)
+            if (dc >= tol) != (dp >= tol):
+                t = dp / (dp - dc)
+                nxt.append((px + t * (cx - px), py + t * (cy - py)))
+            if dc >= tol:
+                nxt.append((cx, cy))
+        out = nxt
+    tol = COLLINEAR_REL * diam
+    keep = []
+    for p in out if len(out) >= 3 else []:
+        if not keep or max(abs(p[0] - keep[-1][0]),
+                           abs(p[1] - keep[-1][1])) > tol:
+            keep.append(p)
+    if len(keep) >= 2 and max(abs(keep[0][0] - keep[-1][0]),
+                              abs(keep[0][1] - keep[-1][1])) <= tol:
+        keep.pop()
+    poly = []
+    for i, b in enumerate(keep if len(keep) >= 3 else []):
+        a, c = keep[i - 1], keep[(i + 1) % len(keep)]
+        ux, uy = c[0] - a[0], c[1] - a[1]
+        if (abs(ux * (b[1] - a[1]) - uy * (b[0] - a[0]))
+                > tol * (ux * ux + uy * uy) ** 0.5):
+            poly.append(b)
+    return np.array(poly if len(poly) >= 3 else []).reshape(-1, 2)
+
+
+def reference_pieces(tri, amap, fluid):
+    """{owner: subcell area in structure coordinates} of one element,
+    scanning every fluid triangle whose bounding box meets the element's."""
+    mapped = amap.apply(tri)
+    if polygon_area(mapped) < 0:
+        mapped = mapped[::-1]
+    sliver = SLIVER_REL * abs(polygon_area(mapped))
+    lo, hi = mapped.min(axis=0), mapped.max(axis=0)
+    pieces = {}
+    for f, verts in enumerate(fluid.vertices[fluid.triangles]):
+        if np.any(verts.min(axis=0) > hi) or np.any(verts.max(axis=0) < lo):
+            continue
+        poly = reference_clip(mapped, verts)
+        if poly.shape[0] < 3 or abs(polygon_area(poly)) < sliver:
+            continue
+        areas = [abs(polygon_area(t)) for t in fan_triangulate(poly)]
+        kept = sum(a for a in areas if a >= sliver)
+        if kept:
+            pieces[f] = kept / abs(np.linalg.det(amap.matrix))
+    return pieces
+
+
+def check_against_reference(solid, maps, fluid):
+    """Owners and per-owner areas of every element match the reference,
+    areas are conserved, and the clipper raises no floating-point
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = build_all_schemes(solid, maps, fluid)
+    assert len(table) == solid.n_triangles
+    for t, scheme in enumerate(table):
+        want = reference_pieces(solid.triangle_vertices(t), maps[t], fluid)
+        got = {}
+        for owner, area in zip(scheme.owners, scheme.s_areas):
+            got[owner] = got.get(owner, 0.0) + area
+        assert set(got) == set(want)
+        for owner, area in want.items():
+            assert got[owner] == pytest.approx(area, rel=1e-9,
+                                               abs=1e-13 * solid.areas[t])
+        assert scheme.total_s_area() == pytest.approx(solid.areas[t],
+                                                      rel=1e-10)
+    return table
+
+
+FLUID = midpoint_refine(uniform_mesh((-2, -2), (2, 2), 4))
+H_FLUID = FLUID.hx
+unit = st.floats(0.0, 1.0)
+
+
+def fitted_map(matrix, ux, uy):
+    """The map with this matrix placing [0, 1]^2 inside the fluid box;
+    (ux, uy) in [0, 1]^2 picks the offset, 0 and 1 touch the walls."""
+    corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1]]) @ matrix.T
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    room = 4.0 - (hi - lo)
+    offset = -2.0 - lo + np.array([ux, uy]) * room
+    return AffineMap(matrix, np.clip(offset, -2.0 - lo, 2.0 - hi))
+
+
+@st.composite
+def generic_maps(draw):
+    """Rotated, sheared and scaled placements, some touching a wall."""
+    theta = draw(st.floats(0.0, 2 * np.pi))
+    scale = draw(st.floats(0.4, 1.6))
+    shear = draw(st.floats(-0.6, 0.6))
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    matrix = rot @ np.array([[scale, shear * scale], [0.0, scale]])
+    ux = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit))
+    return fitted_map(matrix, ux, draw(unit))
+
+
+@st.composite
+def grid_aligned_maps(draw):
+    """Axis-aligned placements whose offsets lie on fluid grid lines."""
+    size = draw(st.integers(1, 6)) * H_FLUID
+    i = draw(st.integers(0, int(round(4.0 / H_FLUID - size / H_FLUID))))
+    j = draw(st.integers(0, int(round(4.0 / H_FLUID - size / H_FLUID))))
+    return AffineMap(size * np.eye(2), (-2.0 + i * H_FLUID,
+                                        -2.0 + j * H_FLUID))
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestBatchedSupermesh:
+    @PROPERTY
+    @given(amap=st.one_of(generic_maps(), grid_aligned_maps()),
+           n=st.integers(1, 3), orientation=st.sampled_from(["left", "right"]))
+    def test_matches_scalar_reference(self, amap, n, orientation):
+        solid = uniform_mesh((0, 0), (1, 1), n, orientation=orientation)
+        check_against_reference(solid, [amap] * solid.n_triangles, FLUID)
+
+    @PROPERTY
+    @given(maps=st.lists(st.one_of(generic_maps(), grid_aligned_maps()),
+                         min_size=8, max_size=8))
+    def test_per_element_map_lists(self, maps):
+        solid = uniform_mesh((0, 0), (1, 1), 2)
+        table = check_against_reference(solid, maps, FLUID)
+        single = build_composite_scheme(solid.triangle_vertices(5), maps[5],
+                                        FLUID)
+        np.testing.assert_array_equal(single.owners, table[5].owners)
+        np.testing.assert_allclose(single.subcells, table[5].subcells)
+
+    @PROPERTY
+    @given(n_fluid=st.integers(1, 3), refine=st.integers(1, 2),
+           cells=st.integers(1, 3), i=st.integers(0, 4), j=st.integers(0, 4))
+    def test_nested_grids_make_exact_and_approx_agree(self, n_fluid, refine,
+                                                      cells, i, j):
+        """Structure cells that subdivide fluid cells with the same
+        diagonal lie in single fluid triangles, where the one-element
+        rules are exact."""
+        fluid = midpoint_refine(uniform_mesh((-2, -2), (2, 2), n_fluid))
+        h = fluid.hx
+        cells = min(cells, 2 * n_fluid)
+        n_solid = cells * refine
+        i = min(i, 2 * n_fluid - cells)
+        j = min(j, 2 * n_fluid - cells)
+        amap = AffineMap(cells * h * np.eye(2), (-2 + i * h, -2 + j * h))
+        L = multiplier_space(uniform_mesh((0, 0), (1, 1), n_solid))
+        V = velocity_space(fluid)
+        for coupling in ("l2", "h1"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ex = assemble_Cf_exact(L, V, amap, coupling)
+            ap = assemble_Cf_approx(L, V, amap, coupling)
+            scale = matrix_1norm_diff(ex, 0 * ex) if ex.nnz else 1.0
+            assert matrix_1norm_diff(ex, ap) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(amap=generic_maps(), escape=st.floats(1e-6, 0.5),
+           axis=st.integers(0, 1), side=st.sampled_from([-1.0, 1.0]))
+    def test_escape_raises(self, amap, escape, axis, side):
+        corners = amap.apply(np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
+        reach = corners[:, axis].max() if side > 0 else corners[:, axis].min()
+        shift = np.zeros(2)
+        shift[axis] = side * (2.0 - side * reach + escape)
+        moved = AffineMap(amap.matrix, amap.offset + shift)
+        solid = uniform_mesh((0, 0), (1, 1), 2)
+        with pytest.raises(DomainViolationError):
+            build_all_schemes(solid, moved, FLUID)
+        with pytest.raises(DomainViolationError):
+            build_all_schemes(solid, [moved] * solid.n_triangles, FLUID)
+
+
+def test_table_layout():
+    solid = uniform_mesh((0, 0), (1, 1), 3, orientation="left")
+    table = build_all_schemes(solid, standard_map(), FLUID)
+    assert isinstance(table, IntersectionTable)
+    assert table.offsets[0] == 0 and table.offsets[-1] == len(table.owner)
+    assert np.all(np.diff(table.parent) >= 0)
+    np.testing.assert_array_equal(
+        table.parent, np.repeat(np.arange(len(table)), np.diff(table.offsets)))
+    view = table[-1]
+    np.testing.assert_array_equal(view.owners,
+                                  table.owner[table.offsets[-2]:])
+    assert view.rule is table.rule
+    with pytest.raises(IndexError):
+        table[len(table)]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from fdlm import experiments_cli
+from fdlm.manufactured_errors import manufactured_solution
 from fdlm.mesh import (AffineMap, Triangulation, element_map, locate_point,
                        midpoint_refine, uniform_mesh)
+from fdlm.quadrature import rule_for_degree
 
 
 class TestUniformMesh:
@@ -193,6 +196,28 @@ class TestLocatePoint:
         bulk = mesh.locate_points(mids)
         for p, t in zip(mids, bulk):
             assert mesh.locate_point(p) == t
+
+    def test_locate_points_matches_scalar_on_manufactured_ties(self):
+        """The manufactured map puts the approximate-rule nodes of the
+        first two Test 2 levels on refined fluid edges; the batched
+        tie-break must pick the scalar owner for every one of them."""
+        exact = manufactured_solution()
+        rule = rule_for_degree(2)
+        basis = np.column_stack([1 - rule.points.sum(axis=1), rule.points])
+        on_edge = 0
+        for n_fluid, n_solid in experiments_cli.test2_schedule(2):
+            V, _, _, L = experiments_cli.build_level_spaces(n_fluid, n_solid)
+            solid, fluid = L.mesh, V.mesh
+            s = np.concatenate([
+                np.einsum("ki,mid->mkd", basis,
+                          solid.vertices[solid.triangles]).reshape(-1, 2),
+                solid.centroids])
+            x = exact.xbar.apply(s)
+            bulk = fluid.locate_points(x)
+            for p, t in zip(x, bulk):
+                assert fluid.locate_point(p) == t
+                on_edge += fluid._worst_barycentric(int(t), *p) < 1e-12
+        assert on_edge > 100
 
 
 def test_mesh_dump_format(tmp_path):
