@@ -7,6 +7,8 @@ reference integrals use a degree-9 conical rule on the intersection
 subcells.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -398,11 +400,100 @@ class TestPressureMeanRow:
         assert m @ shifted.coefficients == pytest.approx(16.0, rel=1e-13)
 
 
+def polynomial_solution(xbar):
+    """Low-degree polynomial fields, so every volume integrand is a
+    polynomial the degree-6 rule integrates exactly, and an affine
+    multiplier, whose coupling load is C_f^T times its interpolant."""
+    def u(x):
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([x1 * x1 * x2 + 0.3 * x1, x1 * x2 * x2 - x2 + 0.5],
+                        axis=-1)
+
+    def grad_u(x):
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([np.stack([2 * x1 * x2 + 0.3, x1 * x1], axis=-1),
+                         np.stack([x2 * x2, 2 * x1 * x2 - 1.0], axis=-1)],
+                        axis=-2)
+
+    def p(x):
+        return x[..., 0] ** 3 - 2.0 * x[..., 0] * x[..., 1] + 1.0
+
+    def X(s):
+        s1, s2 = s[..., 0], s[..., 1]
+        return np.stack([s1 * s1 * s2, s1 - s2 ** 3], axis=-1)
+
+    def grad_X(s):
+        s1, s2 = s[..., 0], s[..., 1]
+        return np.stack([np.stack([2 * s1 * s2, s1 * s1], axis=-1),
+                         np.stack([np.ones_like(s1), -3 * s2 * s2], axis=-1)],
+                        axis=-2)
+
+    lam_mat = np.array([[2.0, -1.0], [-1.0, 3.0]])
+    lam_off = np.array([1.0, 0.5])
+
+    def lam(s):
+        return s @ lam_mat.T + lam_off
+
+    def grad_lam(s):
+        return np.broadcast_to(lam_mat, s.shape[:-1] + (2, 2))
+
+    return SimpleNamespace(u=u, grad_u=grad_u, p=p, X=X, grad_X=grad_X,
+                           lam=lam, grad_lam=grad_lam, xbar=xbar,
+                           d=lambda s: u(xbar.apply(s)) - X(s),
+                           grad_d=lambda s: (grad_u(xbar.apply(s))
+                                             @ xbar.matrix - grad_X(s)))
+
+
+def per_element_load(space, value, grad):
+    """Load (value, phi) + (grad, grad phi) per triangle with the
+    degree-9 rule, basis values from the vertex system."""
+    rule = conical_product_rule(5)
+    mesh = space.mesh
+    out = np.zeros(space.n_dofs)
+    for t in range(mesh.n_triangles):
+        tri = mesh.triangles[t]
+        verts = mesh.vertices[tri]
+        pts = rule.points @ np.column_stack(
+            [verts[1] - verts[0], verts[2] - verts[0]]).T + verts[0]
+        b = bary_eval(mesh, t, pts)
+        g = np.stack([secant_grad(mesh, t, np.eye(3)[i]) for i in range(3)])
+        w = mesh.areas[t] * rule.weights
+        for c in range(2):
+            out[c * space.n_vertices + tri] += (
+                (w * value(pts)[:, c]) @ b
+                + g @ (w @ grad(pts)[:, c, :]))
+    return out
+
+
 class TestRightHandSides:
     def setup_method(self):
         self.V, self.Q = fluid_spaces(4)
         self.S, self.L = solid_spaces(2)
         self.xbar = standard_map()
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    @pytest.mark.parametrize("coupling", ["l2", "h1"])
+    def test_volume_loads_against_per_element_quadrature(self, coupling,
+                                                         mode):
+        params = FormParams(alpha=0.7, nu=0.5, beta=1.3, kappa=2.0)
+        exact = polynomial_solution(self.xbar)
+        F, G, _ = assemble_rhs(self.V, self.Q, self.S, self.L, exact,
+                               self.xbar, coupling, mode, params)
+        eye = np.eye(2)
+        want_F = per_element_load(
+            self.V, lambda x: params.alpha * exact.u(x),
+            lambda x: (params.nu * exact.grad_u(x)
+                       - exact.p(x)[:, None, None] * eye))
+        assemble = assemble_Cf_exact if mode == "exact" else \
+            assemble_Cf_approx
+        lam_h = interpolate(self.L, exact.lam).coefficients
+        want_F += assemble(self.L, self.V, self.xbar, coupling).T @ lam_h
+        h1 = 1.0 if coupling == "h1" else 0.0
+        want_G = per_element_load(
+            self.S, lambda s: params.beta * exact.X(s) - exact.lam(s),
+            lambda s: params.kappa * exact.grad_X(s) - h1 * exact.grad_lam(s))
+        for got, want in ((F, want_F), (G, want_G)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_solution_gives_zero_data(self):
         F, G, D = assemble_rhs(self.V, self.Q, self.S, self.L,
