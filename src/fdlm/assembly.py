@@ -5,23 +5,24 @@ so vector mass and stiffness matrices are block diagonal copies of
 scalar ones, and the fluid-structure coupling matrix couples equal
 components only.
 
-The coupling matrix between the multiplier space on the structure mesh
-and the velocity space on the refined fluid mesh, and the coupling
-loads, all run through one quadrature core over node sets: M cells of
-K nodes, cell m lying in structure element parent[m] and fluid triangle
-owner[m], with nodes s (M, K, 2) in structure and x (M, K, 2) in fluid
-coordinates, the Jacobian jac (M, 2, 2) of the placement map, and a
-weight w (M, K, F) per node and integrand feature.  The l2 integrand
-has the one feature mu * v, the h1 integrand adds the two components
-of grad mu . grad(v o xbar).  Exact mode takes the supermesh subcells
-under one rule (for the matrix the degree-2 rule, exact on every
-subcell); approx mode takes whole structure elements, with the
-edge-midpoint nodes weighing the mass feature and the centroids the
-gradient features, and locates every node in the fluid mesh.
+The coupling matrix, the coupling loads and every right-hand side run
+through one quadrature core over node sets: M cells of K nodes, cell m
+lying in triangle parent[m] of the mesh it is assembled on (and, for
+the coupling, in fluid triangle owner[m]), with nodes s (M, K, 2),
+their images x under the placement map, its Jacobian jac (M, 2, 2),
+and weights w (M, K, 2) for the value feature (mu . v) and the
+gradient feature (grad mu : grad(v o xbar)).  Hat gradients are
+constant on a cell, so the gradient feature enters through its weight
+per cell.  Exact coupling takes the supermesh subcells under one rule
+(for the matrix the degree-2 rule, exact on every subcell); approx
+coupling takes whole structure elements, with the edge-midpoint nodes
+weighing the value feature and the centroids the gradient feature,
+and locates every node in the fluid mesh.
 
 Right-hand sides are produced by inserting the analytic solution into
 the left-hand side forms, so the discrete problem is consistent by
-construction; smooth volume terms use the degree-6 rule.
+construction; smooth volume terms use the degree-6 rule on the mesh
+triangles, loaded through the same core.
 """
 
 from collections import namedtuple
@@ -45,7 +46,6 @@ __all__ = [
     "assemble_rhs",
     "matrix_1norm_diff",
     "pressure_mean_row",
-    "dump_matrix",
 ]
 
 @dataclass(frozen=True)
@@ -53,23 +53,19 @@ class FormParams:
     """Coefficients of the fluid and structure bilinear forms.
 
     a_f(u, v) = alpha (u, v) + nu (grad u, grad v) on the fluid box and
-    a_s(X, Y) = beta (X, Y) + kappa (grad X, grad Y) on the structure;
-    gamma scales the kinematic constraint and is fixed to one.
+    a_s(X, Y) = beta (X, Y) + kappa (grad X, grad Y) on the structure.
     """
 
     alpha: float = 0.0
     nu: float = 1.0
     beta: float = 0.0
     kappa: float = 1.0
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("mass coefficients must be nonnegative")
         if self.nu <= 0 or self.kappa <= 0:
             raise ValueError("gradient coefficients must be positive")
-        if self.gamma != 1.0:
-            raise ValueError("gamma is fixed to one")
 
 
 def _check_coupling(coupling):
@@ -184,65 +180,65 @@ def assemble_Cs(L, S, coupling):
 _Nodes = namedtuple("_Nodes", "parent owner s x w jac")
 
 
-def _features(mesh, tris, pts, coupling, jac=None):
-    """P1 features on triangles tris (M,) at pts (M, K, 2), as (M, K, 3, F).
-
-    Feature 0 holds the three hat values; for h1, features 1-2 hold
-    their gradients, pulled back through the Jacobians jac (M, 2, 2)
-    when given.
-    """
+def _features(mesh, tris, pts, jac=None):
+    """P1 hats of triangles tris (M,): values (M, K, 3) at pts (M, K, 2)
+    and gradients (M, 3, 2), pulled back through the Jacobians jac
+    (M, 2, 2) when given."""
     g = mesh.grads[tris]
     d = pts - mesh.centroids[tris][:, None, :]
     val = 1.0 / 3.0 + d @ g.swapaxes(1, 2)
-    if coupling == "l2":
-        return val[..., None]
-    if jac is not None:
-        g = g @ jac
-    grad = np.broadcast_to(g[:, None], val.shape + (2,))
-    return np.concatenate([val[..., None], grad], axis=-1)
+    return val, g if jac is None else g @ jac
 
 
-def _field_features(field, grad, s, coupling):
-    """Values (M, K, 2, F) of a vector field and, for h1, its gradient."""
-    v = np.asarray(field(s))[..., None]
-    if coupling == "l2":
-        return v
-    return np.concatenate([v, np.asarray(grad(s))], axis=-1)
+def _load(mesh, tris, pts, w, value, grad=None, jac=None):
+    """Load of a vector field against the vector P1 hats phi of mesh:
+    sum_nodes w[..., 0] value . phi + w[..., 1] grad : grad phi, per dof.
 
-
-def _load(mesh, tris, pts, w, values, coupling, jac=None):
-    """sum_nodes w * values . features of the P1 hats of mesh, per dof."""
-    feat = _features(mesh, tris, pts, coupling, jac)
-    vals = np.einsum("mkf,mkcf,mkjf->mcj", w, values, feat, optimize=True)
+    value (M, K, 2) and grad (M, K, 2, 2) are the field's value and
+    gradient features at the nodes; either may be None.
+    """
+    hat, dhat = _features(mesh, tris, pts, jac)
+    vals = 0.0
+    if value is not None:
+        vals = (w[..., :1] * value).swapaxes(1, 2) @ hat
+    if grad is not None:
+        vals = vals + np.einsum("mk,mkcd->mcd", w[..., 1], grad) \
+            @ dhat.swapaxes(1, 2)
     dofs = (np.arange(2)[:, None] * mesh.n_vertices
             + mesh.triangles[tris][:, None, :])
     return np.bincount(dofs.ravel(), weights=vals.ravel(),
                        minlength=2 * mesh.n_vertices)
 
 
-def _rule_nodes(tris, areas, rule, coupling):
-    """Nodes (M, K, 2) of rule on triangles (M, 3, 2), weighing all features."""
+def _rule_nodes(tris, areas, rule):
+    """Nodes (M, K, 2) of rule on triangles (M, 3, 2) and their weights
+    (M, K, 2), the same for the value and the gradient feature."""
     s = _basis_table(rule) @ tris
     w = areas[:, None] * rule.weights
-    return s, np.repeat(w[..., None], 1 if coupling == "l2" else 3, axis=-1)
+    return s, np.repeat(w[..., None], 2, axis=-1)
+
+
+def _mesh_nodes(mesh, rule):
+    """(parent, s, w) of rule on every triangle of mesh."""
+    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas, rule)
+    return np.arange(mesh.n_triangles), s, w
 
 
 def _single_rule_nodes(mesh, coupling):
     """(parent, s, w) of the single-element rules, one node per cell.
 
-    Edge midpoints (degree-2 rule) weigh the mass feature, centroids
-    (h1 only) the gradient features.
+    Edge midpoints (degree-2 rule) weigh the value feature, centroids
+    (h1 only) the gradient feature.
     """
     n = mesh.n_triangles
     rule = rule_for_degree(2)
-    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas, rule, "l2")
-    parent = np.repeat(np.arange(n), len(rule))
-    s, w = s.reshape(-1, 1, 2), w.reshape(-1, 1, 1)
+    parent, s, w = _mesh_nodes(mesh, rule)
+    parent = np.repeat(parent, len(rule))
+    s, w = s.reshape(-1, 1, 2), w.reshape(-1, 1, 2) * (1.0, 0.0)
     if coupling == "h1":
         s = np.concatenate([s, mesh.centroids[:, None, :]])
         parent = np.concatenate([parent, np.arange(n)])
-        w = np.concatenate([w * (1.0, 0.0, 0.0),
-                            mesh.areas[:, None, None] * (0.0, 1.0, 1.0)])
+        w = np.concatenate([w, mesh.areas[:, None, None] * (0.0, 1.0)])
     return parent, s, w
 
 
@@ -254,7 +250,7 @@ def _coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
         if schemes is None:
             schemes = build_all_schemes(L.mesh, xbar, V.mesh)
         parent, owner = schemes.parent, schemes.owner
-        s, w = _rule_nodes(schemes.subcells, schemes.s_areas, rule, coupling)
+        s, w = _rule_nodes(schemes.subcells, schemes.s_areas, rule)
     else:
         parent, s, w = _single_rule_nodes(L.mesh, coupling)
     jac = mats[parent]
@@ -270,18 +266,18 @@ def _coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
 def _coupling_matrix(L, V, coupling, nodes):
     """Coupling matrix of a node set: rows multiplier, columns velocity
     dofs, equal components only."""
-    vals = np.einsum("mkf,mkif,mkjf->mij", nodes.w,
-                     _features(L.mesh, nodes.parent, nodes.s, coupling),
-                     _features(V.mesh, nodes.owner, nodes.x, coupling,
-                               nodes.jac), optimize=True)
+    hat_l, grad_l = _features(L.mesh, nodes.parent, nodes.s)
+    hat_v, grad_v = _features(V.mesh, nodes.owner, nodes.x, nodes.jac)
+    vals = (nodes.w[..., :1] * hat_l).swapaxes(1, 2) @ hat_v
+    if coupling == "h1":
+        vals += (nodes.w[..., 1].sum(axis=1)[:, None, None]
+                 * (grad_l @ grad_v.swapaxes(1, 2)))
     r = np.broadcast_to(L.mesh.triangles[nodes.parent][:, :, None],
-                        vals.shape).ravel()
+                        vals.shape)
     c = np.broadcast_to(V.mesh.triangles[nodes.owner][:, None, :],
-                        vals.shape).ravel()
-    v = vals.ravel()
-    return _csr(np.concatenate([r, r + L.n_vertices]),
-                np.concatenate([c, c + V.n_vertices]),
-                np.concatenate([v, v]), (L.n_dofs, V.n_dofs))
+                        vals.shape)
+    return _vector_block(_csr(r.ravel(), c.ravel(), vals.ravel(),
+                              (L.n_vertices, V.n_vertices)))
 
 
 def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
@@ -329,52 +325,25 @@ def pressure_mean_row(Q):
 # -- right-hand sides ----------------------------------------------------
 
 
-def _volume_rhs_fluid(V, exact, params, rule):
+def _volume_rhs_fluid(V, exact, params):
     """alpha (u, phi) + nu (grad u, grad phi) - (p, div phi) on the fluid mesh."""
-    mesh = V.mesh
-    basis = _basis_table(rule)
-    pts = np.einsum("ki,mid->mkd", basis, mesh.vertices[mesh.triangles])
-    w = rule.weights
-    gu = np.asarray(exact.grad_u(pts))
-    pv = np.asarray(exact.p(pts))
-    contrib = params.nu * np.einsum("m,k,mkcd,mid->mic",
-                                    mesh.areas, w, gu, mesh.grads)
-    if params.alpha != 0.0:
-        uv = np.asarray(exact.u(pts))
-        contrib += params.alpha * np.einsum("m,k,mkc,ki->mic",
-                                            mesh.areas, w, uv, basis)
-    contrib -= np.einsum("m,k,mk,mic->mic", mesh.areas, w, pv, mesh.grads)
-    F = np.zeros(V.n_dofs)
-    nv = V.n_vertices
-    for c in range(2):
-        np.add.at(F, c * nv + mesh.triangles, contrib[..., c])
-    return F
+    parent, x, w = _mesh_nodes(V.mesh, rule_for_degree(6))
+    value = params.alpha * exact.u(x) if params.alpha != 0.0 else None
+    grad = (params.nu * exact.grad_u(x)
+            - exact.p(x)[..., None, None] * np.eye(2))
+    return _load(V.mesh, parent, x, w, value, grad)
 
 
 def _structure_rhs(S, exact, params, coupling):
     """a_s(X, Y) - c(lambda, Y) on the structure mesh with the degree-6 rule."""
-    mesh = S.mesh
-    rule = rule_for_degree(6)
-    basis = _basis_table(rule)
-    pts = np.einsum("ki,mid->mkd", basis, mesh.vertices[mesh.triangles])
-    w = rule.weights
-    gx = np.asarray(exact.grad_X(pts))
-    lv = np.asarray(exact.lam(pts))
-    contrib = params.kappa * np.einsum("m,k,mkcd,mid->mic",
-                                       mesh.areas, w, gx, mesh.grads)
+    parent, s, w = _mesh_nodes(S.mesh, rule_for_degree(6))
+    value = -exact.lam(s)
     if params.beta != 0.0:
-        xv = np.asarray(exact.X(pts))
-        contrib += params.beta * np.einsum("m,k,mkc,ki->mic",
-                                           mesh.areas, w, xv, basis)
-    contrib -= np.einsum("m,k,mkc,ki->mic", mesh.areas, w, lv, basis)
+        value += params.beta * exact.X(s)
+    grad = params.kappa * exact.grad_X(s)
     if coupling == "h1":
-        gl = np.asarray(exact.grad_lam(pts))
-        contrib -= np.einsum("m,k,mkcd,mid->mic", mesh.areas, w, gl, mesh.grads)
-    G = np.zeros(S.n_dofs)
-    nv = S.n_vertices
-    for c in range(2):
-        np.add.at(G, c * nv + mesh.triangles, contrib[..., c])
-    return G
+        grad -= exact.grad_lam(s)
+    return _load(S.mesh, parent, s, w, value, grad)
 
 
 def _constraint_rhs(L, exact, coupling, mode):
@@ -384,15 +353,12 @@ def _constraint_rhs(L, exact, coupling, mode):
     the single-element coupling rules (degree-2 mass part, centroid
     gradient part).
     """
-    mesh = L.mesh
     if mode == "exact":
-        parent = np.arange(mesh.n_triangles)
-        s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas,
-                           rule_for_degree(6), coupling)
+        parent, s, w = _mesh_nodes(L.mesh, rule_for_degree(6))
     else:
-        parent, s, w = _single_rule_nodes(mesh, coupling)
-    return _load(mesh, parent, s, w,
-                 _field_features(exact.d, exact.grad_d, s, coupling), coupling)
+        parent, s, w = _single_rule_nodes(L.mesh, coupling)
+    return _load(L.mesh, parent, s, w, exact.d(s),
+                 exact.grad_d(s) if coupling == "h1" else None)
 
 
 def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
@@ -412,21 +378,12 @@ def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
     params = params or FormParams()
-    F = _volume_rhs_fluid(V, exact, params, rule_for_degree(6))
     nodes = _coupling_nodes(L, V, xbar, coupling, mode, rule_for_degree(6),
                             schemes)
-    F += _load(V.mesh, nodes.owner, nodes.x, nodes.w,
-               _field_features(exact.lam, exact.grad_lam, nodes.s, coupling),
-               coupling, nodes.jac)
+    F = _volume_rhs_fluid(V, exact, params) + _load(
+        V.mesh, nodes.owner, nodes.x, nodes.w, exact.lam(nodes.s),
+        exact.grad_lam(nodes.s) if coupling == "h1" else None, nodes.jac)
     G = _structure_rhs(S, exact, params, coupling)
     D = _constraint_rhs(L, exact, coupling, mode)
     return F, G, D
 
-
-def dump_matrix(A, path):
-    """Coordinate text dump ``row col value``, deterministic order."""
-    coo = A.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i in order:
-            fh.write("%d %d %.17g\n" % (coo.row[i], coo.col[i], coo.data[i]))

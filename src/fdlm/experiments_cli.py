@@ -19,6 +19,7 @@ byte-identical.
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .mesh import DomainViolationError, midpoint_refine, uniform_mesh
 from .saddle_solver import (Blocks, SingularSystemError, build_system,
                             dump_solution, solve)
 
-__all__ = ["ExperimentPlan", "make_plan", "test1_schedule", "test2_schedule",
+__all__ = ["ExperimentPlan", "test1_schedule", "test2_schedule",
            "run_convergence", "quadrature_error_study", "compute_rates",
            "coupling_gap_norm", "write_convergence_csv", "write_quaderr_csv",
            "cli_main", "main"]
@@ -63,28 +64,30 @@ def test2_schedule(levels):
             for k in range(levels)]
 
 
+@dataclass(frozen=True)
 class ExperimentPlan:
     """A refinement study: which test, coupling, assembly mode, and levels."""
 
-    def __init__(self, test_id, coupling, assembly_mode, levels):
-        if test_id not in (1, 2):
+    test_id: int
+    coupling: str
+    assembly_mode: str
+    levels: int
+
+    def __post_init__(self):
+        if self.test_id not in (1, 2):
             raise ValueError("test_id must be 1 or 2")
-        if coupling not in ("l2", "h1"):
+        if self.coupling not in ("l2", "h1"):
             raise ValueError("coupling must be 'l2' or 'h1'")
-        if assembly_mode not in ("exact", "approx"):
+        if self.assembly_mode not in ("exact", "approx"):
             raise ValueError("assembly_mode must be 'exact' or 'approx'")
-        if levels < 1:
+        if self.levels < 1:
             raise ValueError("levels must be at least 1")
-        self.test_id = test_id
-        self.coupling = coupling
-        self.assembly_mode = assembly_mode
-        self.levels = levels
-        sched = test1_schedule if test_id == 1 else test2_schedule
-        self.schedule = sched(levels)
 
-
-def make_plan(test_id, coupling, assembly_mode, levels):
-    return ExperimentPlan(test_id, coupling, assembly_mode, levels)
+    @property
+    def schedule(self):
+        """(n_fluid, n_solid) per level."""
+        sched = test1_schedule if self.test_id == 1 else test2_schedule
+        return sched(self.levels)
 
 
 def build_level_spaces(n_fluid, n_solid):
@@ -308,8 +311,8 @@ def cli_main(argv=None):
                 print("fdlm: error: run requires --levels >= 2",
                       file=sys.stderr)
                 return 2
-            plan = make_plan(args.test, args.coupling, args.assembly,
-                             args.levels)
+            plan = ExperimentPlan(args.test, args.coupling, args.assembly,
+                                  args.levels)
             records = run_convergence(plan)
             write_convergence_csv(records, args.out)
         elif args.command == "quaderr":
@@ -317,7 +320,8 @@ def cli_main(argv=None):
                 print("fdlm: error: quaderr requires --levels >= 2",
                       file=sys.stderr)
                 return 2
-            plan = make_plan(args.test, args.coupling, "approx", args.levels)
+            plan = ExperimentPlan(args.test, args.coupling, "approx",
+                                  args.levels)
             records = quadrature_error_study(plan)
             write_quaderr_csv(records, args.out)
         else:

@@ -10,7 +10,7 @@ Vector dofs are blocked by component: dof = comp * n_vertices + vertex.
 
 import numpy as np
 
-from .mesh import DomainViolationError, element_map
+from .mesh import element_map
 
 __all__ = [
     "FiniteElementSpace",
@@ -20,7 +20,6 @@ __all__ = [
     "solid_space",
     "multiplier_space",
     "interpolate",
-    "composed_velocity_eval",
 ]
 
 
@@ -32,7 +31,6 @@ class FiniteElementSpace:
     mesh : Triangulation
     value_dim : int
     n_dofs : int, value_dim * n_vertices
-    dof_coords : (n_dofs, 2) vertex coordinate per dof
     dirichlet_mask : (n_dofs,) bool; all False except for velocity spaces
     """
 
@@ -43,19 +41,11 @@ class FiniteElementSpace:
         self.value_dim = value_dim
         self.n_vertices = mesh.n_vertices
         self.n_dofs = value_dim * mesh.n_vertices
-        self.dof_coords = np.tile(mesh.vertices, (value_dim, 1))
         self.dirichlet_mask = np.zeros(self.n_dofs, dtype=bool)
         if dirichlet_boundary:
             for c in range(value_dim):
                 self.dirichlet_mask[c * self.n_vertices:(c + 1) * self.n_vertices] = \
                     mesh.boundary_vertex_flags
-
-    def dof(self, comp, vertex):
-        return comp * self.n_vertices + vertex
-
-    def component(self, coefficients, c):
-        """View of one component block of a coefficient vector."""
-        return coefficients[c * self.n_vertices:(c + 1) * self.n_vertices]
 
 
 def velocity_space(refined_mesh):
@@ -139,12 +129,3 @@ def interpolate(space, g):
     else:
         coeff = vals.reshape(-1, 2).T.reshape(-1)
     return FEFunction(space, coeff)
-
-
-def composed_velocity_eval(v, xbar_map, s):
-    """Evaluate v(xbar(s)) by point location in the fluid mesh."""
-    x = xbar_map.apply(np.asarray(s, dtype=float))
-    t = v.space.mesh.locate_point(x)
-    if t is None:
-        raise DomainViolationError("mapped point leaves the fluid domain")
-    return v.eval(t, x)

@@ -17,9 +17,10 @@ conditions and taking the H1 norm of Psi.
 """
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import (_basis_table, _load, _mesh_nodes, _scalar_mass,
+                       _scalar_stiffness)
 from .mesh import AffineMap
 from .quadrature import rule_for_degree
 
@@ -27,7 +28,6 @@ __all__ = [
     "ManufacturedSolution",
     "manufactured_solution",
     "zero_solution",
-    "curl_of_potential",
     "error_norms",
     "dual_norm",
     "inverse_inequality_check",
@@ -38,19 +38,6 @@ __all__ = [
 
 FLUID_BOX = (-2.0, -2.0, 2.0, 2.0)
 SOLID_BOX = (0.0, 0.0, 1.0, 1.0)
-
-
-def curl_of_potential(grad_psi):
-    """Rotated gradient (d psi / dy, -d psi / dx) as a vector field.
-
-    grad_psi maps points (..., 2) to gradients (..., 2); the returned
-    field is divergence free by construction.  The gradient is supplied
-    in closed form by the caller, keeping derivatives hand-coded.
-    """
-    def u(pts):
-        g = np.asarray(grad_psi(np.asarray(pts, dtype=float)), dtype=float)
-        return np.stack([g[..., 1], -g[..., 0]], axis=-1)
-    return u
 
 
 class ManufacturedSolution:
@@ -159,46 +146,25 @@ def zero_solution():
 # -- norms --------------------------------------------------------------
 
 
-def _quad_data(mesh, rule):
-    """Mapped quadrature points (Nt, K, 2) and the P1 basis table (K, 3)."""
-    q = rule.points
-    basis = np.column_stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])
-    p = mesh.vertices[mesh.triangles]
-    pts = np.einsum("ki,mid->mkd", basis, p)
-    return pts, basis
+def _vertex_values(space, coeff):
+    """Vertex values (Nt, 3, value_dim) of a P1 function per triangle."""
+    return coeff.reshape(space.value_dim, -1).T[space.mesh.triangles]
 
 
 def _field_sq_errors(space, coeff, exact_val, exact_grad, rule):
     """Per-element squared L2 and H1-seminorm errors of coeff vs an analytic field."""
     mesh = space.mesh
-    pts, basis = _quad_data(mesh, rule)
-    tri = mesh.triangles
-    nv = space.n_vertices
-    w = rule.weights
-    areas = mesh.areas
-    if space.value_dim == 1:
-        vh = np.einsum("ki,mi->mk", basis, coeff[tri])
-        ve = np.asarray(exact_val(pts))
-        l2 = areas * ((ve - vh) ** 2 @ w)
-        if exact_grad is None:
-            return l2, None
-        gh = np.einsum("mi,mid->md", coeff[tri], mesh.grads)
-        ge = np.asarray(exact_grad(pts))
-        diff = ge - gh[:, None, :]
-        h1 = areas * np.einsum("mkd,mkd,k->m", diff, diff, w)
-        return l2, h1
-    comp = np.stack([coeff[c * nv + tri] for c in range(2)], axis=-1)
-    vh = np.einsum("ki,mic->mkc", basis, comp)
-    ve = np.asarray(exact_val(pts))
-    dv = ve - vh
-    l2 = areas * np.einsum("mkc,mkc,k->m", dv, dv, w)
+    _, pts, w = _mesh_nodes(mesh, rule)
+    w = w[..., 0]
+    comp = _vertex_values(space, coeff)
+    vh = _basis_table(rule) @ comp
+    dv = np.asarray(exact_val(pts)).reshape(vh.shape) - vh
+    l2 = np.einsum("mkc,mkc,mk->m", dv, dv, w)
     if exact_grad is None:
         return l2, None
-    gh = np.einsum("mic,mid->mcd", comp, mesh.grads)
-    ge = np.asarray(exact_grad(pts))
-    dg = ge - gh[:, None, :, :]
-    h1 = areas * np.einsum("mkcd,mkcd,k->m", dg, dg, w)
-    return l2, h1
+    gh = comp.swapaxes(1, 2) @ mesh.grads
+    dg = np.asarray(exact_grad(pts)).reshape(vh.shape + (2,)) - gh[:, None]
+    return l2, np.einsum("mkcd,mkcd,mk->m", dg, dg, w)
 
 
 def l2_error(space, coeff, exact_val, rule=None):
@@ -214,55 +180,11 @@ def h1_error(space, coeff, exact_val, exact_grad, rule=None):
     return float(np.sqrt(l2.sum() + h1.sum()))
 
 
-def _mass_stiffness(mesh):
-    """Scalar P1 mass and stiffness matrices on a mesh."""
-    tri = mesh.triangles
-    areas = mesh.areas
-    rule = rule_for_degree(2)
-    q = rule.points
-    basis = np.column_stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])
-    m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
-    mloc = areas[:, None, None] * m_unit
-    kloc = areas[:, None, None] * np.einsum("mid,mjd->mij", mesh.grads, mesh.grads)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    nv = mesh.n_vertices
-    M = sp.coo_matrix((mloc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    K = sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    return M, K
-
-
-def _load_vector(space, f, rule=None):
-    """Load vector r_i = (f, phi_i) with per-element quadrature."""
-    rule = rule or rule_for_degree(6)
-    mesh = space.mesh
-    pts, basis = _quad_data(mesh, rule)
-    vals = np.asarray(f(pts))
-    r = np.zeros(space.n_dofs)
-    tri = mesh.triangles
-    w = rule.weights
-    if space.value_dim == 1:
-        contrib = np.einsum("m,mk,ki,k->mi", mesh.areas, vals, basis, w)
-        np.add.at(r, tri, contrib)
-    else:
-        contrib = np.einsum("m,mkc,ki,k->mic", mesh.areas, vals, basis, w)
-        nv = space.n_vertices
-        for c in range(2):
-            np.add.at(r, c * nv + tri, contrib[..., c])
-    return r
-
-
 def _dual_norm_from_load(space, r):
     """Dual H1 norm of the functional with load vector r on a vector P1 space."""
-    M, K = _mass_stiffness(space.mesh)
-    A = (M + K).tocsc()
-    lu = spla.splu(A)
-    nv = space.n_vertices
-    val = 0.0
-    for c in range(2):
-        rc = r[c * nv:(c + 1) * nv]
-        psi = lu.solve(rc)
-        val += float(psi @ rc)
+    lu = spla.splu((_scalar_mass(space.mesh)
+                    + _scalar_stiffness(space.mesh)).tocsc())
+    val = sum(float(rc @ lu.solve(rc)) for rc in r.reshape(2, -1))
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -273,23 +195,13 @@ def dual_norm(space, e, fe=None):
     the structure mesh and returns the H1 norm of Psi, which equals the
     norm of the functional in the dual of H1.
     """
-    if fe is None:
-        r = _load_vector(space, e)
-    else:
-        mesh = space.mesh
-        rule = rule_for_degree(6)
-        pts, basis = _quad_data(mesh, rule)
-        nv = space.n_vertices
-        tri = mesh.triangles
-        comp = np.stack([fe.coefficients[c * nv + tri] for c in range(2)], axis=-1)
-        vh = np.einsum("ki,mic->mkc", basis, comp)
-        vals = np.asarray(e(pts)) - vh
-        r = np.zeros(space.n_dofs)
-        contrib = np.einsum("m,mkc,ki,k->mic", mesh.areas, vals, basis,
-                            rule.weights)
-        for c in range(2):
-            np.add.at(r, c * nv + tri, contrib[..., c])
-    return _dual_norm_from_load(space, r)
+    rule = rule_for_degree(6)
+    parent, s, w = _mesh_nodes(space.mesh, rule)
+    vals = np.asarray(e(s))
+    if fe is not None:
+        vals = vals - _basis_table(rule) @ _vertex_values(space,
+                                                          fe.coefficients)
+    return _dual_norm_from_load(space, _load(space.mesh, parent, s, w, vals))
 
 
 def error_norms(sol, exact, coupling):
@@ -333,9 +245,8 @@ def inverse_inequality_check(spaces, vectors=None, seed=0):
             mu = rng.standard_normal(space.n_dofs)
         if not np.any(mu):
             raise ValueError("mu must be nonzero")
-        M, _ = _mass_stiffness(space.mesh)
-        nv = space.n_vertices
-        r = np.concatenate([M @ mu[c * nv:(c + 1) * nv] for c in range(2)])
+        M = _scalar_mass(space.mesh)
+        r = np.concatenate([M @ mc for mc in mu.reshape(2, -1)])
         l2 = float(np.sqrt(mu @ r))
         dual = _dual_norm_from_load(space, r)
         ratios.append(space.mesh.h * l2 / dual)

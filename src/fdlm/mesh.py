@@ -25,7 +25,6 @@ __all__ = [
     "uniform_mesh",
     "midpoint_refine",
     "element_map",
-    "locate_point",
 ]
 
 # Barycentric containment tolerances for point location (tight, then
@@ -297,19 +296,6 @@ class Triangulation:
             pick = np.where(hit.any(axis=1), np.argmax(hit, axis=1), pick)
         return cand[np.arange(cand.shape[0]), pick]
 
-    # -- output ----------------------------------------------------------
-
-    def dump(self, path):
-        """Plain-text dump: header ``vertices N triangles M``, then vertex
-        lines ``x y``, then triangle lines ``i j k``."""
-        with open(path, "w") as fh:
-            fh.write("vertices %d triangles %d\n"
-                     % (self.n_vertices, self.n_triangles))
-            for x, y in self.vertices:
-                fh.write("%.17g %.17g\n" % (x, y))
-            for i, j, k in self.triangles:
-                fh.write("%d %d %d\n" % (i, j, k))
-
 
 def uniform_mesh(lo, hi, n, orientation="right"):
     """Uniform structured mesh of the rectangle [lo, hi] with n cells per side.
@@ -423,7 +409,3 @@ def element_map(mesh, t):
     a, b, c = mesh.triangle_vertices(t)
     return AffineMap(np.column_stack([b - a, c - a]), a)
 
-
-def locate_point(mesh, x):
-    """Module-level alias for Triangulation.locate_point."""
-    return mesh.locate_point(x)

@@ -1,5 +1,4 @@
-"""Quadrature rules on the reference triangle and the per-element
-quadrature error functional.
+"""Quadrature rules on the reference triangle.
 
 All rules live on the reference triangle with vertices (0,0), (1,0),
 (0,1) and use the convention that the weights sum to one, so the
@@ -14,7 +13,6 @@ __all__ = [
     "rule_for_degree",
     "conical_product_rule",
     "integrate",
-    "quad_error_functional",
 ]
 
 
@@ -88,17 +86,3 @@ def integrate(f, tri, rule):
     pts = rule.points @ m.T + a
     vals = np.asarray(f(pts), dtype=float).reshape(-1)
     return area * float(rule.weights @ vals)
-
-
-def quad_error_functional(f, tri, rule, oracle):
-    """E_T(f) = int_T f - |T| * sum_k w_k f(q_k).
-
-    The reference integral comes from ``oracle``: either a (much more
-    accurate) QuadratureRule, or a callable (f, tri) -> float, e.g. a
-    composite scheme resolving a kink of f.
-    """
-    if isinstance(oracle, QuadratureRule):
-        exact = integrate(f, tri, oracle)
-    else:
-        exact = float(oracle(f, tri))
-    return exact - integrate(f, tri, rule)

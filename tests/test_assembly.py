@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
-                           assemble_rhs, dump_matrix, matrix_1norm_diff,
+                           assemble_rhs, matrix_1norm_diff,
                            pressure_mean_row)
 from fdlm.fespace import (FEFunction, interpolate, multiplier_space,
                           pressure_space, solid_space, velocity_space)
@@ -91,15 +91,13 @@ def coupling_oracle(L, V, xbar, mu_c, v_c, coupling):
 class TestFormParams:
     def test_defaults(self):
         p = FormParams()
-        assert (p.alpha, p.nu, p.beta, p.kappa, p.gamma) == (0, 1, 0, 1, 1)
+        assert (p.alpha, p.nu, p.beta, p.kappa) == (0, 1, 0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FormParams(alpha=-1.0)
         with pytest.raises(ValueError):
             FormParams(kappa=0.0)
-        with pytest.raises(ValueError):
-            FormParams(gamma=2.0)
 
 
 class TestVolumeMatrices:
@@ -550,11 +548,3 @@ class TestRightHandSides:
         assert 0.0 < np.abs(F1 - F2).max() < 0.05 * scale
         assert 0.0 < np.abs(D1 - D2).max()
 
-
-class TestDumpMatrix:
-    def test_round_trip(self, tmp_path):
-        A = sp.csr_matrix(np.array([[0.0, 1.5], [2.0, 0.0], [0.0, -0.25]]))
-        path = tmp_path / "mat.txt"
-        dump_matrix(A, path)
-        lines = path.read_text().splitlines()
-        assert lines == ["0 1 1.5", "1 0 2", "2 1 -0.25"]

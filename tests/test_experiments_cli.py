@@ -1,5 +1,6 @@
 """Experiment schedules, rate computation, CSV output, CLI behavior."""
 
+import dataclasses
 import math
 import os
 
@@ -10,7 +11,7 @@ import fdlm.experiments_cli as xcli
 from fdlm.experiments_cli import (CONVERGENCE_HEADER, QUADERR_HEADER,
                                   ExperimentPlan, build_level_spaces,
                                   cli_main, compute_rates, fitted_slope,
-                                  make_plan, quadrature_error_study,
+                                  quadrature_error_study,
                                   write_convergence_csv, write_quaderr_csv,
                                   _fmt)
 
@@ -32,17 +33,19 @@ class TestSchedules:
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            make_plan(3, "l2", "exact", 2)
+            ExperimentPlan(3, "l2", "exact", 2)
         with pytest.raises(ValueError):
-            make_plan(1, "h2", "exact", 2)
+            ExperimentPlan(1, "h2", "exact", 2)
         with pytest.raises(ValueError):
-            make_plan(1, "l2", "fast", 2)
+            ExperimentPlan(1, "l2", "fast", 2)
         with pytest.raises(ValueError):
-            make_plan(1, "l2", "exact", 0)
+            ExperimentPlan(1, "l2", "exact", 0)
 
     def test_plan_carries_schedule(self):
         plan = ExperimentPlan(2, "h1", "approx", 3)
         assert plan.schedule == schedule2(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.test_id = 1
 
 
 class TestLevelSpaces:
@@ -134,7 +137,7 @@ class TestCsvOutput:
 
 class TestQuadratureErrorStudy:
     def test_gap_shrinks_and_run_is_deterministic(self, tmp_path):
-        plan = make_plan(1, "l2", "approx", 2)
+        plan = ExperimentPlan(1, "l2", "approx", 2)
         recs = quadrature_error_study(plan)
         assert recs[0]["cf_diff_1norm"] > recs[1]["cf_diff_1norm"] > 0
         assert recs[1]["rate_cf"] > 1.0

@@ -1,15 +1,13 @@
-"""P1 spaces: basis evaluation, interpolation, boundary dofs, composition."""
+"""P1 spaces: basis evaluation, interpolation, boundary dofs."""
 
 import numpy as np
 import pytest
 
-from fdlm.fespace import (FEFunction, FiniteElementSpace,
-                          composed_velocity_eval, interpolate,
+from fdlm.fespace import (FEFunction, FiniteElementSpace, interpolate,
                           multiplier_space, pressure_space, solid_space,
                           velocity_space)
-from fdlm.manufactured_errors import h1_error, manufactured_solution
-from fdlm.mesh import AffineMap, DomainViolationError, midpoint_refine, \
-    uniform_mesh
+from fdlm.manufactured_errors import h1_error
+from fdlm.mesh import midpoint_refine, uniform_mesh
 
 
 def random_points_in_elements(mesh, rng, per_element=1):
@@ -32,11 +30,12 @@ class TestSpaces:
     def test_blocked_dof_layout(self):
         mesh = uniform_mesh((0, 0), (1, 1), 2)
         S = solid_space(mesh)
-        assert S.dof(0, 5) == 5
-        assert S.dof(1, 5) == 9 + 5
-        coeff = np.arange(S.n_dofs, dtype=float)
-        np.testing.assert_array_equal(S.component(coeff, 1),
-                                      np.arange(9, 18))
+        f = interpolate(S, lambda p: np.stack([p[..., 0], 10.0 + p[..., 1]],
+                                              axis=-1))
+        # dof = comp * n_vertices + vertex
+        np.testing.assert_array_equal(f.coefficients[:9], mesh.vertices[:, 0])
+        np.testing.assert_array_equal(f.coefficients[9:],
+                                      10.0 + mesh.vertices[:, 1])
 
     def test_velocity_dirichlet_mask(self):
         """The mask marks both components of every wall vertex of the
@@ -174,50 +173,3 @@ class TestInterpolate:
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 0.9 < slope < 1.1
 
-
-class TestComposedVelocityEval:
-    def setup_method(self):
-        self.fluid = midpoint_refine(uniform_mesh((-2, -2), (2, 2), 8))
-        self.V = velocity_space(self.fluid)
-        self.xbar = AffineMap(2.0 * np.eye(2), (-0.62, -0.62))
-
-    def test_constant_field(self):
-        v = FEFunction(self.V, np.concatenate(
-            [np.full(self.V.n_vertices, 2.5), np.full(self.V.n_vertices, -1.0)]))
-        np.testing.assert_allclose(
-            composed_velocity_eval(v, self.xbar, (0.3, 0.7)), [2.5, -1.0],
-            atol=1e-13)
-
-    def test_linear_field_composition_exact(self):
-        v = interpolate(self.V, lambda p: np.stack(
-            [p[..., 0] - p[..., 1], 2.0 * p[..., 1]], axis=-1))
-        s = np.array([0.21, 0.58])
-        x = self.xbar.apply(s)
-        np.testing.assert_allclose(composed_velocity_eval(v, self.xbar, s),
-                                   [x[0] - x[1], 2.0 * x[1]], atol=1e-12)
-
-    def test_composition_accuracy_for_smooth_field(self):
-        """Interpolated smooth velocity composed with the placement map
-        matches the analytic composition to O(h^2)."""
-        exact = manufactured_solution()
-        rng = np.random.default_rng(9)
-        samples = rng.random((50, 2))
-        errs = []
-        for n in (8, 16, 32):
-            fluid = midpoint_refine(uniform_mesh((-2, -2), (2, 2), n))
-            V = velocity_space(fluid)
-            v = interpolate(V, exact.u)
-            worst = 0.0
-            for s in samples:
-                got = composed_velocity_eval(v, self.xbar, s)
-                want = exact.u(self.xbar.apply(s))
-                worst = max(worst, np.abs(got - want).max())
-            errs.append(worst)
-        assert errs[1] < 0.35 * errs[0]
-        assert errs[2] < 0.35 * errs[1]
-
-    def test_domain_violation(self):
-        v = FEFunction(self.V)
-        escape = AffineMap(4.0 * np.eye(2), (0.0, 0.0))
-        with pytest.raises(DomainViolationError):
-            composed_velocity_eval(v, escape, (0.9, 0.9))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from fdlm.assembly import (assemble_Cf_approx, assemble_Cf_exact,
                            matrix_1norm_diff)
+from fdlm.experiments_cli import build_level_spaces, coupling_gap_norm
 from fdlm.fespace import multiplier_space, velocity_space
 from fdlm.geom_intersect import (IntersectionTable, build_all_schemes,
                                  build_composite_scheme, clip_triangle,
@@ -418,3 +419,38 @@ def test_table_layout():
     assert view.rule is table.rule
     with pytest.raises(IndexError):
         table[len(table)]
+
+
+
+ROTATED = AffineMap(2.0 * np.array([[np.cos(0.3), -np.sin(0.3)],
+                                    [np.sin(0.3), np.cos(0.3)]]),
+                    (-0.613, -1.187))
+SHEARED = AffineMap(np.array([[1.9, 0.45], [0.0, 2.1]]), (-1.093, -0.971))
+
+
+@pytest.mark.parametrize("coupling", ["l2", "h1"])
+@pytest.mark.parametrize("amap", [ROTATED, SHEARED],
+                         ids=["rotated", "sheared"])
+def test_gap_norm_stable_under_tiny_map_perturbation(amap, coupling):
+    """Away from point-location ties, moving the map offset by 1e-12
+    moves the reported coupling gap by rounding only (meshes of Test 2
+    level 1)."""
+    V, _, _, L = build_level_spaces(16, 23)
+    v = L.mesh.vertices[L.mesh.triangles]
+    nodes = np.concatenate([(v + np.roll(v, -1, axis=1)).reshape(-1, 2) / 2,
+                            L.mesh.centroids])
+    x = amap.apply(nodes)
+    owner = V.mesh.locate_points(x)
+    bary = 1.0 / 3.0 + np.einsum("nd,nid->ni",
+                                 x - V.mesh.centroids[owner],
+                                 V.mesh.grads[owner])
+    assert bary.min() > 1e-8, "a single-element rule node is tied"
+    gaps = []
+    for shift in (0.0, 1e-12):
+        moved = AffineMap(amap.matrix, amap.offset + shift * np.array(
+            [1.0, -0.7]))
+        gaps.append(coupling_gap_norm(
+            assemble_Cf_exact(L, V, moved, coupling),
+            assemble_Cf_approx(L, V, moved, coupling)))
+    assert gaps[0] > 0
+    assert abs(gaps[1] - gaps[0]) <= 1e-8 * gaps[0]

@@ -5,7 +5,7 @@ import pytest
 
 from fdlm import experiments_cli
 from fdlm.manufactured_errors import manufactured_solution
-from fdlm.mesh import (AffineMap, Triangulation, element_map, locate_point,
+from fdlm.mesh import (AffineMap, Triangulation, element_map,
                        midpoint_refine, uniform_mesh)
 from fdlm.quadrature import rule_for_degree
 
@@ -218,19 +218,6 @@ class TestLocatePoint:
                 assert fluid.locate_point(p) == t
                 on_edge += fluid._worst_barycentric(int(t), *p) < 1e-12
         assert on_edge > 100
-
-
-def test_mesh_dump_format(tmp_path):
-    mesh = uniform_mesh((0, 0), (1, 1), 1)
-    path = tmp_path / "mesh.txt"
-    mesh.dump(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "vertices 4 triangles 2"
-    assert len(lines) == 1 + 4 + 2
-    first = [float(tok) for tok in lines[1].split()]
-    np.testing.assert_allclose(first, mesh.vertices[0])
-    tri = [int(tok) for tok in lines[5].split()]
-    assert tri == list(mesh.triangles[0])
 
 
 def test_boundary_vertex_flags():

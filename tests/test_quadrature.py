@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdlm.quadrature import (QuadratureRule, conical_product_rule, integrate,
-                             quad_error_functional, rule_for_degree)
+                             rule_for_degree)
 
 
 def reference_monomial_integral(a, b):
@@ -104,51 +104,45 @@ def test_integrate_affine_invariance():
 
 
 class TestQuadErrorFunctional:
+    """E_T(f) = int_T f - |T| sum_k w_k f(q_k), the per-element error."""
+
     triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_quadratic_is_exact(self):
+        # int_T x y = 1/24 and int_T x^2 = 1/12 on the reference triangle
         f = lambda p: p[:, 0] * p[:, 1] + 2 * p[:, 0] ** 2
-        err = quad_error_functional(f, self.triangle, rule_for_degree(2),
-                                    rule_for_degree(6))
-        assert abs(err) < 1e-13
+        np.testing.assert_allclose(
+            integrate(f, self.triangle, rule_for_degree(2)), 5.0 / 24.0,
+            rtol=1e-14)
 
     def test_zero_function(self):
         f = lambda p: np.zeros(p.shape[0])
-        err = quad_error_functional(f, self.triangle, rule_for_degree(2),
-                                    rule_for_degree(6))
-        assert err == 0.0
+        for d in (0, 2, 6):
+            assert integrate(f, self.triangle, rule_for_degree(d)) == 0.0
 
     def test_kinked_integrand_error(self):
         """A piecewise-linear kink across the element is not integrated
-        exactly by the single degree-2 rule; the error must match the
-        value from a kink-resolving composite oracle.
+        exactly by the single degree-2 rule, while the rule on the pieces
+        split at the kink gives the exact value.
         """
         f = lambda p: np.maximum(p[:, 0] - 0.4, 0.0)
-        # oracle: split at x = 0.4 into a triangle strip; integrate the
-        # linear pieces exactly with the degree-2 rule on the pieces
         left = [np.array([[0.0, 0.0], [0.4, 0.0], [0.4, 0.6]]),
                 np.array([[0.0, 0.0], [0.4, 0.6], [0.0, 1.0]])]
         right = [np.array([[0.4, 0.0], [1.0, 0.0], [0.4, 0.6]])]
         rule2 = rule_for_degree(2)
+        # int_0^0.6 t (0.6 - t) dt = 0.036
         exact = sum(integrate(f, t, rule2) for t in left + right)
-
-        def oracle(g, tri):
-            assert g is f
-            return exact
-
-        err = quad_error_functional(f, self.triangle, rule2, oracle)
-        single = integrate(f, self.triangle, rule2)
-        np.testing.assert_allclose(err, exact - single, rtol=1e-13)
-        assert abs(err) > 1e-4
+        np.testing.assert_allclose(exact, 0.036, rtol=1e-13)
+        assert abs(exact - integrate(f, self.triangle, rule2)) > 1e-4
 
     def test_oracle_rule_form(self):
-        """A higher-order QuadratureRule can serve as the oracle directly."""
+        """The degree-6 rule is an accurate oracle for the error of a
+        low-order rule: int_T exp(x) = e - 2."""
         f = lambda p: np.exp(p[:, 0])
-        err = quad_error_functional(f, self.triangle, rule_for_degree(0),
-                                    rule_for_degree(6))
-        drop = integrate(f, self.triangle, rule_for_degree(6)) \
-            - integrate(f, self.triangle, rule_for_degree(0))
-        np.testing.assert_allclose(err, drop, rtol=1e-13)
+        oracle = integrate(f, self.triangle, rule_for_degree(6))
+        np.testing.assert_allclose(oracle, math.e - 2.0, rtol=1e-9)
+        drop = oracle - integrate(f, self.triangle, rule_for_degree(0))
+        assert abs(drop) > 1e-2
 
 
 def test_rule_is_immutable_constant():
