@@ -421,7 +421,6 @@ def test_table_layout():
         table[len(table)]
 
 
-
 ROTATED = AffineMap(2.0 * np.array([[np.cos(0.3), -np.sin(0.3)],
                                     [np.sin(0.3), np.cos(0.3)]]),
                     (-0.613, -1.187))
