@@ -44,6 +44,7 @@ __all__ = [
     "assemble_Cf_exact",
     "assemble_Cf_approx",
     "assemble_rhs",
+    "coupling_nodes",
     "matrix_1norm_diff",
     "pressure_mean_row",
 ]
@@ -242,9 +243,13 @@ def _single_rule_nodes(mesh, coupling):
     return parent, s, w
 
 
-def _coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
+def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
     """Node set of the exact (supermesh subcells under rule) or approx
-    (single-element rules, nodes located in the fluid mesh) coupling."""
+    (single-element rules, nodes located in the fluid mesh) coupling.
+
+    The approx node set does not depend on rule; build it once and pass
+    it to assemble_Cf_approx and assemble_rhs to locate its nodes once.
+    """
     mats, offs = _xbar_parts(xbar, L.mesh.n_triangles)
     if mode == "exact":
         if schemes is None:
@@ -288,21 +293,23 @@ def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
     (build_all_schemes) can be passed to amortize the clipping cost.
     """
     _check_coupling(coupling)
-    nodes = _coupling_nodes(L, V, xbar, coupling, "exact",
-                            rule_for_degree(2), schemes)
+    nodes = coupling_nodes(L, V, xbar, coupling, "exact",
+                           rule_for_degree(2), schemes)
     return _coupling_matrix(L, V, coupling, nodes)
 
 
-def assemble_Cf_approx(L, V, xbar, coupling="l2"):
+def assemble_Cf_approx(L, V, xbar, coupling="l2", nodes=None):
     """Coupling matrix with a single quadrature rule per structure element.
 
     Mass part: degree-2 edge-midpoint rule; gradient part (h1 only):
     one-point centroid rule.  Each quadrature node is located in the
-    fluid mesh independently.
+    fluid mesh independently.  The approx node set (coupling_nodes) can
+    be passed to reuse the point location.
     """
     _check_coupling(coupling)
-    return _coupling_matrix(L, V, coupling,
-                            _coupling_nodes(L, V, xbar, coupling, "approx"))
+    if nodes is None:
+        nodes = coupling_nodes(L, V, xbar, coupling, "approx")
+    return _coupling_matrix(L, V, coupling, nodes)
 
 
 def matrix_1norm_diff(Aex, Aap):
@@ -362,7 +369,7 @@ def _constraint_rhs(L, exact, coupling, mode):
 
 
 def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
-                 schemes=None):
+                 schemes=None, approx_nodes=None):
     """Right-hand side vectors (F, G, D) for the block system.
 
     F(v) = a_f(u, v) - (div v, p) + c(lambda, v o xbar),
@@ -372,14 +379,18 @@ def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
     mode selects how the velocity coupling term (and the constraint
     data) are integrated: "exact" uses the supermesh subcells (passed
     as schemes, or built) under the degree-6 rule, "approx" the
-    single-element rules.
+    single-element rules (their located node set passed as approx_nodes,
+    or built).
     """
     _check_coupling(coupling)
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
     params = params or FormParams()
-    nodes = _coupling_nodes(L, V, xbar, coupling, mode, rule_for_degree(6),
-                            schemes)
+    if mode == "approx" and approx_nodes is not None:
+        nodes = approx_nodes
+    else:
+        nodes = coupling_nodes(L, V, xbar, coupling, mode,
+                               rule_for_degree(6), schemes)
     F = _volume_rhs_fluid(V, exact, params) + _load(
         V.mesh, nodes.owner, nodes.x, nodes.w, exact.lam(nodes.s),
         exact.grad_lam(nodes.s) if coupling == "h1" else None, nodes.jac)

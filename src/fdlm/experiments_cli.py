@@ -25,7 +25,8 @@ import numpy as np
 
 from .assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                        assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
-                       assemble_rhs, matrix_1norm_diff, pressure_mean_row)
+                       assemble_rhs, coupling_nodes, matrix_1norm_diff,
+                       pressure_mean_row)
 from .fespace import (multiplier_space, pressure_space, solid_space,
                       velocity_space)
 from .geom_intersect import build_all_schemes
@@ -133,7 +134,8 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None,
     xbar = exact.xbar
     schemes = build_all_schemes(L.mesh, xbar, V.mesh)
     Cf_ex = assemble_Cf_exact(L, V, xbar, coupling, schemes=schemes)
-    Cf_ap = assemble_Cf_approx(L, V, xbar, coupling)
+    approx_nodes = coupling_nodes(L, V, xbar, coupling, "approx")
+    Cf_ap = assemble_Cf_approx(L, V, xbar, coupling, nodes=approx_nodes)
     cf_diff = coupling_gap_norm(Cf_ex, Cf_ap)
     blocks = Blocks(
         Af=assemble_Af(V, params),
@@ -144,8 +146,9 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None,
         mean_row=pressure_mean_row(Q),
     )
     rhs = assemble_rhs(V, Q, S, L, exact, xbar, coupling, assembly_mode,
-                       params, schemes=schemes)
-    system = build_system(blocks, rhs, (V, S, L, Q))
+                       params, schemes=schemes, approx_nodes=approx_nodes)
+    system = build_system(blocks, rhs, (V, S, L, Q),
+                          xbar.apply(S.mesh.vertices))
     sol = solve(system)
     record = {
         "level": None,

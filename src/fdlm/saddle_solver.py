@@ -12,6 +12,14 @@ multiplier enforcing zero pressure mean.  The system reads
 and is symmetric indefinite.  Velocity Dirichlet rows and columns are
 eliminated symmetrically (unit diagonal, zero load), and the factored
 system is solved with a sparse LU.
+
+The LU runs in a geometric nested-dissection order (George, "Nested
+dissection of a regular finite element mesh", SIAM J. Numer. Anal.
+1973) computed from where each dof sits in the fluid domain: velocity
+and pressure dofs at their mesh vertices, structure and multiplier dofs
+at the mapped structure vertices xbar(s), sigma last.  The ordering is
+symmetric, and the quasidefinite diagonal shift (_SHIFT) is what makes
+it safe to factor with pure diagonal pivoting.
 """
 
 import numpy as np
@@ -44,13 +52,17 @@ class Blocks:
 class BlockSystem:
     """Assembled global matrix with its right-hand side and dof layout."""
 
-    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask):
+    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask,
+                 points):
         self.matrix = matrix
         self.rhs = rhs
         self.offsets = offsets
         self.spaces = spaces
         self.blocks = blocks
         self.dirichlet_mask = dirichlet_mask
+        # (n_dofs - 1, 2) position of every dof but sigma in the fluid
+        # domain; it orders the factorization.
+        self.points = points
 
     @property
     def n_dofs(self):
@@ -83,14 +95,20 @@ class DiscreteSolution:
         return self.residual_norm / self.rhs_norm
 
 
-def build_system(blocks, rhs, spaces):
+def build_system(blocks, rhs, spaces, solid_points):
     """Assemble the bordered global matrix and eliminate Dirichlet dofs.
 
-    blocks: Blocks instance; rhs: (F, G, D) tuple; spaces: (V, S, L, Q).
+    blocks: Blocks instance; rhs: (F, G, D) tuple; spaces: (V, S, L, Q);
+    solid_points: (n, 2) structure mesh vertices mapped into the fluid
+    domain, xbar(s), where the structure and multiplier dofs sit.
     The velocity space's dirichlet_mask marks the constrained dofs.
     """
     V, S, L, Q = spaces
     nu, ns, nl, npre = V.n_dofs, S.n_dofs, L.n_dofs, Q.n_dofs
+    solid_points = np.asarray(solid_points, dtype=float)
+    if (solid_points.shape != (S.n_vertices, 2)
+            or L.n_vertices != S.n_vertices):
+        raise ValueError("one mapped point per structure vertex required")
     if blocks.Af.shape != (nu, nu):
         raise ValueError("fluid block shape mismatch")
     if blocks.As.shape != (ns, ns):
@@ -130,33 +148,125 @@ def build_system(blocks, rhs, spaces):
     b[fixed] = 0.0
     matrix = sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
     matrix.sum_duplicates()
-    return BlockSystem(matrix, b, offsets, spaces, blocks, mask)
+    points = np.concatenate([np.tile(V.mesh.vertices, (V.value_dim, 1)),
+                             np.tile(solid_points, (S.value_dim, 1)),
+                             np.tile(solid_points, (L.value_dim, 1)),
+                             np.tile(Q.mesh.vertices, (Q.value_dim, 1))])
+    return BlockSystem(matrix, b, offsets, spaces, blocks, mask, points)
+
+
+# Parts of at most this many dofs are not cut further and keep their
+# original order.
+_LEAF_SIZE = 64
+
+
+def _nested_dissection(A, points):
+    """Fill-reducing symmetric order of A from dof positions points (n, 2).
+
+    A part with more than _LEAF_SIZE dofs is cut at the median of its
+    longer coordinate axis.  The dofs on one side of the cut that have a
+    matrix neighbour on the other side, taken from the side with fewer
+    of them, form the separator, which is ordered after both halves.
+    Dofs beyond the first n (the dense mean multiplier) go last.
+    Returns perm: perm[k] is the dof eliminated k-th.
+    """
+    n = len(points)
+    G = A[:n, :n].tocoo()
+    off = G.row != G.col
+    ei, ej = G.row[off], G.col[off]
+    slot = np.empty(n, dtype=np.int64)
+    active = np.arange(n)
+    part = np.zeros(n, dtype=np.int64)
+    begin = np.zeros(1, dtype=np.int64)
+    while active.size:
+        # Cut every part at the median of its longer axis, upper half
+        # above it (at or above it when the median is the top).
+        pc = part[active]
+        n_parts = begin.size
+        count = np.bincount(pc, minlength=n_parts)
+        start = np.cumsum(count) - count
+        xy = points[active]
+        grouped = xy[np.argsort(pc, kind="stable")]
+        lo = np.minimum.reduceat(grouped, start, axis=0)
+        hi = np.maximum.reduceat(grouped, start, axis=0)
+        axis = np.argmax(hi - lo, axis=1)
+        c = xy[np.arange(active.size), axis[pc]]
+        med = c[np.lexsort((c, pc))[start + (count - 1) // 2]]
+        top = hi[np.arange(n_parts), axis]
+        upper = np.where((med < top)[pc], c > med[pc], c >= med[pc])
+        split = (count > _LEAF_SIZE) & (np.max(hi - lo, axis=1) > 0)
+
+        # Every edge left joins two active dofs of one part.
+        h = 2 * pc + upper
+        half = np.empty(n, dtype=np.int64)
+        half[active] = h
+        same = half[ei] == half[ej]
+        rim = np.zeros(n, dtype=bool)
+        rim[ei[~same]] = True
+        rim = rim[active]
+        n_rim = np.bincount(h[rim], minlength=2 * n_parts)
+        sep_upper = n_rim[1::2] < n_rim[0::2]
+        go_on = split[pc] & ~(rim & (upper == sep_upper[pc]))
+
+        # Slots of a part: lower half, upper half, then its finished dofs
+        # (the separator, or the whole part if it is a leaf) in their
+        # original order.
+        size = np.bincount(h[go_on], minlength=2 * n_parts)
+        half_begin = np.repeat(begin, 2)
+        half_begin[1::2] += size[0::2]
+        done = np.flatnonzero(~go_on)
+        n_done = np.bincount(pc[done], minlength=n_parts)
+        done = done[np.argsort(pc[done], kind="stable")]
+        rank = np.arange(done.size) - np.repeat(np.cumsum(n_done) - n_done,
+                                                n_done)
+        slot[active[done]] = (begin + size[0::2] + size[1::2])[pc[done]] + rank
+
+        ids, part_next = np.unique(h[go_on], return_inverse=True)
+        active = active[go_on]
+        on = np.zeros(n, dtype=bool)
+        on[active] = True
+        keep = same & on[ei] & on[ej]
+        ei, ej = ei[keep], ej[keep]
+        part[active] = part_next
+        begin = half_begin[ids]
+    perm = np.empty(n, dtype=np.int64)
+    perm[slot] = np.arange(n)
+    return np.concatenate([perm, np.arange(n, A.shape[0])])
 
 
 # Relative size of the stabilizing diagonal shift.  The saddle matrix
 # has zero diagonal in the multiplier, pressure, and mean rows, which
 # makes threshold row pivoting explode the fill of the factors.  Adding
 # +eps (primal rows) / -eps (dual rows) scaled by the row magnitude
-# makes the matrix quasidefinite, so a fill-reducing symmetric ordering
-# survives factorization with pure diagonal pivoting; the perturbation
-# is then removed by iterative refinement against the unshifted matrix.
+# makes the matrix quasidefinite, and a quasidefinite matrix can be
+# factored with pure diagonal pivoting in any symmetric order, here the
+# nested-dissection one; the perturbation is then removed by iterative
+# refinement against the unshifted matrix.
 _SHIFT = 1e-8
 _MAX_REFINE = 40
 
 
-def _factor_shifted(A_csr, dual_start):
+def _factor_shifted(A_csr, dual_start, perm):
+    """LU of the shifted matrix in the symmetric order perm; returns a
+    function solving with it in the original dof order."""
     n = A_csr.shape[0]
     rowmax = np.asarray(abs(A_csr).max(axis=1).todense()).ravel()
     if not np.all(rowmax > 0):
         raise SingularSystemError("matrix has an empty row")
     sign = np.ones(n)
     sign[dual_start:] = -1.0
-    shifted = (A_csr + sp.diags(_SHIFT * rowmax * sign)).tocsc()
+    shifted = (A_csr + sp.diags(_SHIFT * rowmax * sign)).tocsr()
     try:
-        return splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                    options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
+        lu = splu(shifted[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                  options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(str(exc)) from exc
+
+    def lu_solve(b):
+        x = np.empty(n)
+        x[perm] = lu.solve(b[perm])
+        return x
+    return lu_solve
 
 
 def solve(system):
@@ -169,8 +279,9 @@ def solve(system):
     """
     A = system.matrix.tocsr()
     b = system.rhs
-    lu = _factor_shifted(A, system.offsets["lambda"])
-    x = lu.solve(b)
+    lu_solve = _factor_shifted(A, system.offsets["lambda"],
+                               _nested_dissection(A, system.points))
+    x = lu_solve(b)
     bnorm = np.linalg.norm(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
@@ -182,7 +293,7 @@ def solve(system):
             if rel < 1e-12 or rel > 0.5 * prev:
                 break
             prev = rel
-            x = x + lu.solve(res)
+            x = x + lu_solve(res)
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("refinement produced non-finite values")
         if np.linalg.norm(b - A @ x) / bnorm > 1e-9:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fdlm.experiments_cli as xcli
+from fdlm.assembly import assemble_rhs
 from fdlm.experiments_cli import (CONVERGENCE_HEADER, QUADERR_HEADER,
                                   ExperimentPlan, build_level_spaces,
                                   cli_main, compute_rates, fitted_slope,
@@ -19,7 +20,8 @@ from fdlm.experiments_cli import (CONVERGENCE_HEADER, QUADERR_HEADER,
 # namespace that pytest collects
 schedule1 = xcli.test1_schedule
 schedule2 = xcli.test2_schedule
-from fdlm.mesh import DomainViolationError
+from fdlm.manufactured_errors import manufactured_solution
+from fdlm.mesh import DomainViolationError, Triangulation
 
 
 class TestSchedules:
@@ -133,6 +135,30 @@ class TestCsvOutput:
         assert lines[1].startswith("0,0.125,0.25,")
         assert lines[1].endswith(",nan")
         assert lines[2].endswith(",2")
+
+
+class TestSolveLevel:
+    @pytest.mark.parametrize("coupling", ["l2", "h1"])
+    def test_approx_nodes_located_once(self, coupling, monkeypatch):
+        calls = []
+        locate = Triangulation.locate_points
+
+        def counting(mesh, pts):
+            calls.append(len(pts))
+            return locate(mesh, pts)
+
+        monkeypatch.setattr(Triangulation, "locate_points", counting)
+        _, _, system = xcli.solve_level(16, 8, coupling, "approx")
+        assert len(calls) == 1
+        # the shared node set gives the data of a fresh assemble_rhs,
+        # which locates the nodes again, bit for bit
+        V, S, L, Q = system.spaces
+        exact = manufactured_solution()
+        want = np.concatenate(assemble_rhs(V, Q, S, L, exact, exact.xbar,
+                                           coupling, "approx"))
+        want[:V.n_dofs][V.dirichlet_mask] = 0.0
+        np.testing.assert_array_equal(system.rhs[:want.size], want)
+        assert len(calls) == 2
 
 
 class TestQuadratureErrorStudy:

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import fdlm.saddle_solver as saddle
 from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_exact, assemble_Cs, assemble_rhs,
                            pressure_mean_row)
 from fdlm.fespace import (multiplier_space, pressure_space, solid_space,
                           velocity_space)
+from fdlm.experiments_cli import solve_level
 from fdlm.manufactured_errors import manufactured_solution, zero_solution
 from fdlm.mesh import midpoint_refine, uniform_mesh
 from fdlm.saddle_solver import (Blocks, SingularSystemError, build_system,
@@ -35,7 +38,12 @@ def coarsest_setup(exact):
     )
     rhs = assemble_rhs(V, Q, S, L, exact, exact.xbar, "l2", "exact",
                        params=params)
-    return build_system(blocks, rhs, (V, S, L, Q))
+    return build_system(blocks, rhs, (V, S, L, Q), mapped_vertices(S))
+
+
+def mapped_vertices(S):
+    """Structure vertices under the manufactured placement map."""
+    return manufactured_solution().xbar.apply(S.mesh.vertices)
 
 
 @pytest.fixture(scope="module")
@@ -87,15 +95,33 @@ class TestBuildSystem:
         b = sys_.blocks
         V, S, L, Q = sys_.spaces
         rhs = (np.zeros(V.n_dofs), np.zeros(S.n_dofs), np.zeros(L.n_dofs))
+        pts = mapped_vertices(S)
         bad = Blocks(b.As, b.As, b.B, b.Cf, b.Cs, b.mean_row)
         with pytest.raises(ValueError):
-            build_system(bad, rhs, sys_.spaces)
+            build_system(bad, rhs, sys_.spaces, pts)
         bad = Blocks(b.Af, b.As, b.B.T, b.Cf, b.Cs, b.mean_row)
         with pytest.raises(ValueError):
-            build_system(bad, rhs, sys_.spaces)
+            build_system(bad, rhs, sys_.spaces, pts)
         bad = Blocks(b.Af, b.As, b.B, b.Cf, b.Cs, b.mean_row[:-1])
         with pytest.raises(ValueError):
-            build_system(bad, rhs, sys_.spaces)
+            build_system(bad, rhs, sys_.spaces, pts)
+        with pytest.raises(ValueError):
+            build_system(b, rhs, sys_.spaces, pts[:-1])
+
+    def test_dof_positions(self, manufactured_system):
+        sys_ = manufactured_system
+        V, S, L, Q = sys_.spaces
+        o = sys_.offsets
+        pts = sys_.points
+        assert pts.shape == (sys_.n_dofs - 1, 2)
+        np.testing.assert_array_equal(pts[:o["x"]],
+                                      np.tile(V.mesh.vertices, (2, 1)))
+        mapped = mapped_vertices(S)
+        np.testing.assert_array_equal(pts[o["x"]:o["lambda"]],
+                                      np.tile(mapped, (2, 1)))
+        np.testing.assert_array_equal(pts[o["lambda"]:o["p"]],
+                                      np.tile(mapped, (2, 1)))
+        np.testing.assert_array_equal(pts[o["p"]:], Q.mesh.vertices)
 
 
 class TestSolve:
@@ -138,9 +164,99 @@ class TestSolve:
         F = np.zeros(sys_.spaces[0].n_dofs)
         G = np.zeros(sys_.spaces[1].n_dofs)
         D = np.zeros(sys_.spaces[2].n_dofs)
-        degenerate = build_system(broken, (F, G, D), sys_.spaces)
+        degenerate = build_system(broken, (F, G, D), sys_.spaces,
+                                  mapped_vertices(sys_.spaces[1]))
         with pytest.raises(SingularSystemError):
             solve(degenerate)
+
+
+def mmd_reference(system):
+    """Solution vector and LU fill of the shifted system factored in
+    SuperLU's MMD_AT_PLUS_A order, with the same refinement as solve."""
+    A = system.matrix.tocsr()
+    b = system.rhs
+    rowmax = abs(A).max(axis=1).toarray().ravel()
+    sign = np.ones(A.shape[0])
+    sign[system.offsets["lambda"]:] = -1.0
+    lu = splu((A + sp.diags(saddle._SHIFT * rowmax * sign)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A",
+              options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
+    x = lu.solve(b)
+    prev = np.inf
+    for _ in range(saddle._MAX_REFINE):
+        res = b - A @ x
+        rel = np.linalg.norm(res) / np.linalg.norm(b)
+        if rel < 1e-12 or rel > 0.5 * prev:
+            break
+        prev = rel
+        x = x + lu.solve(res)
+    return x, lu.L.nnz + lu.U.nnz
+
+
+# Coarsest Test 1 level, and Test 2 level 2, where structure dofs placed
+# off their mapped vertices would lose to MMD.
+ORDERED_LEVELS = {"t1_level0_l2": (16, 8, "l2"), "t2_level2_h1": (32, 64, "h1")}
+
+
+@pytest.fixture(scope="module")
+def ordered_solves():
+    """Per level: a solve_level run with the fill of its factorization,
+    and the MMD-ordered reference solve of the same system."""
+    out = {}
+    real_splu = saddle.splu
+    for name, (nf, ns, coupling) in ORDERED_LEVELS.items():
+        fills = []
+
+        def counting_splu(*args, **kwargs):
+            lu = real_splu(*args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saddle, "splu", counting_splu)
+            _, sol, system = solve_level(nf, ns, coupling, "exact")
+        x_ref, fill_ref = mmd_reference(system)
+        out[name] = (sol, system, fills, x_ref, fill_ref)
+    return out
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
+    def test_permutation_covers_every_dof_once(self, ordered_solves, level):
+        _, system, _, _, _ = ordered_solves[level]
+        perm = saddle._nested_dissection(system.matrix.tocsr(),
+                                         system.points)
+        np.testing.assert_array_equal(np.sort(perm),
+                                      np.arange(system.n_dofs))
+        assert perm[-1] == system.offsets["sigma"]
+
+    def test_separator_follows_halves(self):
+        # A path on a line is cut at its median, vertex 99; the halves
+        # come first, the one-vertex separator last.
+        n = 200
+        A = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
+                     [-1, 0, 1], format="csr")
+        pts = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+        perm = saddle._nested_dissection(A, pts)
+        np.testing.assert_array_equal(np.sort(perm[:99]), np.arange(99))
+        np.testing.assert_array_equal(np.sort(perm[99:199]),
+                                      np.arange(100, 200))
+        assert perm[-1] == 99
+
+    @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
+    def test_agrees_with_mmd_reference(self, ordered_solves, level):
+        sol, system, _, x_ref, _ = ordered_solves[level]
+        u, X, lam, p, _ = system.split(x_ref)
+        for got, want, rel in ((sol.u, u, 1e-10), (sol.X, X, 1e-10),
+                               (sol.p, p, 1e-10), (sol.lam, lam, 1e-8)):
+            scale = np.abs(want).max()
+            assert np.abs(got.coefficients - want).max() <= rel * scale
+        assert sol.relative_residual <= 1e-10
+
+    def test_fill_not_above_mmd(self, ordered_solves):
+        _, _, fills, _, fill_ref = ordered_solves["t2_level2_h1"]
+        assert len(fills) == 1
+        assert fills[0] <= fill_ref
 
 
 class TestDumpSolution:
