@@ -103,6 +103,18 @@ class TestMidpointRefine:
                 bary = np.linalg.solve(mat, cen - parent[0])
                 assert bary.min() > -1e-12 and bary.sum() < 1 + 1e-12
 
+    def test_numbering(self):
+        """Midpoints are numbered in first-encounter order over the
+        edges (ab, bc, ca) of each parent triangle."""
+        refined = midpoint_refine(uniform_mesh((0, 0), (1, 1), 1))
+        np.testing.assert_array_equal(
+            refined.vertices[4:],
+            [[.5, 0], [1, .5], [.5, .5], [.5, 1], [0, .5]])
+        np.testing.assert_array_equal(
+            refined.triangles,
+            [[0, 4, 6], [4, 1, 5], [6, 5, 3], [4, 5, 6],
+             [0, 6, 8], [6, 3, 7], [8, 7, 2], [6, 7, 8]])
+
     def test_refined_mesh_matches_direct(self):
         """Refining n=4 gives the same vertex set as building n=8 directly."""
         refined = midpoint_refine(uniform_mesh((0, 0), (1, 1), 4))

@@ -1,5 +1,7 @@
 """Global saddle system: block layout, elimination, direct solve."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -196,6 +198,10 @@ def mmd_reference(system):
 # Coarsest Test 1 level, and Test 2 level 2, where structure dofs placed
 # off their mapped vertices would lose to MMD.
 ORDERED_LEVELS = {"t1_level0_l2": (16, 8, "l2"), "t2_level2_h1": (32, 64, "h1")}
+# First 16 hex digits of the sha256 of each level's permutation as
+# little-endian int64, which pins the order bit for bit.
+PERM_SHA256 = {"t1_level0_l2": "51057c0a727877d0",
+               "t2_level2_h1": "640caa02b11fbcdf"}
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +235,14 @@ class TestNestedDissection:
         np.testing.assert_array_equal(np.sort(perm),
                                       np.arange(system.n_dofs))
         assert perm[-1] == system.offsets["sigma"]
+
+    @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
+    def test_permutation_fingerprint(self, ordered_solves, level):
+        _, system, _, _, _ = ordered_solves[level]
+        perm = saddle._nested_dissection(system.matrix.tocsr(),
+                                         system.points)
+        digest = hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()
+        assert digest[:16] == PERM_SHA256[level]
 
     def test_separator_follows_halves(self):
         # A path on a line is cut at its median, vertex 99; the halves
