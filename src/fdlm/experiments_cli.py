@@ -308,21 +308,18 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
+    if args.command in ("run", "quaderr") and args.levels < 2:
+        print("fdlm: error: %s requires --levels >= 2" % args.command,
+              file=sys.stderr)
+        return 2
+
     try:
         if args.command == "run":
-            if args.levels < 2:
-                print("fdlm: error: run requires --levels >= 2",
-                      file=sys.stderr)
-                return 2
             plan = ExperimentPlan(args.test, args.coupling, args.assembly,
                                   args.levels)
             records = run_convergence(plan)
             write_convergence_csv(records, args.out)
         elif args.command == "quaderr":
-            if args.levels < 2:
-                print("fdlm: error: quaderr requires --levels >= 2",
-                      file=sys.stderr)
-                return 2
             plan = ExperimentPlan(args.test, args.coupling, "approx",
                                   args.levels)
             records = quadrature_error_study(plan)

@@ -151,9 +151,10 @@ def _vertex_values(space, coeff):
     return coeff.reshape(space.value_dim, -1).T[space.mesh.triangles]
 
 
-def _field_sq_errors(space, coeff, exact_val, exact_grad, rule):
+def _field_sq_errors(space, coeff, exact_val, exact_grad):
     """Per-element squared L2 and H1-seminorm errors of coeff vs an analytic field."""
     mesh = space.mesh
+    rule = rule_for_degree(6)
     _, pts, w = _mesh_nodes(mesh, rule)
     w = w[..., 0]
     comp = _vertex_values(space, coeff)
@@ -167,16 +168,14 @@ def _field_sq_errors(space, coeff, exact_val, exact_grad, rule):
     return l2, np.einsum("mkcd,mkcd,mk->m", dg, dg, w)
 
 
-def l2_error(space, coeff, exact_val, rule=None):
-    rule = rule or rule_for_degree(6)
-    l2, _ = _field_sq_errors(space, coeff, exact_val, None, rule)
+def l2_error(space, coeff, exact_val):
+    l2, _ = _field_sq_errors(space, coeff, exact_val, None)
     return float(np.sqrt(l2.sum()))
 
 
-def h1_error(space, coeff, exact_val, exact_grad, rule=None):
+def h1_error(space, coeff, exact_val, exact_grad):
     """Full H1 norm (L2 part plus seminorm) of the difference."""
-    rule = rule or rule_for_degree(6)
-    l2, h1 = _field_sq_errors(space, coeff, exact_val, exact_grad, rule)
+    l2, h1 = _field_sq_errors(space, coeff, exact_val, exact_grad)
     return float(np.sqrt(l2.sum() + h1.sum()))
 
 

@@ -345,32 +345,24 @@ def midpoint_refine(mesh):
     the parent vertices in first-encounter order, so the numbering is
     deterministic.
     """
-    verts = mesh.vertices
+    nv = mesh.n_vertices
     tris = mesh.triangles
-    midpoint_id = {}
-    new_pts = []
+    # Edges (ab, bc, ca) of every triangle in turn, keyed by their ends.
+    nxt = tris[:, [1, 2, 0]]
+    keys = (np.minimum(tris, nxt) * nv + np.maximum(tris, nxt)).ravel()
+    unique, first, inverse = np.unique(keys, return_index=True,
+                                       return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    mab, mbc, mca = (nv + rank[inverse]).reshape(-1, 3).T
+    a, b, c = tris.T
+    children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c,
+                         mab, mbc, mca], axis=1).reshape(-1, 3)
+    mid = unique[by_first]
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[mid // nv]
+                                                + mesh.vertices[mid % nv])])
 
-    def mid(i, j):
-        key = (i, j) if i < j else (j, i)
-        m = midpoint_id.get(key)
-        if m is None:
-            m = mesh.n_vertices + len(new_pts)
-            midpoint_id[key] = m
-            new_pts.append(0.5 * (verts[key[0]] + verts[key[1]]))
-        return m
-
-    children = np.empty((4 * mesh.n_triangles, 3), dtype=np.int64)
-    for t in range(mesh.n_triangles):
-        a, b, c = tris[t]
-        mab = mid(a, b)
-        mbc = mid(b, c)
-        mca = mid(c, a)
-        children[4 * t + 0] = (a, mab, mca)
-        children[4 * t + 1] = (mab, b, mbc)
-        children[4 * t + 2] = (mca, mbc, c)
-        children[4 * t + 3] = (mab, mbc, mca)
-
-    vertices = np.vstack([verts, np.asarray(new_pts)])
     n2 = 2 * mesh.n_cells_per_side
     xmin, ymin, xmax, ymax = mesh.domain
     hx = (xmax - xmin) / n2

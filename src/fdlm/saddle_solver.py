@@ -163,75 +163,53 @@ _LEAF_SIZE = 64
 def _nested_dissection(A, points):
     """Fill-reducing symmetric order of A from dof positions points (n, 2).
 
-    A part with more than _LEAF_SIZE dofs is cut at the median of its
-    longer coordinate axis.  The dofs on one side of the cut that have a
-    matrix neighbour on the other side, taken from the side with fewer
-    of them, form the separator, which is ordered after both halves.
+    A recursion over parts, starting from all n dofs.  A part of at most
+    _LEAF_SIZE dofs, or with all its dofs at one point, is emitted in its
+    original order.  Otherwise it is cut at the lower median of its longer
+    coordinate axis, the upper half taking the dofs above the median (at
+    or above it when the median is the top).  The dofs on one side that
+    have a matrix neighbour on the other side, taken from the side with
+    fewer of them (the lower side on a tie), form the separator.  Matrix
+    edges that cross the cut or touch the separator are dropped, and the
+    part is emitted as its lower half, its upper half, then the separator.
     Dofs beyond the first n (the dense mean multiplier) go last.
     Returns perm: perm[k] is the dof eliminated k-th.
     """
     n = len(points)
     G = A[:n, :n].tocoo()
     off = G.row != G.col
-    ei, ej = G.row[off], G.col[off]
-    slot = np.empty(n, dtype=np.int64)
-    active = np.arange(n)
-    part = np.zeros(n, dtype=np.int64)
-    begin = np.zeros(1, dtype=np.int64)
-    while active.size:
-        # Cut every part at the median of its longer axis, upper half
-        # above it (at or above it when the median is the top).
-        pc = part[active]
-        n_parts = begin.size
-        count = np.bincount(pc, minlength=n_parts)
-        start = np.cumsum(count) - count
-        xy = points[active]
-        grouped = xy[np.argsort(pc, kind="stable")]
-        lo = np.minimum.reduceat(grouped, start, axis=0)
-        hi = np.maximum.reduceat(grouped, start, axis=0)
-        axis = np.argmax(hi - lo, axis=1)
-        c = xy[np.arange(active.size), axis[pc]]
-        med = c[np.lexsort((c, pc))[start + (count - 1) // 2]]
-        top = hi[np.arange(n_parts), axis]
-        upper = np.where((med < top)[pc], c > med[pc], c >= med[pc])
-        split = (count > _LEAF_SIZE) & (np.max(hi - lo, axis=1) > 0)
+    upper = np.zeros(n, dtype=bool)
+    mark = np.zeros(n, dtype=bool)
+    order = []
 
-        # Every edge left joins two active dofs of one part.
-        h = 2 * pc + upper
-        half = np.empty(n, dtype=np.int64)
-        half[active] = h
-        same = half[ei] == half[ej]
-        rim = np.zeros(n, dtype=bool)
-        rim[ei[~same]] = True
-        rim = rim[active]
-        n_rim = np.bincount(h[rim], minlength=2 * n_parts)
-        sep_upper = n_rim[1::2] < n_rim[0::2]
-        go_on = split[pc] & ~(rim & (upper == sep_upper[pc]))
+    def dissect(dofs, ei, ej):
+        # dofs ascending; ei, ej the matrix edges between them.  upper
+        # and mark are scratch, reset before the recursive calls.
+        if (dofs.size <= _LEAF_SIZE
+                or not np.any(extent := np.ptp(points[dofs], axis=0))):
+            order.append(dofs)
+            return
+        c = points[dofs, np.argmax(extent)]
+        med = np.partition(c, (c.size - 1) // 2)[(c.size - 1) // 2]
+        up = c > med if med < c.max() else c >= med
+        upper[dofs] = up
+        ui = upper[ei]
+        cross = ui != upper[ej]
+        mark[ei[cross]] = True
+        rim = mark[dofs]
+        sep = rim & (up == (np.count_nonzero(rim & up)
+                            < np.count_nonzero(rim & ~up)))
+        mark[dofs] = sep
+        keep = ~(cross | mark[ei] | mark[ej])
+        lo, hi = keep & ~ui, keep & ui
+        upper[dofs] = False
+        mark[dofs] = False
+        dissect(dofs[~up & ~sep], ei[lo], ej[lo])
+        dissect(dofs[up & ~sep], ei[hi], ej[hi])
+        order.append(dofs[sep])
 
-        # Slots of a part: lower half, upper half, then its finished dofs
-        # (the separator, or the whole part if it is a leaf) in their
-        # original order.
-        size = np.bincount(h[go_on], minlength=2 * n_parts)
-        half_begin = np.repeat(begin, 2)
-        half_begin[1::2] += size[0::2]
-        done = np.flatnonzero(~go_on)
-        n_done = np.bincount(pc[done], minlength=n_parts)
-        done = done[np.argsort(pc[done], kind="stable")]
-        rank = np.arange(done.size) - np.repeat(np.cumsum(n_done) - n_done,
-                                                n_done)
-        slot[active[done]] = (begin + size[0::2] + size[1::2])[pc[done]] + rank
-
-        ids, part_next = np.unique(h[go_on], return_inverse=True)
-        active = active[go_on]
-        on = np.zeros(n, dtype=bool)
-        on[active] = True
-        keep = same & on[ei] & on[ej]
-        ei, ej = ei[keep], ej[keep]
-        part[active] = part_next
-        begin = half_begin[ids]
-    perm = np.empty(n, dtype=np.int64)
-    perm[slot] = np.arange(n)
-    return np.concatenate([perm, np.arange(n, A.shape[0])])
+    dissect(np.arange(n), G.row[off], G.col[off])
+    return np.concatenate(order + [np.arange(n, A.shape[0])])
 
 
 # Relative size of the stabilizing diagonal shift.  The saddle matrix
