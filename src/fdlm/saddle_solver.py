@@ -1,4 +1,4 @@
-"""Block assembly and direct solution of the coupled saddle system.
+"""Block assembly and solution of the coupled saddle system.
 
 Unknown order is (u, X, lambda, p, sigma) where sigma is the scalar
 multiplier enforcing zero pressure mean.  The system reads
@@ -10,16 +10,27 @@ multiplier enforcing zero pressure mean.  The system reads
     [ 0     0     0    m^T   0  ] [s]      [0]
 
 and is symmetric indefinite.  Velocity Dirichlet rows and columns are
-eliminated symmetrically (unit diagonal, zero load), and the factored
-system is solved with a sparse LU.
+eliminated symmetrically (unit diagonal, zero load).
 
-The LU runs in a geometric nested-dissection order (George, "Nested
+The system is solved by right-preconditioned GMRES with a block
+lower-triangular preconditioner (Benzi, Golub & Liesen, "Numerical
+solution of saddle point problems", Acta Numerica 2005).
+Only two matrices are factored: the fluid Stokes block S_f, the
+(u, p, sigma) rows and columns, and the scalar block c of
+Cs = blockdiag(c, c), which is SPD because L and S share the structure
+mesh.  The preconditioner solves the fluid rows with S_f, then the
+multiplier row for X and the structure row for lambda with Cs:
+
+    w = S_f^-1 r_w,  X = -Cs^-1 (r_l - Cf u),  lambda = Cs^-1 (As X - r_X).
+
+Both LUs run in a geometric nested-dissection order (George, "Nested
 dissection of a regular finite element mesh", SIAM J. Numer. Anal.
 1973) computed from where each dof sits in the fluid domain: velocity
-and pressure dofs at their mesh vertices, structure and multiplier dofs
-at the mapped structure vertices xbar(s), sigma last.  The ordering is
-symmetric, and the quasidefinite diagonal shift (_SHIFT) is what makes
-it safe to factor with pure diagonal pivoting.
+and pressure dofs at their mesh vertices, structure dofs at the mapped
+structure vertices xbar(s), sigma last.  S_f is factored with a small
+quasidefinite diagonal shift (_SHIFT), which makes diagonal pivoting
+safe in that order; GMRES runs on the unshifted system and absorbs the
+shift.
 """
 
 import numpy as np
@@ -61,7 +72,7 @@ class BlockSystem:
         self.blocks = blocks
         self.dirichlet_mask = dirichlet_mask
         # (n_dofs - 1, 2) position of every dof but sigma in the fluid
-        # domain; it orders the factorization.
+        # domain; it orders the factorizations.
         self.points = points
 
     @property
@@ -79,7 +90,8 @@ class BlockSystem:
 class DiscreteSolution:
     """Finite element functions solving the coupled system."""
 
-    def __init__(self, u, p, X, lam, sigma, residual_norm, rhs_norm):
+    def __init__(self, u, p, X, lam, sigma, residual_norm, rhs_norm,
+                 iterations=0, residual_history=()):
         self.u = u
         self.p = p
         self.X = X
@@ -87,6 +99,10 @@ class DiscreteSolution:
         self.sigma = sigma
         self.residual_norm = residual_norm
         self.rhs_norm = rhs_norm
+        # GMRES iterations, and the true relative residual after each of
+        # its cycles.
+        self.iterations = iterations
+        self.residual_history = list(residual_history)
 
     @property
     def relative_residual(self):
@@ -173,11 +189,13 @@ def _nested_dissection(A, points):
     edges that cross the cut or touch the separator are dropped, and the
     part is emitted as its lower half, its upper half, then the separator.
     Dofs beyond the first n (the dense mean multiplier) go last.
+    The pattern of A is assumed symmetric: each matrix edge is taken once,
+    from the strict upper triangle, and marks both of its ends.
     Returns perm: perm[k] is the dof eliminated k-th.
     """
     n = len(points)
     G = A[:n, :n].tocoo()
-    off = G.row != G.col
+    off = G.row < G.col
     upper = np.zeros(n, dtype=bool)
     mark = np.zeros(n, dtype=bool)
     order = []
@@ -196,6 +214,7 @@ def _nested_dissection(A, points):
         ui = upper[ei]
         cross = ui != upper[ej]
         mark[ei[cross]] = True
+        mark[ej[cross]] = True
         rim = mark[dofs]
         sep = rim & (up == (np.count_nonzero(rim & up)
                             < np.count_nonzero(rim & ~up)))
@@ -212,72 +231,130 @@ def _nested_dissection(A, points):
     return np.concatenate(order + [np.arange(n, A.shape[0])])
 
 
-# Relative size of the stabilizing diagonal shift.  The saddle matrix
-# has zero diagonal in the multiplier, pressure, and mean rows, which
-# makes threshold row pivoting explode the fill of the factors.  Adding
-# +eps (primal rows) / -eps (dual rows) scaled by the row magnitude
-# makes the matrix quasidefinite, and a quasidefinite matrix can be
-# factored with pure diagonal pivoting in any symmetric order, here the
-# nested-dissection one; the perturbation is then removed by iterative
-# refinement against the unshifted matrix.
+# Relative size of the stabilizing diagonal shift.  The fluid block has
+# zero diagonal in the pressure and mean rows, which makes threshold row
+# pivoting explode the fill of the factors.  Adding +eps (velocity rows)
+# / -eps (pressure and mean rows) scaled by the row magnitude makes the
+# block quasidefinite, and a quasidefinite matrix can be factored with
+# pure diagonal pivoting in any symmetric order, here the
+# nested-dissection one.  GMRES on the unshifted system removes the
+# perturbation.
 _SHIFT = 1e-8
-_MAX_REFINE = 40
+# GMRES restart length, and the cap on its iterations over all cycles.
+_RESTART = 50
+_MAX_ITER = 200
 
 
-def _factor_shifted(A_csr, dual_start, perm):
-    """LU of the shifted matrix in the symmetric order perm; returns a
-    function solving with it in the original dof order."""
-    n = A_csr.shape[0]
-    rowmax = np.asarray(abs(A_csr).max(axis=1).todense()).ravel()
-    if not np.all(rowmax > 0):
-        raise SingularSystemError("matrix has an empty row")
-    sign = np.ones(n)
-    sign[dual_start:] = -1.0
-    shifted = (A_csr + sp.diags(_SHIFT * rowmax * sign)).tocsr()
+def _lu(M, perm):
+    """LU of M in the symmetric order perm with diagonal pivoting; returns
+    a function solving with it in the original dof order."""
     try:
-        lu = splu(shifted[perm][:, perm].tocsc(), permc_spec="NATURAL",
+        lu = splu(M.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
                   options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(str(exc)) from exc
 
     def lu_solve(b):
-        x = np.empty(n)
+        x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         return x
     return lu_solve
 
 
-def solve(system):
-    """Factor and solve; returns a DiscreteSolution with residual data.
+def _factor_shifted(A_csr, dual_start, perm):
+    """LU of A shifted to be quasidefinite, rows from dual_start on being
+    the dual ones, in the symmetric order perm (see _lu)."""
+    rowmax = np.asarray(abs(A_csr).max(axis=1).todense()).ravel()
+    if not np.all(rowmax > 0):
+        raise SingularSystemError("matrix has an empty row")
+    sign = np.ones(A_csr.shape[0])
+    sign[dual_start:] = -1.0
+    return _lu(A_csr + sp.diags(_SHIFT * rowmax * sign), perm)
 
-    The factorization is computed for a slightly shifted matrix and the
-    shift is removed by iterative refinement, which converges in a few
-    steps; failure to reach a small relative residual is reported as a
-    singular system.
+
+def _gmres(matvec, precondition, b, tol):
+    """Restarted GMRES from 0 on matvec(x) = b, right-preconditioned by
+    precondition, so that it minimises the true residual.  Stops when the
+    true relative residual, taken after each cycle, is <= tol, stalls
+    (falls less than half in a cycle) or _MAX_ITER is reached.
+    Returns (x, iterations, history of the true relative residual); x = 0
+    with no iterations when b = 0."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    history = []
+    iterations = 0
+    r = b
+    while bnorm > 0.0 and iterations < _MAX_ITER:
+        beta = np.linalg.norm(r)
+        V = [r / beta]
+        H = np.zeros((_RESTART + 1, _RESTART))
+        e1 = np.zeros(_RESTART + 1)
+        e1[0] = beta
+        for j in range(min(_RESTART, _MAX_ITER - iterations)):
+            w = matvec(precondition(V[j]))
+            for i, v in enumerate(V):
+                H[i, j] = v @ w
+                w -= H[i, j] * v
+            H[j + 1, j] = np.linalg.norm(w)
+            if not np.isfinite(H[j + 1, j]):
+                raise SingularSystemError("solver produced non-finite values")
+            iterations += 1
+            y = np.linalg.lstsq(H[:j + 2, :j + 1], e1[:j + 2], rcond=None)[0]
+            est = np.linalg.norm(H[:j + 2, :j + 1] @ y - e1[:j + 2])
+            if est <= tol * bnorm or H[j + 1, j] == 0.0:
+                break
+            V.append(w / H[j + 1, j])
+        x = x + precondition(sum(yi * v for yi, v in zip(y, V)))
+        r = b - matvec(x)
+        history.append(np.linalg.norm(r) / bnorm)
+        if history[-1] <= tol or (len(history) > 1
+                                  and history[-1] > 0.5 * history[-2]):
+            break
+    return x, iterations, history
+
+
+def solve(system):
+    """Solve by block-preconditioned GMRES; returns a DiscreteSolution with
+    residual data and the solver's iterations and residual history.
+
+    S_f and the scalar block of Cs are each factored once; GMRES stops at
+    a true relative residual of 1e-12.  A factorization failure, and a
+    relative residual left above 1e-9, are reported as a singular system.
     """
     A = system.matrix.tocsr()
     b = system.rhs
-    lu_solve = _factor_shifted(A, system.offsets["lambda"],
-                               _nested_dissection(A, system.points))
-    x = lu_solve(b)
-    bnorm = np.linalg.norm(b)
+    o = system.offsets
+    n = A.shape[0]
+    u = slice(0, o["x"])
+    xs = slice(o["x"], o["lambda"])
+    lam = slice(o["lambda"], o["p"])
+    fluid = np.r_[u, o["p"]:n]
+    Sf = A[fluid][:, fluid]
+    fluid_solve = _factor_shifted(
+        Sf, o["x"], _nested_dissection(Sf, system.points[fluid[:-1]]))
+    k = (o["lambda"] - o["x"]) // 2
+    c = system.blocks.Cs[:k, :k]
+    c_solve = _lu(c, _nested_dissection(c, system.points[o["x"]:][:k]))
+
+    def cs_solve(v):
+        return c_solve(v.reshape(2, k).T).T.ravel()
+
+    Cf, As = A[lam, u], A[xs, xs]
+
+    def precondition(r):
+        z = np.empty(n)
+        z[fluid] = fluid_solve(r[fluid])
+        z[xs] = -cs_solve(r[lam] - Cf @ z[u])
+        z[lam] = cs_solve(As @ z[xs] - r[xs])
+        return z
+
+    x, iterations, history = _gmres(A.dot, precondition, b, 1e-12)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
-    if bnorm > 0.0:
-        prev = np.inf
-        for _ in range(_MAX_REFINE):
-            res = b - A @ x
-            rel = np.linalg.norm(res) / bnorm
-            if rel < 1e-12 or rel > 0.5 * prev:
-                break
-            prev = rel
-            x = x + lu_solve(res)
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("refinement produced non-finite values")
-        if np.linalg.norm(b - A @ x) / bnorm > 1e-9:
-            raise SingularSystemError(
-                "iterative refinement stalled above tolerance")
     res = A @ x - b
+    bnorm = np.linalg.norm(b)
+    if bnorm > 0.0 and np.linalg.norm(res) / bnorm > 1e-9:
+        raise SingularSystemError("GMRES stalled above tolerance")
     V, S, L, Q = system.spaces
     uvec, xvec, lvec, pvec, sigma = system.split(x)
     return DiscreteSolution(
@@ -287,7 +364,9 @@ def solve(system):
         lam=FEFunction(L, lvec),
         sigma=sigma,
         residual_norm=float(np.linalg.norm(res)),
-        rhs_norm=float(np.linalg.norm(system.rhs)),
+        rhs_norm=float(bnorm),
+        iterations=iterations,
+        residual_history=history,
     )
 
 

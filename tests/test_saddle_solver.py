@@ -1,4 +1,5 @@
-"""Global saddle system: block layout, elimination, direct solve."""
+"""Global saddle system: block layout, elimination, block-preconditioned
+GMRES solve."""
 
 import hashlib
 
@@ -130,6 +131,7 @@ class TestSolve:
     def test_zero_data_gives_zero_solution(self):
         system = coarsest_setup(zero_solution())
         sol = solve(system)
+        assert sol.iterations == 0 and sol.residual_history == []
         assert not sol.u.coefficients.any()
         assert not sol.X.coefficients.any()
         assert not sol.p.coefficients.any()
@@ -158,6 +160,18 @@ class TestSolve:
         np.testing.assert_array_equal(
             manufactured_sol.u.coefficients[fixed], 0.0)
 
+    def test_zero_structure_coupling_reported(self, manufactured_system):
+        # Cs = 0 leaves the multiplier rows without a structure part; the
+        # Cs factorization must fail loudly instead of solving wrongly.
+        sys_ = manufactured_system
+        b = sys_.blocks
+        broken = Blocks(b.Af, b.As, b.B, b.Cf, 0.0 * b.Cs, b.mean_row)
+        F, G, D, _, _ = sys_.split(sys_.rhs)
+        degenerate = build_system(broken, (F, G, D), sys_.spaces,
+                                  mapped_vertices(sys_.spaces[1]))
+        with pytest.raises(SingularSystemError):
+            solve(degenerate)
+
     def test_singular_system_reported(self, manufactured_system):
         sys_ = manufactured_system
         b = sys_.blocks
@@ -172,9 +186,14 @@ class TestSolve:
             solve(degenerate)
 
 
+# Iterative refinement steps of the MMD reference solve.
+MMD_MAX_REFINE = 40
+
+
 def mmd_reference(system):
-    """Solution vector and LU fill of the shifted system factored in
-    SuperLU's MMD_AT_PLUS_A order, with the same refinement as solve."""
+    """Solution vector and LU fill of the whole shifted system factored in
+    SuperLU's MMD_AT_PLUS_A order, the shift removed by iterative
+    refinement."""
     A = system.matrix.tocsr()
     b = system.rhs
     rowmax = abs(A).max(axis=1).toarray().ravel()
@@ -185,7 +204,7 @@ def mmd_reference(system):
               options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
     x = lu.solve(b)
     prev = np.inf
-    for _ in range(saddle._MAX_REFINE):
+    for _ in range(MMD_MAX_REFINE):
         res = b - A @ x
         rel = np.linalg.norm(res) / np.linalg.norm(b)
         if rel < 1e-12 or rel > 0.5 * prev:
@@ -268,9 +287,25 @@ class TestNestedDissection:
         assert sol.relative_residual <= 1e-10
 
     def test_fill_not_above_mmd(self, ordered_solves):
+        # Two factorizations, the fluid block and the scalar Cs block,
+        # fill less together than the whole system in MMD order.
         _, _, fills, _, fill_ref = ordered_solves["t2_level2_h1"]
-        assert len(fills) == 1
-        assert fills[0] <= fill_ref
+        assert len(fills) == 2
+        assert sum(fills) <= fill_ref
+
+
+# Two levels of each schedule: Test 1 l2 exact, Test 2 h1 approx.
+GMRES_LEVELS = [(16, 8, "l2", "exact"), (32, 16, "l2", "exact"),
+                (16, 23, "h1", "approx"), (32, 64, "h1", "approx")]
+
+
+@pytest.mark.parametrize("n_fluid,n_solid,coupling,mode", GMRES_LEVELS)
+def test_gmres_iterations_bounded(n_fluid, n_solid, coupling, mode):
+    _, sol, _ = solve_level(n_fluid, n_solid, coupling, mode)
+    assert 0 < sol.iterations <= 30
+    assert sol.residual_history[-1] <= 1e-12
+    assert sol.residual_history[-1] == pytest.approx(sol.relative_residual,
+                                                     rel=1e-6)
 
 
 class TestDumpSolution:
