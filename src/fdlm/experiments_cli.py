@@ -147,8 +147,7 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None,
     )
     rhs = assemble_rhs(V, Q, S, L, exact, xbar, coupling, assembly_mode,
                        params, schemes=schemes, approx_nodes=approx_nodes)
-    system = build_system(blocks, rhs, (V, S, L, Q),
-                          xbar.apply(S.mesh.vertices))
+    system = build_system(blocks, rhs, (V, S, L, Q))
     sol = solve(system)
     record = {
         "level": None,

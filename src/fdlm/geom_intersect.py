@@ -27,6 +27,7 @@ same clipping and triangulation for a single pair.
 import numpy as np
 
 from .mesh import DomainViolationError
+# Unused here; perfbench/tracing.py wraps it in this module's namespace.
 from .quadrature import rule_for_degree
 
 __all__ = [
@@ -99,16 +100,14 @@ class CompositeQuadScheme:
     subcells : (m, 3, 2) array of subcell triangles in structure coordinates
     owners : (m,) int array, owning fluid triangle per subcell
     s_areas : (m,) subcell areas in structure coordinates
-    rule : QuadratureRule meant for each subcell
     """
 
-    __slots__ = ("subcells", "owners", "s_areas", "rule")
+    __slots__ = ("subcells", "owners", "s_areas")
 
-    def __init__(self, subcells, owners, s_areas, rule):
+    def __init__(self, subcells, owners, s_areas):
         self.subcells = subcells
         self.owners = owners
         self.s_areas = s_areas
-        self.rule = rule
 
     def total_s_area(self):
         return float(self.s_areas.sum())
@@ -128,19 +127,17 @@ class IntersectionTable:
     s_areas : (M,) subcell areas in structure coordinates
     offsets : (n_elements + 1,) int array; element t owns rows
         offsets[t]:offsets[t + 1]
-    rule : QuadratureRule meant for each subcell
 
     len() is the number of structure elements; indexing and iteration
     give per-element CompositeQuadScheme views.
     """
 
-    def __init__(self, parent, owner, subcells, n_elements, rule):
+    def __init__(self, parent, owner, subcells, n_elements):
         self.parent = parent
         self.owner = owner
         self.subcells = subcells
         self.s_areas = np.abs(_signed_areas(subcells))
         self.offsets = np.searchsorted(parent, np.arange(n_elements + 1))
-        self.rule = rule
 
     def __len__(self):
         return self.offsets.shape[0] - 1
@@ -149,7 +146,7 @@ class IntersectionTable:
         t = range(len(self))[t]
         rows = slice(self.offsets[t], self.offsets[t + 1])
         return CompositeQuadScheme(self.subcells[rows], self.owner[rows],
-                                   self.s_areas[rows], self.rule)
+                                   self.s_areas[rows])
 
     def __iter__(self):
         return (self[t] for t in range(len(self)))
@@ -289,11 +286,9 @@ def _fan_pairs(poly, count, sliver):
     return q, fans[q, i]
 
 
-def _supermesh(solid_tris, mats, offs, fluid_mesh, rule):
+def _supermesh(solid_tris, mats, offs, fluid_mesh):
     """IntersectionTable of the elements solid_tris (E, 3, 2) placed by
     x = mats[e] @ s + offs[e] against the fluid mesh."""
-    if rule is None:
-        rule = rule_for_degree(2)
     n_el = solid_tris.shape[0]
     mapped = solid_tris @ mats.swapaxes(1, 2) + offs[:, None, :]
     xmin, ymin, xmax, ymax = fluid_mesh.domain
@@ -339,10 +334,10 @@ def _supermesh(solid_tris, mats, offs, fluid_mesh, rule):
     parent = el[pair]
     inv = np.linalg.inv(mats)[parent]
     sub = (sub - offs[parent][:, None, :]) @ inv.swapaxes(1, 2)
-    return IntersectionTable(parent, tri[pair], sub, n_el, rule)
+    return IntersectionTable(parent, tri[pair], sub, n_el)
 
 
-def build_composite_scheme(solid_tri, xbar_map, fluid_mesh, rule=None):
+def build_composite_scheme(solid_tri, xbar_map, fluid_mesh):
     """Subcells of one structure element clipped against the fluid mesh.
 
     solid_tri is the (3, 2) element in structure coordinates, xbar_map
@@ -352,16 +347,17 @@ def build_composite_scheme(solid_tri, xbar_map, fluid_mesh, rule=None):
     """
     solid_tri = np.asarray(solid_tri, dtype=float).reshape(1, 3, 2)
     return _supermesh(solid_tri, xbar_map.matrix[None], xbar_map.offset[None],
-                      fluid_mesh, rule)[0]
+                      fluid_mesh)[0]
 
 
-def build_all_schemes(solid_mesh, xbar, fluid_mesh, rule=None):
+def build_all_schemes(solid_mesh, xbar, fluid_mesh):
     """IntersectionTable of every structure element against the fluid mesh.
 
     xbar is a single AffineMap used for all elements, or a sequence of
-    per-element maps.  Raises DomainViolationError if any mapped element
-    leaves the fluid rectangle.
+    per-element maps.  The table holds geometry only; the quadrature rule
+    is chosen where it is integrated (assembly.coupling_nodes).  Raises
+    DomainViolationError if any mapped element leaves the fluid rectangle.
     """
     mats, offs = _xbar_parts(xbar, solid_mesh.n_triangles)
     return _supermesh(solid_mesh.vertices[solid_mesh.triangles], mats, offs,
-                      fluid_mesh, rule)
+                      fluid_mesh)

@@ -25,9 +25,10 @@ multiplier row for X and the structure row for lambda with Cs:
 
 Both LUs run in a geometric nested-dissection order (George, "Nested
 dissection of a regular finite element mesh", SIAM J. Numer. Anal.
-1973) computed from where each dof sits in the fluid domain: velocity
-and pressure dofs at their mesh vertices, structure dofs at the mapped
-structure vertices xbar(s), sigma last.  S_f is factored with a small
+1973) computed from the vertices of each block's own mesh: the fluid
+mesh vertices for the velocity and pressure dofs of S_f, sigma last,
+and the structure mesh vertices for c, which does not depend on the
+placement map.  S_f is factored with a small
 quasidefinite diagonal shift (_SHIFT), which makes diagonal pivoting
 safe in that order; GMRES runs on the unshifted system and absorbs the
 shift.
@@ -63,17 +64,13 @@ class Blocks:
 class BlockSystem:
     """Assembled global matrix with its right-hand side and dof layout."""
 
-    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask,
-                 points):
+    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask):
         self.matrix = matrix
         self.rhs = rhs
         self.offsets = offsets
         self.spaces = spaces
         self.blocks = blocks
         self.dirichlet_mask = dirichlet_mask
-        # (n_dofs - 1, 2) position of every dof but sigma in the fluid
-        # domain; it orders the factorizations.
-        self.points = points
 
     @property
     def n_dofs(self):
@@ -111,20 +108,17 @@ class DiscreteSolution:
         return self.residual_norm / self.rhs_norm
 
 
-def build_system(blocks, rhs, spaces, solid_points):
+def build_system(blocks, rhs, spaces):
     """Assemble the bordered global matrix and eliminate Dirichlet dofs.
 
-    blocks: Blocks instance; rhs: (F, G, D) tuple; spaces: (V, S, L, Q);
-    solid_points: (n, 2) structure mesh vertices mapped into the fluid
-    domain, xbar(s), where the structure and multiplier dofs sit.
+    blocks: Blocks instance; rhs: (F, G, D) tuple; spaces: (V, S, L, Q),
+    where L and S must live on the same structure mesh.
     The velocity space's dirichlet_mask marks the constrained dofs.
     """
     V, S, L, Q = spaces
     nu, ns, nl, npre = V.n_dofs, S.n_dofs, L.n_dofs, Q.n_dofs
-    solid_points = np.asarray(solid_points, dtype=float)
-    if (solid_points.shape != (S.n_vertices, 2)
-            or L.n_vertices != S.n_vertices):
-        raise ValueError("one mapped point per structure vertex required")
+    if L.n_vertices != S.n_vertices:
+        raise ValueError("multiplier and structure meshes differ")
     if blocks.Af.shape != (nu, nu):
         raise ValueError("fluid block shape mismatch")
     if blocks.As.shape != (ns, ns):
@@ -164,11 +158,7 @@ def build_system(blocks, rhs, spaces, solid_points):
     b[fixed] = 0.0
     matrix = sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
     matrix.sum_duplicates()
-    points = np.concatenate([np.tile(V.mesh.vertices, (V.value_dim, 1)),
-                             np.tile(solid_points, (S.value_dim, 1)),
-                             np.tile(solid_points, (L.value_dim, 1)),
-                             np.tile(Q.mesh.vertices, (Q.value_dim, 1))])
-    return BlockSystem(matrix, b, offsets, spaces, blocks, mask, points)
+    return BlockSystem(matrix, b, offsets, spaces, blocks, mask)
 
 
 # Parts of at most this many dofs are not cut further and keep their
@@ -189,6 +179,9 @@ def _nested_dissection(A, points):
     edges that cross the cut or touch the separator are dropped, and the
     part is emitted as its lower half, its upper half, then the separator.
     Dofs beyond the first n (the dense mean multiplier) go last.
+    Where two extents are equal in exact arithmetic, the rounding of the
+    coordinates picks the axis, so callers pass mesh coordinates, not
+    mapped ones, to keep the order independent of the placement map.
     The pattern of A is assumed symmetric: each matrix edge is taken once,
     from the strict upper triangle, and marks both of its ends.
     Returns perm: perm[k] is the dof eliminated k-th.
@@ -317,10 +310,12 @@ def solve(system):
     """Solve by block-preconditioned GMRES; returns a DiscreteSolution with
     residual data and the solver's iterations and residual history.
 
-    S_f and the scalar block of Cs are each factored once; GMRES stops at
+    S_f and the scalar block c of Cs are each factored once, in orders
+    taken from the fluid and the structure mesh vertices; GMRES stops at
     a true relative residual of 1e-12.  A factorization failure, and a
     relative residual left above 1e-9, are reported as a singular system.
     """
+    V, S, L, Q = system.spaces
     A = system.matrix.tocsr()
     b = system.rhs
     o = system.offsets
@@ -330,11 +325,13 @@ def solve(system):
     lam = slice(o["lambda"], o["p"])
     fluid = np.r_[u, o["p"]:n]
     Sf = A[fluid][:, fluid]
+    fluid_points = np.concatenate([V.mesh.vertices] * V.value_dim
+                                  + [Q.mesh.vertices])
     fluid_solve = _factor_shifted(
-        Sf, o["x"], _nested_dissection(Sf, system.points[fluid[:-1]]))
-    k = (o["lambda"] - o["x"]) // 2
+        Sf, o["x"], _nested_dissection(Sf, fluid_points))
+    k = S.n_vertices
     c = system.blocks.Cs[:k, :k]
-    c_solve = _lu(c, _nested_dissection(c, system.points[o["x"]:][:k]))
+    c_solve = _lu(c, _nested_dissection(c, S.mesh.vertices))
 
     def cs_solve(v):
         return c_solve(v.reshape(2, k).T).T.ravel()
@@ -355,7 +352,6 @@ def solve(system):
     bnorm = np.linalg.norm(b)
     if bnorm > 0.0 and np.linalg.norm(res) / bnorm > 1e-9:
         raise SingularSystemError("GMRES stalled above tolerance")
-    V, S, L, Q = system.spaces
     uvec, xvec, lvec, pvec, sigma = system.split(x)
     return DiscreteSolution(
         u=FEFunction(V, uvec),

@@ -63,7 +63,7 @@ def vec_comp(space, coeff, c):
 def coupling_oracle(L, V, xbar, mu_c, v_c, coupling):
     """mu^T C_f v by degree-9 quadrature on the intersection subcells."""
     rule = conical_product_rule(5)
-    schemes = build_all_schemes(L.mesh, xbar, V.mesh, rule)
+    schemes = build_all_schemes(L.mesh, xbar, V.mesh)
     mesh_b, mesh_f = L.mesh, V.mesh
     total = 0.0
     for t in range(mesh_b.n_triangles):

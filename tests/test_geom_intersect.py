@@ -416,7 +416,6 @@ def test_table_layout():
     view = table[-1]
     np.testing.assert_array_equal(view.owners,
                                   table.owner[table.offsets[-2]:])
-    assert view.rule is table.rule
     with pytest.raises(IndexError):
         table[len(table)]
 

@@ -1,6 +1,7 @@
 """Global saddle system: block layout, elimination, block-preconditioned
 GMRES solve."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -16,7 +17,7 @@ from fdlm.fespace import (multiplier_space, pressure_space, solid_space,
                           velocity_space)
 from fdlm.experiments_cli import solve_level
 from fdlm.manufactured_errors import manufactured_solution, zero_solution
-from fdlm.mesh import midpoint_refine, uniform_mesh
+from fdlm.mesh import AffineMap, midpoint_refine, uniform_mesh
 from fdlm.saddle_solver import (Blocks, SingularSystemError, build_system,
                                 dump_solution, solve)
 
@@ -41,12 +42,7 @@ def coarsest_setup(exact):
     )
     rhs = assemble_rhs(V, Q, S, L, exact, exact.xbar, "l2", "exact",
                        params=params)
-    return build_system(blocks, rhs, (V, S, L, Q), mapped_vertices(S))
-
-
-def mapped_vertices(S):
-    """Structure vertices under the manufactured placement map."""
-    return manufactured_solution().xbar.apply(S.mesh.vertices)
+    return build_system(blocks, rhs, (V, S, L, Q))
 
 
 @pytest.fixture(scope="module")
@@ -98,33 +94,29 @@ class TestBuildSystem:
         b = sys_.blocks
         V, S, L, Q = sys_.spaces
         rhs = (np.zeros(V.n_dofs), np.zeros(S.n_dofs), np.zeros(L.n_dofs))
-        pts = mapped_vertices(S)
         bad = Blocks(b.As, b.As, b.B, b.Cf, b.Cs, b.mean_row)
         with pytest.raises(ValueError):
-            build_system(bad, rhs, sys_.spaces, pts)
+            build_system(bad, rhs, sys_.spaces)
         bad = Blocks(b.Af, b.As, b.B.T, b.Cf, b.Cs, b.mean_row)
         with pytest.raises(ValueError):
-            build_system(bad, rhs, sys_.spaces, pts)
+            build_system(bad, rhs, sys_.spaces)
         bad = Blocks(b.Af, b.As, b.B, b.Cf, b.Cs, b.mean_row[:-1])
         with pytest.raises(ValueError):
-            build_system(bad, rhs, sys_.spaces, pts)
-        with pytest.raises(ValueError):
-            build_system(b, rhs, sys_.spaces, pts[:-1])
+            build_system(bad, rhs, sys_.spaces)
 
-    def test_dof_positions(self, manufactured_system):
+    def test_multiplier_on_other_mesh_rejected(self, manufactured_system):
+        # Blocks and data sized for L on a 4 x 4 structure mesh, S on the
+        # 8 x 8 one: only the shared-mesh check can catch it.
         sys_ = manufactured_system
-        V, S, L, Q = sys_.spaces
-        o = sys_.offsets
-        pts = sys_.points
-        assert pts.shape == (sys_.n_dofs - 1, 2)
-        np.testing.assert_array_equal(pts[:o["x"]],
-                                      np.tile(V.mesh.vertices, (2, 1)))
-        mapped = mapped_vertices(S)
-        np.testing.assert_array_equal(pts[o["x"]:o["lambda"]],
-                                      np.tile(mapped, (2, 1)))
-        np.testing.assert_array_equal(pts[o["lambda"]:o["p"]],
-                                      np.tile(mapped, (2, 1)))
-        np.testing.assert_array_equal(pts[o["p"]:], Q.mesh.vertices)
+        b = sys_.blocks
+        V, S, _, Q = sys_.spaces
+        L = multiplier_space(uniform_mesh((0, 0), (1, 1), 4,
+                                          orientation="left"))
+        bad = Blocks(b.Af, b.As, b.B, sp.csr_matrix((L.n_dofs, V.n_dofs)),
+                     sp.csr_matrix((L.n_dofs, S.n_dofs)), b.mean_row)
+        rhs = (np.zeros(V.n_dofs), np.zeros(S.n_dofs), np.zeros(L.n_dofs))
+        with pytest.raises(ValueError):
+            build_system(bad, rhs, (V, S, L, Q))
 
 
 class TestSolve:
@@ -167,8 +159,7 @@ class TestSolve:
         b = sys_.blocks
         broken = Blocks(b.Af, b.As, b.B, b.Cf, 0.0 * b.Cs, b.mean_row)
         F, G, D, _, _ = sys_.split(sys_.rhs)
-        degenerate = build_system(broken, (F, G, D), sys_.spaces,
-                                  mapped_vertices(sys_.spaces[1]))
+        degenerate = build_system(broken, (F, G, D), sys_.spaces)
         with pytest.raises(SingularSystemError):
             solve(degenerate)
 
@@ -180,8 +171,7 @@ class TestSolve:
         F = np.zeros(sys_.spaces[0].n_dofs)
         G = np.zeros(sys_.spaces[1].n_dofs)
         D = np.zeros(sys_.spaces[2].n_dofs)
-        degenerate = build_system(broken, (F, G, D), sys_.spaces,
-                                  mapped_vertices(sys_.spaces[1]))
+        degenerate = build_system(broken, (F, G, D), sys_.spaces)
         with pytest.raises(SingularSystemError):
             solve(degenerate)
 
@@ -214,54 +204,76 @@ def mmd_reference(system):
     return x, lu.L.nnz + lu.U.nnz
 
 
-# Coarsest Test 1 level, and Test 2 level 2, where structure dofs placed
-# off their mapped vertices would lose to MMD.
+def recorded_solve(n_fluid, n_solid, coupling, mode, exact=None):
+    """solve_level run recording the permutations solve passes to
+    _nested_dissection, (S_f, c), and the fill of each factorization."""
+    perms, fills = [], []
+    real_nd, real_splu = saddle._nested_dissection, saddle.splu
+
+    def recording_nd(A, points):
+        perms.append(real_nd(A, points))
+        return perms[-1]
+
+    def counting_splu(*args, **kwargs):
+        lu = real_splu(*args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(saddle, "_nested_dissection", recording_nd)
+        mp.setattr(saddle, "splu", counting_splu)
+        _, sol, system = solve_level(n_fluid, n_solid, coupling, mode, exact)
+    return sol, system, perms, fills
+
+
+# Coarsest Test 1 level, and Test 2 level 2.
 ORDERED_LEVELS = {"t1_level0_l2": (16, 8, "l2"), "t2_level2_h1": (32, 64, "h1")}
-# First 16 hex digits of the sha256 of each level's permutation as
-# little-endian int64, which pins the order bit for bit.
-PERM_SHA256 = {"t1_level0_l2": "51057c0a727877d0",
-               "t2_level2_h1": "640caa02b11fbcdf"}
+# First 16 hex digits of the sha256 of each level's S_f and c
+# permutations as little-endian int64, which pins the orders bit for bit.
+PERM_SHA256 = {"t1_level0_l2": ("53a335c57b3c853f", "3b3d00e173cf0d58"),
+               "t2_level2_h1": ("9ad53c6c97cdc436", "9538616bb0ddf4be")}
 
 
 @pytest.fixture(scope="module")
 def ordered_solves():
-    """Per level: a solve_level run with the fill of its factorization,
-    and the MMD-ordered reference solve of the same system."""
+    """Per level: a recorded solve_level run, and the MMD-ordered
+    reference solve of the same system."""
     out = {}
-    real_splu = saddle.splu
     for name, (nf, ns, coupling) in ORDERED_LEVELS.items():
-        fills = []
-
-        def counting_splu(*args, **kwargs):
-            lu = real_splu(*args, **kwargs)
-            fills.append(lu.L.nnz + lu.U.nnz)
-            return lu
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(saddle, "splu", counting_splu)
-            _, sol, system = solve_level(nf, ns, coupling, "exact")
+        sol, system, perms, fills = recorded_solve(nf, ns, coupling, "exact")
         x_ref, fill_ref = mmd_reference(system)
-        out[name] = (sol, system, fills, x_ref, fill_ref)
+        out[name] = (sol, system, perms, fills, x_ref, fill_ref)
     return out
 
 
 class TestNestedDissection:
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_permutation_covers_every_dof_once(self, ordered_solves, level):
-        _, system, _, _, _ = ordered_solves[level]
-        perm = saddle._nested_dissection(system.matrix.tocsr(),
-                                         system.points)
-        np.testing.assert_array_equal(np.sort(perm),
-                                      np.arange(system.n_dofs))
-        assert perm[-1] == system.offsets["sigma"]
+        _, system, (perm_f, perm_c), _, _, _ = ordered_solves[level]
+        V, S, _, Q = system.spaces
+        n_fluid = V.n_dofs + Q.n_dofs + 1
+        np.testing.assert_array_equal(np.sort(perm_f), np.arange(n_fluid))
+        assert perm_f[-1] == n_fluid - 1
+        np.testing.assert_array_equal(np.sort(perm_c),
+                                      np.arange(S.n_vertices))
 
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_permutation_fingerprint(self, ordered_solves, level):
-        _, system, _, _, _ = ordered_solves[level]
-        perm = saddle._nested_dissection(system.matrix.tocsr(),
-                                         system.points)
-        digest = hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()
-        assert digest[:16] == PERM_SHA256[level]
+        _, _, perms, _, _, _ = ordered_solves[level]
+        digests = tuple(hashlib.sha256(p.astype("<i8").tobytes())
+                        .hexdigest()[:16] for p in perms)
+        assert digests == PERM_SHA256[level]
+
+    def test_orders_independent_of_placement_map(self):
+        # Test 2 level 1 under the experiment's map and under a pure
+        # offset of it that stays inside the fluid box.
+        shifted = copy.copy(manufactured_solution())
+        shifted.xbar = AffineMap(2.0 * np.eye(2), (-1.3, -0.9))
+        _, _, perms, _ = recorded_solve(16, 23, "h1", "approx")
+        _, _, moved, _ = recorded_solve(16, 23, "h1", "approx", shifted)
+        assert len(perms) == len(moved) == 2
+        for p, q in zip(perms, moved):
+            np.testing.assert_array_equal(p, q)
 
     def test_separator_follows_halves(self):
         # A path on a line is cut at its median, vertex 99; the halves
@@ -278,7 +290,7 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_agrees_with_mmd_reference(self, ordered_solves, level):
-        sol, system, _, x_ref, _ = ordered_solves[level]
+        sol, system, _, _, x_ref, _ = ordered_solves[level]
         u, X, lam, p, _ = system.split(x_ref)
         for got, want, rel in ((sol.u, u, 1e-10), (sol.X, X, 1e-10),
                                (sol.p, p, 1e-10), (sol.lam, lam, 1e-8)):
@@ -289,7 +301,7 @@ class TestNestedDissection:
     def test_fill_not_above_mmd(self, ordered_solves):
         # Two factorizations, the fluid block and the scalar Cs block,
         # fill less together than the whole system in MMD order.
-        _, _, fills, _, fill_ref = ordered_solves["t2_level2_h1"]
+        _, _, _, fills, _, fill_ref = ordered_solves["t2_level2_h1"]
         assert len(fills) == 2
         assert sum(fills) <= fill_ref
 
