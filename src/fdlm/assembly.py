@@ -22,7 +22,12 @@ and locates every node in the fluid mesh.
 Right-hand sides are produced by inserting the analytic solution into
 the left-hand side forms, so the discrete problem is consistent by
 construction; smooth volume terms use the degree-6 rule on the mesh
-triangles, loaded through the same core.
+triangles, loaded through the same core.  Every degree-6 node set (the
+volume loads, the exact constraint load and the exact coupling load)
+is built and consumed in blocks of at most _CELL_BLOCK cells, so its
+size does not grow with the mesh; the per-cell contributions are
+reduced once, in cell order, so the loads do not depend on the block
+size.
 """
 
 from collections import namedtuple
@@ -180,6 +185,15 @@ def assemble_Cs(L, S, coupling):
 
 _Nodes = namedtuple("_Nodes", "parent owner s x w jac")
 
+# Cells per block of a node set that is built and consumed block by block.
+_CELL_BLOCK = 4096
+
+
+def _cell_blocks(n):
+    """Slices of at most _CELL_BLOCK of n cells, in order."""
+    return [slice(i, min(i + _CELL_BLOCK, n))
+            for i in range(0, n, _CELL_BLOCK)]
+
 
 def _features(mesh, tris, pts, jac=None):
     """P1 hats of triangles tris (M,): values (M, K, 3) at pts (M, K, 2)
@@ -191,23 +205,31 @@ def _features(mesh, tris, pts, jac=None):
     return val, g if jac is None else g @ jac
 
 
-def _load(mesh, tris, pts, w, value, grad=None, jac=None):
+def _load(mesh, blocks):
     """Load of a vector field against the vector P1 hats phi of mesh:
     sum_nodes w[..., 0] value . phi + w[..., 1] grad : grad phi, per dof.
 
-    value (M, K, 2) and grad (M, K, 2, 2) are the field's value and
-    gradient features at the nodes; either may be None.
+    blocks yields node blocks (tris, pts, w, value, grad, jac) in cell
+    order, as _features takes them; value (M, K, 2) and grad
+    (M, K, 2, 2) are the field's value and gradient features at the
+    nodes, and either may be None.  The per-cell contributions are
+    summed once, in cell order, so the load does not depend on the
+    blocking.
     """
-    hat, dhat = _features(mesh, tris, pts, jac)
-    vals = 0.0
-    if value is not None:
-        vals = (w[..., :1] * value).swapaxes(1, 2) @ hat
-    if grad is not None:
-        vals = vals + np.einsum("mk,mkcd->mcd", w[..., 1], grad) \
-            @ dhat.swapaxes(1, 2)
+    tris, cells = [], []
+    for t, pts, w, value, grad, jac in blocks:
+        hat, dhat = _features(mesh, t, pts, jac)
+        vals = 0.0
+        if value is not None:
+            vals = (w[..., :1] * value).swapaxes(1, 2) @ hat
+        if grad is not None:
+            vals = vals + np.einsum("mk,mkcd->mcd", w[..., 1], grad) \
+                @ dhat.swapaxes(1, 2)
+        tris.append(t)
+        cells.append(vals)
     dofs = (np.arange(2)[:, None] * mesh.n_vertices
-            + mesh.triangles[tris][:, None, :])
-    return np.bincount(dofs.ravel(), weights=vals.ravel(),
+            + mesh.triangles[np.concatenate(tris)][:, None, :])
+    return np.bincount(dofs.ravel(), weights=np.concatenate(cells).ravel(),
                        minlength=2 * mesh.n_vertices)
 
 
@@ -219,10 +241,13 @@ def _rule_nodes(tris, areas, rule):
     return s, np.repeat(w[..., None], 2, axis=-1)
 
 
-def _mesh_nodes(mesh, rule):
-    """(parent, s, w) of rule on every triangle of mesh."""
-    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas, rule)
-    return np.arange(mesh.n_triangles), s, w
+def _mesh_node_blocks(mesh, rule):
+    """(parent, s, w) of rule on the triangles of mesh, yielded in blocks
+    of at most _CELL_BLOCK triangles."""
+    for b in _cell_blocks(mesh.n_triangles):
+        s, w = _rule_nodes(mesh.vertices[mesh.triangles[b]], mesh.areas[b],
+                           rule)
+        yield np.arange(b.start, b.stop), s, w
 
 
 def _single_rule_nodes(mesh, coupling):
@@ -233,8 +258,8 @@ def _single_rule_nodes(mesh, coupling):
     """
     n = mesh.n_triangles
     rule = rule_for_degree(2)
-    parent, s, w = _mesh_nodes(mesh, rule)
-    parent = np.repeat(parent, len(rule))
+    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas, rule)
+    parent = np.repeat(np.arange(n), len(rule))
     s, w = s.reshape(-1, 1, 2), w.reshape(-1, 1, 2) * (1.0, 0.0)
     if coupling == "h1":
         s = np.concatenate([s, mesh.centroids[:, None, :]])
@@ -243,29 +268,46 @@ def _single_rule_nodes(mesh, coupling):
     return parent, s, w
 
 
+def _placed(parent, owner, s, w, parts):
+    """Node set of nodes s (M, K, 2) with weights w on the structure cells
+    parent, mapped by the placement map's per-element parts
+    (_xbar_parts)."""
+    mats, offs = parts
+    jac = mats[parent]
+    x = s @ jac.swapaxes(1, 2) + offs[parent][:, None, :]
+    return _Nodes(parent, owner, s, x, w, jac)
+
+
+def _subcell_nodes(schemes, rule, parts, cells=slice(None)):
+    """Node set of rule on the supermesh subcells cells of schemes."""
+    s, w = _rule_nodes(schemes.subcells[cells], schemes.s_areas[cells], rule)
+    return _placed(schemes.parent[cells], schemes.owner[cells], s, w, parts)
+
+
 def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
     """Node set of the exact (supermesh subcells under rule) or approx
     (single-element rules, nodes located in the fluid mesh) coupling.
 
     The approx node set does not depend on rule; build it once and pass
     it to assemble_Cf_approx and assemble_rhs to locate its nodes once.
+    The exact node set needs a rule.
     """
-    mats, offs = _xbar_parts(xbar, L.mesh.n_triangles)
+    if mode not in ("exact", "approx"):
+        raise ValueError("mode must be 'exact' or 'approx'")
+    parts = _xbar_parts(xbar, L.mesh.n_triangles)
     if mode == "exact":
+        if rule is None:
+            raise ValueError("exact coupling nodes need a quadrature rule")
         if schemes is None:
             schemes = build_all_schemes(L.mesh, xbar, V.mesh)
-        parent, owner = schemes.parent, schemes.owner
-        s, w = _rule_nodes(schemes.subcells, schemes.s_areas, rule)
-    else:
-        parent, s, w = _single_rule_nodes(L.mesh, coupling)
-    jac = mats[parent]
-    x = s @ jac.swapaxes(1, 2) + offs[parent][:, None, :]
-    if mode == "approx":
-        owner = V.mesh.locate_points(x.reshape(-1, 2))
-        if np.any(owner < 0):
-            raise DomainViolationError(
-                "mapped quadrature node leaves the fluid domain")
-    return _Nodes(parent, owner, s, x, w, jac)
+        return _subcell_nodes(schemes, rule, parts)
+    parent, s, w = _single_rule_nodes(L.mesh, coupling)
+    nodes = _placed(parent, None, s, w, parts)
+    owner = V.mesh.locate_points(nodes.x.reshape(-1, 2))
+    if np.any(owner < 0):
+        raise DomainViolationError(
+            "mapped quadrature node leaves the fluid domain")
+    return nodes._replace(owner=owner)
 
 
 def _coupling_matrix(L, V, coupling, nodes):
@@ -334,38 +376,44 @@ def pressure_mean_row(Q):
 
 def _volume_rhs_fluid(V, exact, params):
     """alpha (u, phi) + nu (grad u, grad phi) - (p, div phi) on the fluid mesh."""
-    parent, x, w = _mesh_nodes(V.mesh, rule_for_degree(6))
-    value = params.alpha * exact.u(x) if params.alpha != 0.0 else None
-    grad = (params.nu * exact.grad_u(x)
-            - exact.p(x)[..., None, None] * np.eye(2))
-    return _load(V.mesh, parent, x, w, value, grad)
+    def blocks():
+        for parent, x, w in _mesh_node_blocks(V.mesh, rule_for_degree(6)):
+            value = params.alpha * exact.u(x) if params.alpha != 0.0 else None
+            grad = (params.nu * exact.grad_u(x)
+                    - exact.p(x)[..., None, None] * np.eye(2))
+            yield parent, x, w, value, grad, None
+    return _load(V.mesh, blocks())
 
 
 def _structure_rhs(S, exact, params, coupling):
     """a_s(X, Y) - c(lambda, Y) on the structure mesh with the degree-6 rule."""
-    parent, s, w = _mesh_nodes(S.mesh, rule_for_degree(6))
-    value = -exact.lam(s)
-    if params.beta != 0.0:
-        value += params.beta * exact.X(s)
-    grad = params.kappa * exact.grad_X(s)
-    if coupling == "h1":
-        grad -= exact.grad_lam(s)
-    return _load(S.mesh, parent, s, w, value, grad)
+    def blocks():
+        for parent, s, w in _mesh_node_blocks(S.mesh, rule_for_degree(6)):
+            value = -exact.lam(s)
+            if params.beta != 0.0:
+                value += params.beta * exact.X(s)
+            grad = params.kappa * exact.grad_X(s)
+            if coupling == "h1":
+                grad -= exact.grad_lam(s)
+            yield parent, s, w, value, grad, None
+    return _load(S.mesh, blocks())
 
 
 def _constraint_rhs(L, exact, coupling, mode):
     """c(mu, d) with d = u(xbar(s)) - X(s), which is smooth on the structure.
 
-    Exact mode integrates with the degree-6 rule; approx mode mirrors
-    the single-element coupling rules (degree-2 mass part, centroid
-    gradient part).
+    Exact mode integrates with the degree-6 rule, block by block; approx
+    mode mirrors the single-element coupling rules (degree-2 mass part,
+    centroid gradient part).
     """
     if mode == "exact":
-        parent, s, w = _mesh_nodes(L.mesh, rule_for_degree(6))
+        node_blocks = _mesh_node_blocks(L.mesh, rule_for_degree(6))
     else:
-        parent, s, w = _single_rule_nodes(L.mesh, coupling)
-    return _load(L.mesh, parent, s, w, exact.d(s),
-                 exact.grad_d(s) if coupling == "h1" else None)
+        node_blocks = [_single_rule_nodes(L.mesh, coupling)]
+    return _load(L.mesh, (
+        (parent, s, w, exact.d(s),
+         exact.grad_d(s) if coupling == "h1" else None, None)
+        for parent, s, w in node_blocks))
 
 
 def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
@@ -378,23 +426,29 @@ def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
 
     mode selects how the velocity coupling term (and the constraint
     data) are integrated: "exact" uses the supermesh subcells (passed
-    as schemes, or built) under the degree-6 rule, "approx" the
-    single-element rules (their located node set passed as approx_nodes,
-    or built).
+    as schemes, or built) under the degree-6 rule, in blocks of at most
+    _CELL_BLOCK subcells, "approx" the single-element rules (their
+    located node set passed as approx_nodes, or built).
     """
     _check_coupling(coupling)
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
     params = params or FormParams()
-    if mode == "approx" and approx_nodes is not None:
-        nodes = approx_nodes
+    if mode == "exact":
+        if schemes is None:
+            schemes = build_all_schemes(L.mesh, xbar, V.mesh)
+        rule = rule_for_degree(6)
+        parts = _xbar_parts(xbar, L.mesh.n_triangles)
+        node_blocks = (_subcell_nodes(schemes, rule, parts, b)
+                       for b in _cell_blocks(schemes.parent.shape[0]))
+    elif approx_nodes is None:
+        node_blocks = [coupling_nodes(L, V, xbar, coupling, "approx")]
     else:
-        nodes = coupling_nodes(L, V, xbar, coupling, mode,
-                               rule_for_degree(6), schemes)
-    F = _volume_rhs_fluid(V, exact, params) + _load(
-        V.mesh, nodes.owner, nodes.x, nodes.w, exact.lam(nodes.s),
-        exact.grad_lam(nodes.s) if coupling == "h1" else None, nodes.jac)
+        node_blocks = [approx_nodes]
+    F = _volume_rhs_fluid(V, exact, params) + _load(V.mesh, (
+        (n.owner, n.x, n.w, exact.lam(n.s),
+         exact.grad_lam(n.s) if coupling == "h1" else None, n.jac)
+        for n in node_blocks))
     G = _structure_rhs(S, exact, params, coupling)
     D = _constraint_rhs(L, exact, coupling, mode)
     return F, G, D
-

@@ -19,7 +19,7 @@ conditions and taking the H1 norm of Psi.
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import (_basis_table, _load, _mesh_nodes, _scalar_mass,
+from .assembly import (_basis_table, _load, _mesh_node_blocks, _scalar_mass,
                        _scalar_stiffness)
 from .mesh import AffineMap
 from .quadrature import rule_for_degree
@@ -146,26 +146,34 @@ def zero_solution():
 # -- norms --------------------------------------------------------------
 
 
-def _vertex_values(space, coeff):
-    """Vertex values (Nt, 3, value_dim) of a P1 function per triangle."""
-    return coeff.reshape(space.value_dim, -1).T[space.mesh.triangles]
+def _vertex_values(space, coeff, tris):
+    """Vertex values (M, 3, value_dim) of a P1 function on triangles tris."""
+    return coeff.reshape(space.value_dim, -1).T[space.mesh.triangles[tris]]
 
 
 def _field_sq_errors(space, coeff, exact_val, exact_grad):
-    """Per-element squared L2 and H1-seminorm errors of coeff vs an analytic field."""
+    """Per-element squared L2 and H1-seminorm errors of coeff vs an analytic field.
+
+    The degree-6 nodes are built and evaluated in blocks of at most
+    assembly._CELL_BLOCK elements; the per-element errors are returned
+    whole, in element order.
+    """
     mesh = space.mesh
     rule = rule_for_degree(6)
-    _, pts, w = _mesh_nodes(mesh, rule)
-    w = w[..., 0]
-    comp = _vertex_values(space, coeff)
-    vh = _basis_table(rule) @ comp
-    dv = np.asarray(exact_val(pts)).reshape(vh.shape) - vh
-    l2 = np.einsum("mkc,mkc,mk->m", dv, dv, w)
-    if exact_grad is None:
-        return l2, None
-    gh = comp.swapaxes(1, 2) @ mesh.grads
-    dg = np.asarray(exact_grad(pts)).reshape(vh.shape + (2,)) - gh[:, None]
-    return l2, np.einsum("mkcd,mkcd,mk->m", dg, dg, w)
+    basis = _basis_table(rule)
+    l2, h1 = [], []
+    for parent, pts, w in _mesh_node_blocks(mesh, rule):
+        w = w[..., 0]
+        comp = _vertex_values(space, coeff, parent)
+        vh = basis @ comp
+        dv = np.asarray(exact_val(pts)).reshape(vh.shape) - vh
+        l2.append(np.einsum("mkc,mkc,mk->m", dv, dv, w))
+        if exact_grad is not None:
+            gh = comp.swapaxes(1, 2) @ mesh.grads[parent]
+            dg = (np.asarray(exact_grad(pts)).reshape(vh.shape + (2,))
+                  - gh[:, None])
+            h1.append(np.einsum("mkcd,mkcd,mk->m", dg, dg, w))
+    return np.concatenate(l2), np.concatenate(h1) if h1 else None
 
 
 def l2_error(space, coeff, exact_val):
@@ -192,15 +200,21 @@ def dual_norm(space, e, fe=None):
 
     Solves -lap(Psi) + Psi = e - fe with natural boundary conditions on
     the structure mesh and returns the H1 norm of Psi, which equals the
-    norm of the functional in the dual of H1.
+    norm of the functional in the dual of H1.  The degree-6 nodes of the
+    load are built and consumed in blocks of at most assembly._CELL_BLOCK
+    elements.
     """
     rule = rule_for_degree(6)
-    parent, s, w = _mesh_nodes(space.mesh, rule)
-    vals = np.asarray(e(s))
-    if fe is not None:
-        vals = vals - _basis_table(rule) @ _vertex_values(space,
-                                                          fe.coefficients)
-    return _dual_norm_from_load(space, _load(space.mesh, parent, s, w, vals))
+    basis = _basis_table(rule)
+
+    def blocks():
+        for parent, s, w in _mesh_node_blocks(space.mesh, rule):
+            vals = np.asarray(e(s))
+            if fe is not None:
+                vals = vals - basis @ _vertex_values(space, fe.coefficients,
+                                                     parent)
+            yield parent, s, w, vals, None, None
+    return _dual_norm_from_load(space, _load(space.mesh, blocks()))
 
 
 def error_norms(sol, exact, coupling):

@@ -12,7 +12,7 @@ multiplier enforcing zero pressure mean.  The system reads
 and is symmetric indefinite.  Velocity Dirichlet rows and columns are
 eliminated symmetrically (unit diagonal, zero load).
 
-The system is solved by right-preconditioned GMRES with a block
+The system is solved by right-preconditioned flexible GMRES with a block
 lower-triangular preconditioner (Benzi, Golub & Liesen, "Numerical
 solution of saddle point problems", Acta Numerica 2005).
 Only two matrices are factored: the fluid Stokes block S_f, the
@@ -31,7 +31,11 @@ and the structure mesh vertices for c, which does not depend on the
 placement map.  S_f is factored with a small
 quasidefinite diagonal shift (_SHIFT), which makes diagonal pivoting
 safe in that order; GMRES runs on the unshifted system and absorbs the
-shift.
+shift.  Both LUs are single precision, which halves the memory of the
+factor values; GMRES keeps every residual in double precision and, being
+flexible, needs no exactly linear preconditioner, so the solve still
+reaches a double-precision residual (mixed-precision GMRES refinement,
+Carson & Higham, SISC 2018).
 """
 
 import numpy as np
@@ -231,7 +235,9 @@ def _nested_dissection(A, points):
 # block quasidefinite, and a quasidefinite matrix can be factored with
 # pure diagonal pivoting in any symmetric order, here the
 # nested-dissection one.  GMRES on the unshifted system removes the
-# perturbation.
+# perturbation.  In the single-precision factors the velocity-row shift
+# is below rounding; the pressure and mean rows have a zero diagonal, so
+# their shift is kept.
 _SHIFT = 1e-8
 # GMRES restart length, and the cap on its iterations over all cycles.
 _RESTART = 50
@@ -239,17 +245,19 @@ _MAX_ITER = 200
 
 
 def _lu(M, perm):
-    """LU of M in the symmetric order perm with diagonal pivoting; returns
-    a function solving with it in the original dof order."""
+    """Single-precision LU of M in the symmetric order perm with diagonal
+    pivoting; returns a function solving with it in the original dof
+    order, taking and giving float64."""
     try:
-        lu = splu(M.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
+        lu = splu(M.astype(np.float32).tocsr()[perm][:, perm].tocsc(),
+                  permc_spec="NATURAL",
                   options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(str(exc)) from exc
 
     def lu_solve(b):
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
+        x = np.empty(b.shape)
+        x[perm] = lu.solve(b[perm].astype(np.float32))
         return x
     return lu_solve
 
@@ -266,10 +274,14 @@ def _factor_shifted(A_csr, dual_start, perm):
 
 
 def _gmres(matvec, precondition, b, tol):
-    """Restarted GMRES from 0 on matvec(x) = b, right-preconditioned by
-    precondition, so that it minimises the true residual.  Stops when the
-    true relative residual, taken after each cycle, is <= tol, stalls
-    (falls less than half in a cycle) or _MAX_ITER is reached.
+    """Restarted flexible GMRES from 0 on matvec(x) = b, right-preconditioned
+    by precondition, so that it minimises the true residual (Saad, "A
+    flexible inner-outer preconditioned GMRES algorithm", SISC 1993).  It
+    keeps z_j = precondition(v_j) and updates x by the z_j, so the
+    preconditioner need not be exactly linear, as a single-precision LU
+    is not.  Stops when the true relative residual, taken after each
+    cycle, is <= tol, stalls (falls less than half in a cycle) or
+    _MAX_ITER is reached.
     Returns (x, iterations, history of the true relative residual); x = 0
     with no iterations when b = 0."""
     bnorm = np.linalg.norm(b)
@@ -280,11 +292,13 @@ def _gmres(matvec, precondition, b, tol):
     while bnorm > 0.0 and iterations < _MAX_ITER:
         beta = np.linalg.norm(r)
         V = [r / beta]
+        Z = []
         H = np.zeros((_RESTART + 1, _RESTART))
         e1 = np.zeros(_RESTART + 1)
         e1[0] = beta
         for j in range(min(_RESTART, _MAX_ITER - iterations)):
-            w = matvec(precondition(V[j]))
+            Z.append(precondition(V[j]))
+            w = matvec(Z[j])
             for i, v in enumerate(V):
                 H[i, j] = v @ w
                 w -= H[i, j] * v
@@ -297,7 +311,7 @@ def _gmres(matvec, precondition, b, tol):
             if est <= tol * bnorm or H[j + 1, j] == 0.0:
                 break
             V.append(w / H[j + 1, j])
-        x = x + precondition(sum(yi * v for yi, v in zip(y, V)))
+        x = x + sum(yi * z for yi, z in zip(y, Z))
         r = b - matvec(x)
         history.append(np.linalg.norm(r) / bnorm)
         if history[-1] <= tol or (len(history) > 1
@@ -310,10 +324,11 @@ def solve(system):
     """Solve by block-preconditioned GMRES; returns a DiscreteSolution with
     residual data and the solver's iterations and residual history.
 
-    S_f and the scalar block c of Cs are each factored once, in orders
-    taken from the fluid and the structure mesh vertices; GMRES stops at
-    a true relative residual of 1e-12.  A factorization failure, and a
-    relative residual left above 1e-9, are reported as a singular system.
+    S_f and the scalar block c of Cs are each factored once in single
+    precision, in orders taken from the fluid and the structure mesh
+    vertices; flexible GMRES stops at a true relative residual of 1e-12.
+    A factorization failure, and a relative residual left above 1e-9,
+    are reported as a singular system.
     """
     V, S, L, Q = system.spaces
     A = system.matrix.tocsr()

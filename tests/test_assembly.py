@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
-                           assemble_rhs, matrix_1norm_diff,
+                           assemble_rhs, coupling_nodes, matrix_1norm_diff,
                            pressure_mean_row)
 from fdlm.fespace import (FEFunction, interpolate, multiplier_space,
                           pressure_space, solid_space, velocity_space)
@@ -361,6 +361,15 @@ class TestFluidCoupling:
     def test_bad_coupling_name(self):
         with pytest.raises(ValueError):
             assemble_Cf_exact(self.L, self.V, self.xbar, "energy")
+
+    def test_exact_nodes_need_a_rule(self):
+        with pytest.raises(ValueError, match="rule"):
+            coupling_nodes(self.L, self.V, self.xbar, "l2", "exact")
+
+    def test_node_mode_checked(self):
+        with pytest.raises(ValueError, match="mode"):
+            coupling_nodes(self.L, self.V, self.xbar, "l2", "adaptive",
+                           rule_for_degree(2))
 
 
 class TestMatrixDiffNorm:

@@ -206,16 +206,18 @@ def mmd_reference(system):
 
 def recorded_solve(n_fluid, n_solid, coupling, mode, exact=None):
     """solve_level run recording the permutations solve passes to
-    _nested_dissection, (S_f, c), and the fill of each factorization."""
-    perms, fills = [], []
+    _nested_dissection, (S_f, c), and the fill and the dtype of the
+    matrix of each factorization."""
+    perms, fills, dtypes = [], [], []
     real_nd, real_splu = saddle._nested_dissection, saddle.splu
 
     def recording_nd(A, points):
         perms.append(real_nd(A, points))
         return perms[-1]
 
-    def counting_splu(*args, **kwargs):
-        lu = real_splu(*args, **kwargs)
+    def counting_splu(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        lu = real_splu(A, *args, **kwargs)
         fills.append(lu.L.nnz + lu.U.nnz)
         return lu
 
@@ -223,7 +225,7 @@ def recorded_solve(n_fluid, n_solid, coupling, mode, exact=None):
         mp.setattr(saddle, "_nested_dissection", recording_nd)
         mp.setattr(saddle, "splu", counting_splu)
         _, sol, system = solve_level(n_fluid, n_solid, coupling, mode, exact)
-    return sol, system, perms, fills
+    return sol, system, perms, fills, dtypes
 
 
 # Coarsest Test 1 level, and Test 2 level 2.
@@ -240,16 +242,17 @@ def ordered_solves():
     reference solve of the same system."""
     out = {}
     for name, (nf, ns, coupling) in ORDERED_LEVELS.items():
-        sol, system, perms, fills = recorded_solve(nf, ns, coupling, "exact")
+        sol, system, perms, fills, dtypes = recorded_solve(nf, ns, coupling,
+                                                           "exact")
         x_ref, fill_ref = mmd_reference(system)
-        out[name] = (sol, system, perms, fills, x_ref, fill_ref)
+        out[name] = (sol, system, perms, fills, dtypes, x_ref, fill_ref)
     return out
 
 
 class TestNestedDissection:
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_permutation_covers_every_dof_once(self, ordered_solves, level):
-        _, system, (perm_f, perm_c), _, _, _ = ordered_solves[level]
+        _, system, (perm_f, perm_c), _, _, _, _ = ordered_solves[level]
         V, S, _, Q = system.spaces
         n_fluid = V.n_dofs + Q.n_dofs + 1
         np.testing.assert_array_equal(np.sort(perm_f), np.arange(n_fluid))
@@ -259,7 +262,7 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_permutation_fingerprint(self, ordered_solves, level):
-        _, _, perms, _, _, _ = ordered_solves[level]
+        _, _, perms, _, _, _, _ = ordered_solves[level]
         digests = tuple(hashlib.sha256(p.astype("<i8").tobytes())
                         .hexdigest()[:16] for p in perms)
         assert digests == PERM_SHA256[level]
@@ -269,8 +272,8 @@ class TestNestedDissection:
         # offset of it that stays inside the fluid box.
         shifted = copy.copy(manufactured_solution())
         shifted.xbar = AffineMap(2.0 * np.eye(2), (-1.3, -0.9))
-        _, _, perms, _ = recorded_solve(16, 23, "h1", "approx")
-        _, _, moved, _ = recorded_solve(16, 23, "h1", "approx", shifted)
+        _, _, perms, _, _ = recorded_solve(16, 23, "h1", "approx")
+        _, _, moved, _, _ = recorded_solve(16, 23, "h1", "approx", shifted)
         assert len(perms) == len(moved) == 2
         for p, q in zip(perms, moved):
             np.testing.assert_array_equal(p, q)
@@ -290,7 +293,7 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_agrees_with_mmd_reference(self, ordered_solves, level):
-        sol, system, _, _, x_ref, _ = ordered_solves[level]
+        sol, system, _, _, _, x_ref, _ = ordered_solves[level]
         u, X, lam, p, _ = system.split(x_ref)
         for got, want, rel in ((sol.u, u, 1e-10), (sol.X, X, 1e-10),
                                (sol.p, p, 1e-10), (sol.lam, lam, 1e-8)):
@@ -301,9 +304,16 @@ class TestNestedDissection:
     def test_fill_not_above_mmd(self, ordered_solves):
         # Two factorizations, the fluid block and the scalar Cs block,
         # fill less together than the whole system in MMD order.
-        _, _, _, fills, _, fill_ref = ordered_solves["t2_level2_h1"]
+        _, _, _, fills, _, _, fill_ref = ordered_solves["t2_level2_h1"]
         assert len(fills) == 2
         assert sum(fills) <= fill_ref
+
+    @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
+    def test_factors_single_precision(self, ordered_solves, level):
+        # S_f and c are factored in float32; flexible GMRES in float64
+        # restores the accuracy that test_agrees_with_mmd_reference pins.
+        _, _, _, _, dtypes, _, _ = ordered_solves[level]
+        assert dtypes == [np.float32, np.float32]
 
 
 # Two levels of each schedule: Test 1 l2 exact, Test 2 h1 approx.
