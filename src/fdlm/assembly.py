@@ -10,23 +10,26 @@ through one quadrature core over node sets: M cells of K nodes, cell m
 lying in triangle parent[m] of the mesh it is assembled on (and, for
 the coupling, in fluid triangle owner[m]), with nodes s (M, K, 2),
 their images x under the placement map, its Jacobian jac (M, 2, 2),
-and weights w (M, K, 2) for the value feature (mu . v) and the
-gradient feature (grad mu : grad(v o xbar)).  Hat gradients are
-constant on a cell, so the gradient feature enters through its weight
-per cell.  Exact coupling takes the supermesh subcells under one rule
-(for the matrix the degree-2 rule, exact on every subcell); approx
-coupling takes whole structure elements, with the edge-midpoint nodes
-weighing the value feature and the centroids the gradient feature,
-and locates every node in the fluid mesh.
+and one weight per node, w (M, K).  A set weighs the value feature
+(mu . v), the gradient feature (grad mu : grad(v o xbar)) or both,
+fixed when it is built, and each feature is computed only on the sets
+that weigh it.  Hat gradients are constant on a cell, so the gradient
+feature enters through the sum of its weights per cell.  Exact
+coupling is one stream of supermesh subcells under one rule (for the
+matrix the degree-2 rule, exact on every subcell), weighing values
+and, for h1, gradients; approx coupling is two sets on whole structure
+elements, the edge midpoints weighing values and (h1 only) the
+centroids weighing gradients, every node located in the fluid mesh.
 
 Right-hand sides are produced by inserting the analytic solution into
 the left-hand side forms, so the discrete problem is consistent by
 construction; smooth volume terms use the degree-6 rule on the mesh
 triangles, loaded through the same core.  Every degree-6 node set (the
 volume loads, the exact constraint load and the exact coupling load)
-is built and consumed in blocks of at most _CELL_BLOCK cells, so its
-size does not grow with the mesh; the per-cell contributions are
-reduced once, in cell order, so the loads do not depend on the block
+and the subcells of the exact coupling matrix are built and consumed
+in blocks of at most _CELL_BLOCK cells, so their size does not grow
+with the mesh; the per-cell contributions are kept and reduced once,
+in cell order, so the loads and matrices do not depend on the block
 size.
 """
 
@@ -183,7 +186,7 @@ def assemble_Cs(L, S, coupling):
 
 # -- fluid-structure coupling --------------------------------------------
 
-_Nodes = namedtuple("_Nodes", "parent owner s x w jac")
+_Nodes = namedtuple("_Nodes", "parent owner s x w jac value grad")
 
 # Cells per block of a node set that is built and consumed block by block.
 _CELL_BLOCK = 4096
@@ -195,36 +198,44 @@ def _cell_blocks(n):
             for i in range(0, n, _CELL_BLOCK)]
 
 
-def _features(mesh, tris, pts, jac=None):
-    """P1 hats of triangles tris (M,): values (M, K, 3) at pts (M, K, 2)
-    and gradients (M, 3, 2), pulled back through the Jacobians jac
-    (M, 2, 2) when given."""
-    g = mesh.grads[tris]
+class _Blocks:
+    """Node sets make(b) over the cell blocks b of n cells, built anew on
+    every pass, so a stream can be consumed more than once."""
+
+    def __init__(self, make, n):
+        self._make, self._n = make, n
+
+    def __iter__(self):
+        return map(self._make, _cell_blocks(self._n))
+
+
+def _hats(mesh, tris, pts):
+    """Values (M, K, 3) of the P1 hats of triangles tris (M,) at pts
+    (M, K, 2); their gradients are mesh.grads[tris]."""
     d = pts - mesh.centroids[tris][:, None, :]
-    val = 1.0 / 3.0 + d @ g.swapaxes(1, 2)
-    return val, g if jac is None else g @ jac
+    return 1.0 / 3.0 + d @ mesh.grads[tris].swapaxes(1, 2)
 
 
 def _load(mesh, blocks):
     """Load of a vector field against the vector P1 hats phi of mesh:
-    sum_nodes w[..., 0] value . phi + w[..., 1] grad : grad phi, per dof.
+    sum_nodes w (value . phi + grad : grad phi), per dof.
 
     blocks yields node blocks (tris, pts, w, value, grad, jac) in cell
-    order, as _features takes them; value (M, K, 2) and grad
-    (M, K, 2, 2) are the field's value and gradient features at the
-    nodes, and either may be None.  The per-cell contributions are
-    summed once, in cell order, so the load does not depend on the
-    blocking.
+    order, the hat gradients pulled back through jac when it is given;
+    value (M, K, 2) and grad (M, K, 2, 2) are the field's value and
+    gradient features at the nodes, None where the block does not weigh
+    them.  The per-cell contributions are summed once, in cell order, so
+    the load does not depend on the blocking.
     """
     tris, cells = [], []
     for t, pts, w, value, grad, jac in blocks:
-        hat, dhat = _features(mesh, t, pts, jac)
         vals = 0.0
         if value is not None:
-            vals = (w[..., :1] * value).swapaxes(1, 2) @ hat
+            vals = (w[..., None] * value).swapaxes(1, 2) @ _hats(mesh, t, pts)
         if grad is not None:
-            vals = vals + np.einsum("mk,mkcd->mcd", w[..., 1], grad) \
-                @ dhat.swapaxes(1, 2)
+            g = mesh.grads[t] if jac is None else mesh.grads[t] @ jac
+            vals = vals + np.einsum("mk,mkcd->mcd", w, grad) \
+                @ g.swapaxes(1, 2)
         tris.append(t)
         cells.append(vals)
     dofs = (np.arange(2)[:, None] * mesh.n_vertices
@@ -235,10 +246,8 @@ def _load(mesh, blocks):
 
 def _rule_nodes(tris, areas, rule):
     """Nodes (M, K, 2) of rule on triangles (M, 3, 2) and their weights
-    (M, K, 2), the same for the value and the gradient feature."""
-    s = _basis_table(rule) @ tris
-    w = areas[:, None] * rule.weights
-    return s, np.repeat(w[..., None], 2, axis=-1)
+    (M, K)."""
+    return _basis_table(rule) @ tris, areas[:, None] * rule.weights
 
 
 def _mesh_node_blocks(mesh, rule):
@@ -250,79 +259,80 @@ def _mesh_node_blocks(mesh, rule):
         yield np.arange(b.start, b.stop), s, w
 
 
-def _single_rule_nodes(mesh, coupling):
-    """(parent, s, w) of the single-element rules, one node per cell.
-
-    Edge midpoints (degree-2 rule) weigh the value feature, centroids
-    (h1 only) the gradient feature.
-    """
-    n = mesh.n_triangles
-    rule = rule_for_degree(2)
-    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas, rule)
-    parent = np.repeat(np.arange(n), len(rule))
-    s, w = s.reshape(-1, 1, 2), w.reshape(-1, 1, 2) * (1.0, 0.0)
-    if coupling == "h1":
-        s = np.concatenate([s, mesh.centroids[:, None, :]])
-        parent = np.concatenate([parent, np.arange(n)])
-        w = np.concatenate([w, mesh.areas[:, None, None] * (0.0, 1.0)])
-    return parent, s, w
-
-
-def _placed(parent, owner, s, w, parts):
+def _placed(parent, owner, s, w, parts, value, grad):
     """Node set of nodes s (M, K, 2) with weights w on the structure cells
     parent, mapped by the placement map's per-element parts
     (_xbar_parts)."""
     mats, offs = parts
     jac = mats[parent]
     x = s @ jac.swapaxes(1, 2) + offs[parent][:, None, :]
-    return _Nodes(parent, owner, s, x, w, jac)
-
-
-def _subcell_nodes(schemes, rule, parts, cells=slice(None)):
-    """Node set of rule on the supermesh subcells cells of schemes."""
-    s, w = _rule_nodes(schemes.subcells[cells], schemes.s_areas[cells], rule)
-    return _placed(schemes.parent[cells], schemes.owner[cells], s, w, parts)
+    return _Nodes(parent, owner, s, x, w, jac, value, grad)
 
 
 def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
-    """Node set of the exact (supermesh subcells under rule) or approx
-    (single-element rules, nodes located in the fluid mesh) coupling.
+    """Node sets of the exact or approx coupling, in cell order.
 
-    The approx node set does not depend on rule; build it once and pass
-    it to assemble_Cf_approx and assemble_rhs to locate its nodes once.
-    The exact node set needs a rule.
+    Exact: the supermesh subcells under rule, built anew in blocks of
+    at most _CELL_BLOCK subcells on every pass.  Approx: one node per
+    cell, the edge midpoints (degree-2 rule) and, for h1, the centroids,
+    located in the fluid mesh; they do not depend on rule, so build them
+    once and pass them to assemble_Cf_approx and assemble_rhs to locate
+    their nodes once.
     """
+    _check_coupling(coupling)
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
     parts = _xbar_parts(xbar, L.mesh.n_triangles)
+    grad = coupling == "h1"
     if mode == "exact":
         if rule is None:
             raise ValueError("exact coupling nodes need a quadrature rule")
         if schemes is None:
             schemes = build_all_schemes(L.mesh, xbar, V.mesh)
-        return _subcell_nodes(schemes, rule, parts)
-    parent, s, w = _single_rule_nodes(L.mesh, coupling)
-    nodes = _placed(parent, None, s, w, parts)
-    owner = V.mesh.locate_points(nodes.x.reshape(-1, 2))
+
+        def block(b):
+            s, w = _rule_nodes(schemes.subcells[b], schemes.s_areas[b], rule)
+            return _placed(schemes.parent[b], schemes.owner[b], s, w, parts,
+                           True, grad)
+        return _Blocks(block, schemes.parent.shape[0])
+    mesh = L.mesh
+    cells = np.arange(mesh.n_triangles)
+    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas,
+                       rule_for_degree(2))
+    sets = [_placed(np.repeat(cells, 3), None, s.reshape(-1, 1, 2),
+                    w.reshape(-1, 1), parts, True, False)]
+    if grad:
+        sets.append(_placed(cells, None, mesh.centroids[:, None, :],
+                            mesh.areas[:, None], parts, False, True))
+    owner = V.mesh.locate_points(
+        np.concatenate([n.x.reshape(-1, 2) for n in sets]))
     if np.any(owner < 0):
         raise DomainViolationError(
             "mapped quadrature node leaves the fluid domain")
-    return nodes._replace(owner=owner)
+    cuts = np.cumsum([n.parent.shape[0] for n in sets[:-1]])
+    return [n._replace(owner=o) for n, o in zip(sets, np.split(owner, cuts))]
 
 
-def _coupling_matrix(L, V, coupling, nodes):
-    """Coupling matrix of a node set: rows multiplier, columns velocity
-    dofs, equal components only."""
-    hat_l, grad_l = _features(L.mesh, nodes.parent, nodes.s)
-    hat_v, grad_v = _features(V.mesh, nodes.owner, nodes.x, nodes.jac)
-    vals = (nodes.w[..., :1] * hat_l).swapaxes(1, 2) @ hat_v
-    if coupling == "h1":
-        vals += (nodes.w[..., 1].sum(axis=1)[:, None, None]
-                 * (grad_l @ grad_v.swapaxes(1, 2)))
-    r = np.broadcast_to(L.mesh.triangles[nodes.parent][:, :, None],
-                        vals.shape)
-    c = np.broadcast_to(V.mesh.triangles[nodes.owner][:, None, :],
-                        vals.shape)
+def _coupling_matrix(L, V, nodes):
+    """Coupling matrix of node sets: rows multiplier, columns velocity
+    dofs, equal components only.  Each cell's (3, 3) entry is kept and
+    the entries are concatenated in cell order before one CSR build, so
+    the matrix does not depend on the blocking."""
+    cells = []
+    for n in nodes:
+        vals = 0.0
+        if n.value:
+            vals = ((n.w[..., None] * _hats(L.mesh, n.parent, n.s))
+                    .swapaxes(1, 2) @ _hats(V.mesh, n.owner, n.x))
+        if n.grad:
+            vals = vals + n.w.sum(axis=1)[:, None, None] * (
+                L.mesh.grads[n.parent]
+                @ (V.mesh.grads[n.owner] @ n.jac).swapaxes(1, 2))
+        cells.append((n.parent, n.owner, vals))
+    parent, owner, vals = map(np.concatenate, zip(*cells))
+    del cells
+    r = np.broadcast_to(L.mesh.triangles[parent][:, :, None], vals.shape)
+    c = np.broadcast_to(V.mesh.triangles[owner][:, None, :], vals.shape)
     return _vector_block(_csr(r.ravel(), c.ravel(), vals.ravel(),
                               (L.n_vertices, V.n_vertices)))
 
@@ -334,10 +344,18 @@ def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
     degree-2 rule is exact.  A precomputed IntersectionTable
     (build_all_schemes) can be passed to amortize the clipping cost.
     """
+    return _coupling_matrix(L, V, coupling_nodes(
+        L, V, xbar, coupling, "exact", rule_for_degree(2), schemes))
+
+
+def _approx_nodes(L, V, xbar, coupling, nodes):
+    """The approx node sets nodes, checked against coupling, or built."""
     _check_coupling(coupling)
-    nodes = coupling_nodes(L, V, xbar, coupling, "exact",
-                           rule_for_degree(2), schemes)
-    return _coupling_matrix(L, V, coupling, nodes)
+    if nodes is None:
+        return coupling_nodes(L, V, xbar, coupling, "approx")
+    if any(n.grad for n in nodes) != (coupling == "h1"):
+        raise ValueError("approx nodes were built for the other coupling")
+    return nodes
 
 
 def assemble_Cf_approx(L, V, xbar, coupling="l2", nodes=None):
@@ -345,13 +363,10 @@ def assemble_Cf_approx(L, V, xbar, coupling="l2", nodes=None):
 
     Mass part: degree-2 edge-midpoint rule; gradient part (h1 only):
     one-point centroid rule.  Each quadrature node is located in the
-    fluid mesh independently.  The approx node set (coupling_nodes) can
-    be passed to reuse the point location.
+    fluid mesh independently.  The approx node sets (coupling_nodes)
+    can be passed to reuse the point location.
     """
-    _check_coupling(coupling)
-    if nodes is None:
-        nodes = coupling_nodes(L, V, xbar, coupling, "approx")
-    return _coupling_matrix(L, V, coupling, nodes)
+    return _coupling_matrix(L, V, _approx_nodes(L, V, xbar, coupling, nodes))
 
 
 def matrix_1norm_diff(Aex, Aap):
@@ -399,21 +414,12 @@ def _structure_rhs(S, exact, params, coupling):
     return _load(S.mesh, blocks())
 
 
-def _constraint_rhs(L, exact, coupling, mode):
-    """c(mu, d) with d = u(xbar(s)) - X(s), which is smooth on the structure.
-
-    Exact mode integrates with the degree-6 rule, block by block; approx
-    mode mirrors the single-element coupling rules (degree-2 mass part,
-    centroid gradient part).
-    """
-    if mode == "exact":
-        node_blocks = _mesh_node_blocks(L.mesh, rule_for_degree(6))
-    else:
-        node_blocks = [_single_rule_nodes(L.mesh, coupling)]
+def _constraint_rhs(L, exact, nodes):
+    """c(mu, d) with d = u(xbar(s)) - X(s), which is smooth on the
+    structure, over node sets of the structure mesh."""
     return _load(L.mesh, (
-        (parent, s, w, exact.d(s),
-         exact.grad_d(s) if coupling == "h1" else None, None)
-        for parent, s, w in node_blocks))
+        (n.parent, n.s, n.w, exact.d(n.s) if n.value else None,
+         exact.grad_d(n.s) if n.grad else None, None) for n in nodes))
 
 
 def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
@@ -424,31 +430,24 @@ def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
     G(Y) = a_s(X, Y) - c(lambda, Y),
     D(mu) = c(mu, d) with d = u(xbar) - X.
 
-    mode selects how the velocity coupling term (and the constraint
-    data) are integrated: "exact" uses the supermesh subcells (passed
-    as schemes, or built) under the degree-6 rule, in blocks of at most
-    _CELL_BLOCK subcells, "approx" the single-element rules (their
-    located node set passed as approx_nodes, or built).
+    mode selects the coupling node sets (coupling_nodes): "exact" the
+    supermesh subcells (passed as schemes, or built) under the degree-6
+    rule, with D on the degree-6 structure nodes, "approx" the
+    single-element rules (passed as approx_nodes, or built) for both.
     """
     _check_coupling(coupling)
-    if mode not in ("exact", "approx"):
-        raise ValueError("mode must be 'exact' or 'approx'")
     params = params or FormParams()
-    if mode == "exact":
-        if schemes is None:
-            schemes = build_all_schemes(L.mesh, xbar, V.mesh)
-        rule = rule_for_degree(6)
-        parts = _xbar_parts(xbar, L.mesh.n_triangles)
-        node_blocks = (_subcell_nodes(schemes, rule, parts, b)
-                       for b in _cell_blocks(schemes.parent.shape[0]))
-    elif approx_nodes is None:
-        node_blocks = [coupling_nodes(L, V, xbar, coupling, "approx")]
+    if mode == "approx":
+        nodes = _approx_nodes(L, V, xbar, coupling, approx_nodes)
     else:
-        node_blocks = [approx_nodes]
+        nodes = coupling_nodes(L, V, xbar, coupling, mode,
+                               rule_for_degree(6), schemes)
     F = _volume_rhs_fluid(V, exact, params) + _load(V.mesh, (
-        (n.owner, n.x, n.w, exact.lam(n.s),
-         exact.grad_lam(n.s) if coupling == "h1" else None, n.jac)
-        for n in node_blocks))
+        (n.owner, n.x, n.w, exact.lam(n.s) if n.value else None,
+         exact.grad_lam(n.s) if n.grad else None, n.jac) for n in nodes))
     G = _structure_rhs(S, exact, params, coupling)
-    D = _constraint_rhs(L, exact, coupling, mode)
+    if mode == "exact":
+        nodes = (_Nodes(p, None, s, None, w, None, True, coupling == "h1")
+                 for p, s, w in _mesh_node_blocks(L.mesh, rule_for_degree(6)))
+    D = _constraint_rhs(L, exact, nodes)
     return F, G, D

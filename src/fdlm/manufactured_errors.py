@@ -163,7 +163,6 @@ def _field_sq_errors(space, coeff, exact_val, exact_grad):
     basis = _basis_table(rule)
     l2, h1 = [], []
     for parent, pts, w in _mesh_node_blocks(mesh, rule):
-        w = w[..., 0]
         comp = _vertex_values(space, coeff, parent)
         vh = basis @ comp
         dv = np.asarray(exact_val(pts)).reshape(vh.shape) - vh

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fdlm.assembly as assembly
 from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
                            assemble_rhs, coupling_nodes, matrix_1norm_diff,
@@ -370,6 +371,75 @@ class TestFluidCoupling:
         with pytest.raises(ValueError, match="mode"):
             coupling_nodes(self.L, self.V, self.xbar, "l2", "adaptive",
                            rule_for_degree(2))
+
+
+class TestCouplingNodes:
+    """A node set carries one weight per node and fixes, when it is
+    built, which features that weight weighs."""
+
+    def setup_method(self):
+        self.V, self.Q = fluid_spaces(4)
+        self.S, self.L = solid_spaces(3)
+        self.xbar = standard_map()
+
+    def nodes(self, coupling, mode, rule=rule_for_degree(2)):
+        return coupling_nodes(self.L, self.V, self.xbar, coupling, mode, rule)
+
+    def test_approx_sets_weigh_one_feature_each(self):
+        l2, h1 = self.nodes("l2", "approx"), self.nodes("h1", "approx")
+        assert [(n.value, n.grad) for n in l2] == [(True, False)]
+        assert [(n.value, n.grad) for n in h1] == [(True, False),
+                                                   (False, True)]
+        # three edge midpoints per structure element, then the centroids
+        n = self.L.mesh.n_triangles
+        assert [m.parent.shape[0] for m in h1] == [3 * n, n]
+        np.testing.assert_array_equal(h1[1].s[:, 0], self.L.mesh.centroids)
+        np.testing.assert_array_equal(h1[1].w[:, 0], self.L.mesh.areas)
+        for a, b in zip(l2[0], h1[0]):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("coupling", ["l2", "h1"])
+    def test_exact_stream_weighs_values_and_h1_gradients(self, coupling,
+                                                         monkeypatch):
+        monkeypatch.setattr(assembly, "_CELL_BLOCK", 7)
+        sets = list(self.nodes(coupling, "exact"))
+        assert len(sets) > 1
+        assert all(n.value and n.grad == (coupling == "h1") for n in sets)
+
+    @pytest.mark.parametrize("coupling", ["l2", "h1"])
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_one_weight_per_node(self, coupling, mode):
+        for n in self.nodes(coupling, mode, rule_for_degree(6)):
+            assert n.w.shape == n.s.shape[:2] == n.x.shape[:2]
+            assert n.owner.shape == n.parent.shape == n.w.shape[:1]
+
+    def test_exact_stream_consumed_twice(self, monkeypatch):
+        monkeypatch.setattr(assembly, "_CELL_BLOCK", 7)
+        stream = self.nodes("h1", "exact")
+        first, second = list(stream), list(stream)
+        assert len(first) == len(second) > 1
+        for a, b in zip(first, second):
+            for fa, fb in zip(a, b):
+                np.testing.assert_array_equal(fa, fb)
+
+    def test_approx_nodes_checked_against_coupling(self):
+        nodes = {c: self.nodes(c, "approx") for c in ("l2", "h1")}
+        for built, asked in (("l2", "h1"), ("h1", "l2")):
+            with pytest.raises(ValueError, match="coupling"):
+                assemble_Cf_approx(self.L, self.V, self.xbar, asked,
+                                   nodes=nodes[built])
+            with pytest.raises(ValueError, match="coupling"):
+                assemble_rhs(self.V, self.Q, self.S, self.L,
+                             manufactured_solution(), self.xbar, asked,
+                             "approx", approx_nodes=nodes[built])
+
+    def test_exact_matrix_repeats_with_shared_schemes(self):
+        schemes = build_all_schemes(self.L.mesh, self.xbar, self.V.mesh)
+        C1, C2 = (assemble_Cf_exact(self.L, self.V, self.xbar, "h1",
+                                    schemes=schemes) for _ in range(2))
+        assert C1.nnz > 0
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(C1, attr), getattr(C2, attr))
 
 
 class TestMatrixDiffNorm:

@@ -1,5 +1,6 @@
-"""Block-wise degree-6 node sets: the loads and error norms do not depend
-on the block size, and their transient memory stays bounded."""
+"""Block-wise node sets: the loads, the exact coupling matrix and the
+error norms do not depend on the block size, and their transient memory
+stays bounded."""
 
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import fdlm.assembly as assembly
-from fdlm.assembly import assemble_rhs
+from fdlm.assembly import assemble_Cf_exact, assemble_rhs
 from fdlm.experiments_cli import build_level_spaces, solve_level
 from fdlm.geom_intersect import build_all_schemes
 from fdlm.manufactured_errors import error_norms, manufactured_solution
@@ -16,10 +17,14 @@ from fdlm.manufactured_errors import error_norms, manufactured_solution
 SMALL_BLOCK = 7
 
 
-def level_rhs(n_fluid, n_solid, coupling, mode):
+def level_arrays(n_fluid, n_solid, coupling, mode):
+    """F, G, D and the CSR arrays of the exact coupling matrix."""
     V, Q, S, L = build_level_spaces(n_fluid, n_solid)
     exact = manufactured_solution()
-    return assemble_rhs(V, Q, S, L, exact, exact.xbar, coupling, mode)
+    schemes = build_all_schemes(L.mesh, exact.xbar, V.mesh)
+    C = assemble_Cf_exact(L, V, exact.xbar, coupling, schemes=schemes)
+    return assemble_rhs(V, Q, S, L, exact, exact.xbar, coupling, mode,
+                        schemes=schemes) + (C.indptr, C.indices, C.data)
 
 
 def traced_peak_mb(fn, *args):
@@ -36,9 +41,11 @@ def traced_peak_mb(fn, *args):
                          [(16, 8, "l2", "exact"), (16, 23, "h1", "approx")])
 def test_rhs_does_not_depend_on_block_size(monkeypatch, n_fluid, n_solid,
                                            coupling, mode):
-    want = level_rhs(n_fluid, n_solid, coupling, mode)
+    # also the exact coupling matrix, whose subcells stream in blocks
+    want = level_arrays(n_fluid, n_solid, coupling, mode)
     monkeypatch.setattr(assembly, "_CELL_BLOCK", SMALL_BLOCK)
-    got = level_rhs(n_fluid, n_solid, coupling, mode)
+    got = level_arrays(n_fluid, n_solid, coupling, mode)
+    assert len(got) == len(want) == 6
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -68,6 +75,13 @@ def test_rhs_transient_bounded(level_64_32):
     peak = traced_peak_mb(
         lambda: assemble_rhs(V, Q, S, L, exact, exact.xbar, "l2", "exact",
                              schemes=schemes))
+    assert peak <= 25.0
+
+
+def test_exact_matrix_transient_bounded(level_64_32):
+    # The whole degree-2 subcell node set peaked at 33 MB here.
+    exact, _, (V, _, _, L), schemes = level_64_32
+    peak = traced_peak_mb(assemble_Cf_exact, L, V, exact.xbar, "l2", schemes)
     assert peak <= 25.0
 
 
