@@ -3,7 +3,8 @@
 Vector dofs are blocked by component (dof = comp * n_vertices + vertex),
 so vector mass and stiffness matrices are block diagonal copies of
 scalar ones, and the fluid-structure coupling matrix couples equal
-components only.
+components only.  Every matrix is scattered by one routine (_csr) from
+per-cell dof maps and per-cell blocks of entries.
 
 The coupling matrix, the coupling loads and every right-hand side run
 through one quadrature core over node sets: M cells of K nodes, cell m
@@ -24,13 +25,13 @@ centroids weighing gradients, every node located in the fluid mesh.
 Right-hand sides are produced by inserting the analytic solution into
 the left-hand side forms, so the discrete problem is consistent by
 construction; smooth volume terms use the degree-6 rule on the mesh
-triangles, loaded through the same core.  Every degree-6 node set (the
-volume loads, the exact constraint load and the exact coupling load)
-and the subcells of the exact coupling matrix are built and consumed
-in blocks of at most _CELL_BLOCK cells, so their size does not grow
-with the mesh; the per-cell contributions are kept and reduced once,
-in cell order, so the loads and matrices do not depend on the block
-size.
+triangles, loaded through the same core.  The node sets of mesh
+triangles (volume loads, the exact constraint load, the error norms)
+and of supermesh subcells (exact coupling matrix and load) are streams
+built and consumed in blocks of at most mesh._BLOCK cells, so their
+size does not grow with the mesh; the per-cell contributions are kept
+and reduced once, in cell order, so the loads and matrices do not
+depend on the block size.
 """
 
 from collections import namedtuple
@@ -40,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geom_intersect import _xbar_parts, build_all_schemes
-from .mesh import DomainViolationError
+from .mesh import _BLOCK, DomainViolationError
 from .quadrature import rule_for_degree
 
 __all__ = [
@@ -88,32 +89,31 @@ def _basis_table(rule):
 
 
 def _csr(rows, cols, vals, shape):
-    A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+    """CSR matrix of the cell blocks vals (M, R, C): entry (m, i, j) is
+    added at (rows[m, i], cols[m, j]).
+
+    The COO indices are built as int32, which coo_matrix keeps without
+    a copy, and tocsr() returns canonical CSR (sorted, summed indices).
+    """
+    r = np.repeat(rows.astype(np.int32), cols.shape[1], axis=1)
+    c = np.tile(cols.astype(np.int32), (1, rows.shape[1]))
+    return sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())),
+                         shape=shape).tocsr()
 
 
 def _scalar_mass(mesh):
     rule = rule_for_degree(2)
     basis = _basis_table(rule)
     m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
-    tri = mesh.triangles
-    vals = (mesh.areas[:, None, None] * m_unit).ravel()
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    nv = mesh.n_vertices
-    return _csr(rows, cols, vals, (nv, nv))
+    tri, nv = mesh.triangles, mesh.n_vertices
+    return _csr(tri, tri, mesh.areas[:, None, None] * m_unit, (nv, nv))
 
 
 def _scalar_stiffness(mesh):
-    tri = mesh.triangles
+    tri, nv = mesh.triangles, mesh.n_vertices
     vals = (mesh.areas[:, None, None]
-            * np.einsum("mid,mjd->mij", mesh.grads, mesh.grads)).ravel()
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    nv = mesh.n_vertices
-    return _csr(rows, cols, vals, (nv, nv))
+            * np.einsum("mid,mjd->mij", mesh.grads, mesh.grads))
+    return _csr(tri, tri, vals, (nv, nv))
 
 
 def _vector_block(A):
@@ -154,22 +154,14 @@ def assemble_B(V, Q):
             or mesh_v.n_triangles != 4 * mesh_q.n_triangles):
         raise ValueError("velocity mesh is not the midpoint refinement "
                          "of the pressure mesh")
-    ntv = mesh_v.n_triangles
-    parent = np.arange(ntv) // 4
-    cent = mesh_v.centroids
-    # Pressure basis values at child centroids, via the parent P1 data.
-    psi = (1.0 / 3.0
-           + np.einsum("mid,md->mi", mesh_q.grads[parent],
-                       cent - mesh_q.centroids[parent]))
+    parent = np.arange(mesh_v.n_triangles) // 4
+    # Pressure basis values at child centroids.
+    psi = _hats(mesh_q, parent, mesh_v.centroids[:, None, :])[:, 0]
     vals = np.einsum("m,mi,mjc->mijc", mesh_v.areas, psi, mesh_v.grads)
-    rows = np.broadcast_to(mesh_q.triangles[parent][:, :, None, None],
-                           vals.shape)
-    nvv = V.n_vertices
-    cols = np.broadcast_to(
-        mesh_v.triangles[:, None, :, None]
-        + nvv * np.arange(2)[None, None, None, :], vals.shape)
-    return _csr(rows.ravel(), cols.ravel(), vals.ravel(),
-                (Q.n_dofs, V.n_dofs))
+    # Columns in (vertex, component) order, like the last two axes of vals.
+    cols = mesh_v.triangles[:, :, None] + V.n_vertices * np.arange(2)
+    return _csr(mesh_q.triangles[parent], cols.reshape(-1, 6),
+                vals.reshape(-1, 3, 6), (Q.n_dofs, V.n_dofs))
 
 
 def assemble_Cs(L, S, coupling):
@@ -188,25 +180,18 @@ def assemble_Cs(L, S, coupling):
 
 _Nodes = namedtuple("_Nodes", "parent owner s x w jac value grad")
 
-# Cells per block of a node set that is built and consumed block by block.
-_CELL_BLOCK = 4096
-
-
-def _cell_blocks(n):
-    """Slices of at most _CELL_BLOCK of n cells, in order."""
-    return [slice(i, min(i + _CELL_BLOCK, n))
-            for i in range(0, n, _CELL_BLOCK)]
-
 
 class _Blocks:
-    """Node sets make(b) over the cell blocks b of n cells, built anew on
-    every pass, so a stream can be consumed more than once."""
+    """Node sets make(b) over the blocks b of at most _BLOCK of n cells,
+    in order, built anew on every pass, so a stream can be consumed more
+    than once."""
 
     def __init__(self, make, n):
         self._make, self._n = make, n
 
     def __iter__(self):
-        return map(self._make, _cell_blocks(self._n))
+        return (self._make(slice(i, min(i + _BLOCK, self._n)))
+                for i in range(0, self._n, _BLOCK))
 
 
 def _hats(mesh, tris, pts):
@@ -216,25 +201,29 @@ def _hats(mesh, tris, pts):
     return 1.0 / 3.0 + d @ mesh.grads[tris].swapaxes(1, 2)
 
 
-def _load(mesh, blocks):
+def _load(mesh, nodes, field, fluid=False):
     """Load of a vector field against the vector P1 hats phi of mesh:
     sum_nodes w (value . phi + grad : grad phi), per dof.
 
-    blocks yields node blocks (tris, pts, w, value, grad, jac) in cell
-    order, the hat gradients pulled back through jac when it is given;
-    value (M, K, 2) and grad (M, K, 2, 2) are the field's value and
-    gradient features at the nodes, None where the block does not weigh
-    them.  The per-cell contributions are summed once, in cell order, so
-    the load does not depend on the blocking.
+    field(n) gives the field's value (M, K, 2) and gradient (M, K, 2, 2)
+    features at the nodes of node set n, None for a feature the load
+    does not weigh.  The nodes lie at s in the triangles parent of mesh,
+    or, with fluid, at x in the fluid triangles owner, where the hat
+    gradients are pulled back through jac.  The per-cell contributions
+    are summed once, in cell order, so the load does not depend on the
+    blocking.
     """
     tris, cells = [], []
-    for t, pts, w, value, grad, jac in blocks:
+    for n in nodes:
+        t, pts = (n.owner, n.x) if fluid else (n.parent, n.s)
+        value, grad = field(n)
         vals = 0.0
         if value is not None:
-            vals = (w[..., None] * value).swapaxes(1, 2) @ _hats(mesh, t, pts)
+            vals = ((n.w[..., None] * value).swapaxes(1, 2)
+                    @ _hats(mesh, t, pts))
         if grad is not None:
-            g = mesh.grads[t] if jac is None else mesh.grads[t] @ jac
-            vals = vals + np.einsum("mk,mkcd->mcd", w, grad) \
+            g = mesh.grads[t] @ n.jac if fluid else mesh.grads[t]
+            vals = vals + np.einsum("mk,mkcd->mcd", n.w, grad) \
                 @ g.swapaxes(1, 2)
         tris.append(t)
         cells.append(vals)
@@ -250,13 +239,15 @@ def _rule_nodes(tris, areas, rule):
     return _basis_table(rule) @ tris, areas[:, None] * rule.weights
 
 
-def _mesh_node_blocks(mesh, rule):
-    """(parent, s, w) of rule on the triangles of mesh, yielded in blocks
-    of at most _CELL_BLOCK triangles."""
-    for b in _cell_blocks(mesh.n_triangles):
+def _mesh_nodes(mesh, rule, grad=True):
+    """Node sets of rule on the triangles of mesh, weighing values and,
+    with grad, gradients, in blocks of at most _BLOCK triangles."""
+    def block(b):
         s, w = _rule_nodes(mesh.vertices[mesh.triangles[b]], mesh.areas[b],
                            rule)
-        yield np.arange(b.start, b.stop), s, w
+        return _Nodes(np.arange(b.start, b.stop), None, s, None, w, None,
+                      True, grad)
+    return _Blocks(block, mesh.n_triangles)
 
 
 def _placed(parent, owner, s, w, parts, value, grad):
@@ -273,7 +264,7 @@ def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
     """Node sets of the exact or approx coupling, in cell order.
 
     Exact: the supermesh subcells under rule, built anew in blocks of
-    at most _CELL_BLOCK subcells on every pass.  Approx: one node per
+    at most _BLOCK subcells on every pass.  Approx: one node per
     cell, the edge midpoints (degree-2 rule) and, for h1, the centroids,
     located in the fluid mesh; they do not depend on rule, so build them
     once and pass them to assemble_Cf_approx and assemble_rhs to locate
@@ -331,9 +322,8 @@ def _coupling_matrix(L, V, nodes):
         cells.append((n.parent, n.owner, vals))
     parent, owner, vals = map(np.concatenate, zip(*cells))
     del cells
-    r = np.broadcast_to(L.mesh.triangles[parent][:, :, None], vals.shape)
-    c = np.broadcast_to(V.mesh.triangles[owner][:, None, :], vals.shape)
-    return _vector_block(_csr(r.ravel(), c.ravel(), vals.ravel(),
+    return _vector_block(_csr(L.mesh.triangles[parent],
+                              V.mesh.triangles[owner], vals,
                               (L.n_vertices, V.n_vertices)))
 
 
@@ -389,40 +379,39 @@ def pressure_mean_row(Q):
 # -- right-hand sides ----------------------------------------------------
 
 
+def _features(value, grad):
+    """field of _load for analytic fields: value(s) and grad(s) at the
+    nodes s of the sets that weigh them."""
+    return lambda n: (value(n.s) if n.value else None,
+                      grad(n.s) if n.grad else None)
+
+
 def _volume_rhs_fluid(V, exact, params):
     """alpha (u, phi) + nu (grad u, grad phi) - (p, div phi) on the fluid mesh."""
-    def blocks():
-        for parent, x, w in _mesh_node_blocks(V.mesh, rule_for_degree(6)):
-            value = params.alpha * exact.u(x) if params.alpha != 0.0 else None
-            grad = (params.nu * exact.grad_u(x)
-                    - exact.p(x)[..., None, None] * np.eye(2))
-            yield parent, x, w, value, grad, None
-    return _load(V.mesh, blocks())
+    def field(n):
+        x = n.s
+        value = params.alpha * exact.u(x) if params.alpha != 0.0 else None
+        grad = (params.nu * exact.grad_u(x)
+                - exact.p(x)[..., None, None] * np.eye(2))
+        return value, grad
+    return _load(V.mesh, _mesh_nodes(V.mesh, rule_for_degree(6)), field)
 
 
 def _structure_rhs(S, exact, params, coupling):
     """a_s(X, Y) - c(lambda, Y) on the structure mesh with the degree-6 rule."""
-    def blocks():
-        for parent, s, w in _mesh_node_blocks(S.mesh, rule_for_degree(6)):
-            value = -exact.lam(s)
-            if params.beta != 0.0:
-                value += params.beta * exact.X(s)
-            grad = params.kappa * exact.grad_X(s)
-            if coupling == "h1":
-                grad -= exact.grad_lam(s)
-            yield parent, s, w, value, grad, None
-    return _load(S.mesh, blocks())
+    def field(n):
+        s = n.s
+        value = -exact.lam(s)
+        if params.beta != 0.0:
+            value += params.beta * exact.X(s)
+        grad = params.kappa * exact.grad_X(s)
+        if coupling == "h1":
+            grad -= exact.grad_lam(s)
+        return value, grad
+    return _load(S.mesh, _mesh_nodes(S.mesh, rule_for_degree(6)), field)
 
 
-def _constraint_rhs(L, exact, nodes):
-    """c(mu, d) with d = u(xbar(s)) - X(s), which is smooth on the
-    structure, over node sets of the structure mesh."""
-    return _load(L.mesh, (
-        (n.parent, n.s, n.w, exact.d(n.s) if n.value else None,
-         exact.grad_d(n.s) if n.grad else None, None) for n in nodes))
-
-
-def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
+def assemble_rhs(V, S, L, exact, xbar, coupling, mode, params=None,
                  schemes=None, approx_nodes=None):
     """Right-hand side vectors (F, G, D) for the block system.
 
@@ -442,12 +431,12 @@ def assemble_rhs(V, Q, S, L, exact, xbar, coupling, mode, params=None,
     else:
         nodes = coupling_nodes(L, V, xbar, coupling, mode,
                                rule_for_degree(6), schemes)
-    F = _volume_rhs_fluid(V, exact, params) + _load(V.mesh, (
-        (n.owner, n.x, n.w, exact.lam(n.s) if n.value else None,
-         exact.grad_lam(n.s) if n.grad else None, n.jac) for n in nodes))
+    F = (_volume_rhs_fluid(V, exact, params)
+         + _load(V.mesh, nodes, _features(exact.lam, exact.grad_lam),
+                 fluid=True))
     G = _structure_rhs(S, exact, params, coupling)
     if mode == "exact":
-        nodes = (_Nodes(p, None, s, None, w, None, True, coupling == "h1")
-                 for p, s, w in _mesh_node_blocks(L.mesh, rule_for_degree(6)))
-    D = _constraint_rhs(L, exact, nodes)
+        nodes = _mesh_nodes(L.mesh, rule_for_degree(6), coupling == "h1")
+    # d = u(xbar(s)) - X(s) is smooth on the structure.
+    D = _load(L.mesh, nodes, _features(exact.d, exact.grad_d))
     return F, G, D

@@ -145,7 +145,7 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None,
         Cs=assemble_Cs(L, S, coupling),
         mean_row=pressure_mean_row(Q),
     )
-    rhs = assemble_rhs(V, Q, S, L, exact, xbar, coupling, assembly_mode,
+    rhs = assemble_rhs(V, S, L, exact, xbar, coupling, assembly_mode,
                        params, schemes=schemes, approx_nodes=approx_nodes)
     system = build_system(blocks, rhs, (V, S, L, Q))
     sol = solve(system)

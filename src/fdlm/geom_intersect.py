@@ -12,11 +12,13 @@ coordinates where the multiplier basis is native.
 as one flat ``IntersectionTable``: subcell k lies in structure element
 ``parent[k]`` and fluid triangle ``owner[k]``, and the subcells of
 element t are the rows ``offsets[t]:offsets[t + 1]``, ordered by cell
-row, cell column, triangle within the cell and fan index.  Candidate
-(element, fluid triangle) pairs come from the structured-grid bounding
-box of every mapped element, and all pairs are clipped together by a
-Sutherland-Hodgman pass over masked polygon arrays; a triangle clipped
-by three half-planes keeps at most six vertices.
+row, cell column, triangle within the cell and fan index.  The
+elements are taken in blocks of mesh._BLOCK: the candidate (element,
+fluid triangle) pairs of a block come from the structured-grid bounding
+box of every mapped element, and are clipped together by a
+Sutherland-Hodgman pass over masked polygon arrays (a triangle clipped
+by three half-planes keeps at most six vertices), fanned and pulled
+back before the next block, so only the table grows with the mesh.
 
 Clipping runs in physical coordinates; tolerance-based predicates are
 sufficient because acceptance of the downstream studies is rate-based,
@@ -26,7 +28,7 @@ same clipping and triangulation for a single pair.
 
 import numpy as np
 
-from .mesh import DomainViolationError
+from .mesh import _BLOCK, DomainViolationError
 # Unused here; perfbench/tracing.py wraps it in this module's namespace.
 from .quadrature import rule_for_degree
 
@@ -42,9 +44,6 @@ __all__ = [
 
 _SLIVER_REL = 1e-14
 _COLLINEAR_REL = 1e-12
-# Candidate pairs clipped together; bounds the transient memory of the
-# batched clipper independently of the mesh sizes.
-_PAIR_BLOCK = 1 << 15
 
 
 def polygon_area(pts):
@@ -288,53 +287,55 @@ def _fan_pairs(poly, count, sliver):
 
 def _supermesh(solid_tris, mats, offs, fluid_mesh):
     """IntersectionTable of the elements solid_tris (E, 3, 2) placed by
-    x = mats[e] @ s + offs[e] against the fluid mesh."""
+    x = mats[e] @ s + offs[e] against the fluid mesh, built in blocks of
+    _BLOCK elements."""
     n_el = solid_tris.shape[0]
-    mapped = solid_tris @ mats.swapaxes(1, 2) + offs[:, None, :]
     xmin, ymin, xmax, ymax = fluid_mesh.domain
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
-    lo, hi = mapped.min(axis=1), mapped.max(axis=1)
-    if (np.any(lo < (xmin - tol, ymin - tol))
-            or np.any(hi > (xmax + tol, ymax + tol))):
-        raise DomainViolationError(
-            "mapped structure element leaves the fluid domain")
-
-    # Candidate pairs in (element, cell row, cell column, triangle) order.
     n = fluid_mesh.n_cells_per_side
     origin, h = (xmin, ymin), (fluid_mesh.hx, fluid_mesh.hy)
-    i0 = np.clip(np.trunc((lo - origin) / h - 1e-12), 0, n - 1).astype(int)
-    i1 = np.clip(np.trunc((hi - origin) / h + 1e-12), 0, n - 1).astype(int)
-    nx = i1[:, 0] - i0[:, 0] + 1
-    per_el = 2 * nx * (i1[:, 1] - i0[:, 1] + 1)
-    el = np.repeat(np.arange(n_el), per_el)
-    k = np.arange(el.size) - np.repeat(np.cumsum(per_el) - per_el, per_el)
-    cell = ((i0[el, 1] + k // 2 // nx[el]) * n
-            + i0[el, 0] + k // 2 % nx[el])
-    tri = fluid_mesh.cell_tris[cell, k % 2]
-
-    signed = _signed_areas(mapped)
-    subject = np.where((signed < 0)[:, None, None], mapped[:, ::-1], mapped)
-    sliver = _SLIVER_REL * np.abs(signed)
     fluid_tris = fluid_mesh.vertices[fluid_mesh.triangles]
-    diam = np.maximum(_diameters(mapped)[el], _diameters(fluid_tris)[tri])
+    fluid_diam = _diameters(fluid_tris)
+    parents, owners, pieces = [], [], []
+    for start in range(0, n_el, _BLOCK):
+        b = slice(start, min(start + _BLOCK, n_el))
+        mapped = (solid_tris[b] @ mats[b].swapaxes(1, 2)
+                  + offs[b][:, None, :])
+        lo, hi = mapped.min(axis=1), mapped.max(axis=1)
+        if (np.any(lo < (xmin - tol, ymin - tol))
+                or np.any(hi > (xmax + tol, ymax + tol))):
+            raise DomainViolationError(
+                "mapped structure element leaves the fluid domain")
 
-    pairs = [np.empty(0, dtype=np.int64)]
-    pieces = [np.empty((0, 3, 2))]
-    for start in range(0, el.size, _PAIR_BLOCK):
-        pair = np.arange(start, min(start + _PAIR_BLOCK, el.size))
-        lane, poly, count = _clip_pairs(subject[el[pair]],
-                                        fluid_tris[tri[pair]], diam[pair])
-        pair = pair[lane]
-        poly, count = _cleanup_pairs(poly, count, diam[pair])
-        q, sub = _fan_pairs(poly, count, sliver[el[pair]])
-        pairs.append(pair[q])
-        pieces.append(sub)
-    pair = np.concatenate(pairs)
-    sub = np.concatenate(pieces)
-    parent = el[pair]
-    inv = np.linalg.inv(mats)[parent]
-    sub = (sub - offs[parent][:, None, :]) @ inv.swapaxes(1, 2)
-    return IntersectionTable(parent, tri[pair], sub, n_el)
+        # Candidate pairs in (element, cell row, cell column, triangle)
+        # order.
+        i0 = np.clip(np.trunc((lo - origin) / h - 1e-12), 0, n - 1)
+        i1 = np.clip(np.trunc((hi - origin) / h + 1e-12), 0, n - 1)
+        i0, i1 = i0.astype(int), i1.astype(int)
+        nx = i1[:, 0] - i0[:, 0] + 1
+        per_el = 2 * nx * (i1[:, 1] - i0[:, 1] + 1)
+        el = np.repeat(np.arange(mapped.shape[0]), per_el)
+        k = np.arange(el.size) - np.repeat(np.cumsum(per_el) - per_el,
+                                           per_el)
+        cell = ((i0[el, 1] + k // 2 // nx[el]) * n
+                + i0[el, 0] + k // 2 % nx[el])
+        tri = fluid_mesh.cell_tris[cell, k % 2]
+
+        signed = _signed_areas(mapped)
+        subject = np.where((signed < 0)[:, None, None], mapped[:, ::-1],
+                           mapped)
+        diam = np.maximum(_diameters(mapped)[el], fluid_diam[tri])
+        lane, poly, count = _clip_pairs(subject[el], fluid_tris[tri], diam)
+        el, tri, diam = el[lane], tri[lane], diam[lane]
+        poly, count = _cleanup_pairs(poly, count, diam)
+        q, sub = _fan_pairs(poly, count, _SLIVER_REL * np.abs(signed)[el])
+        el = el[q]
+        inv = np.linalg.inv(mats[b])[el]
+        parents.append(start + el)
+        owners.append(tri[q])
+        pieces.append((sub - offs[b][el][:, None, :]) @ inv.swapaxes(1, 2))
+    return IntersectionTable(np.concatenate(parents), np.concatenate(owners),
+                             np.concatenate(pieces), n_el)
 
 
 def build_composite_scheme(solid_tri, xbar_map, fluid_mesh):

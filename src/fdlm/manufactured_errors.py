@@ -19,7 +19,7 @@ conditions and taking the H1 norm of Psi.
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import (_basis_table, _load, _mesh_node_blocks, _scalar_mass,
+from .assembly import (_basis_table, _load, _mesh_nodes, _scalar_mass,
                        _scalar_stiffness)
 from .mesh import AffineMap
 from .quadrature import rule_for_degree
@@ -154,24 +154,24 @@ def _vertex_values(space, coeff, tris):
 def _field_sq_errors(space, coeff, exact_val, exact_grad):
     """Per-element squared L2 and H1-seminorm errors of coeff vs an analytic field.
 
-    The degree-6 nodes are built and evaluated in blocks of at most
-    assembly._CELL_BLOCK elements; the per-element errors are returned
-    whole, in element order.
+    The degree-6 node sets are built and evaluated in blocks of at most
+    mesh._BLOCK elements; the per-element errors are returned whole, in
+    element order.
     """
     mesh = space.mesh
     rule = rule_for_degree(6)
     basis = _basis_table(rule)
     l2, h1 = [], []
-    for parent, pts, w in _mesh_node_blocks(mesh, rule):
-        comp = _vertex_values(space, coeff, parent)
+    for n in _mesh_nodes(mesh, rule):
+        comp = _vertex_values(space, coeff, n.parent)
         vh = basis @ comp
-        dv = np.asarray(exact_val(pts)).reshape(vh.shape) - vh
-        l2.append(np.einsum("mkc,mkc,mk->m", dv, dv, w))
+        dv = np.asarray(exact_val(n.s)).reshape(vh.shape) - vh
+        l2.append(np.einsum("mkc,mkc,mk->m", dv, dv, n.w))
         if exact_grad is not None:
-            gh = comp.swapaxes(1, 2) @ mesh.grads[parent]
-            dg = (np.asarray(exact_grad(pts)).reshape(vh.shape + (2,))
+            gh = comp.swapaxes(1, 2) @ mesh.grads[n.parent]
+            dg = (np.asarray(exact_grad(n.s)).reshape(vh.shape + (2,))
                   - gh[:, None])
-            h1.append(np.einsum("mkcd,mkcd,mk->m", dg, dg, w))
+            h1.append(np.einsum("mkcd,mkcd,mk->m", dg, dg, n.w))
     return np.concatenate(l2), np.concatenate(h1) if h1 else None
 
 
@@ -199,21 +199,21 @@ def dual_norm(space, e, fe=None):
 
     Solves -lap(Psi) + Psi = e - fe with natural boundary conditions on
     the structure mesh and returns the H1 norm of Psi, which equals the
-    norm of the functional in the dual of H1.  The degree-6 nodes of the
-    load are built and consumed in blocks of at most assembly._CELL_BLOCK
+    norm of the functional in the dual of H1.  The degree-6 node sets of
+    the load are built and consumed in blocks of at most mesh._BLOCK
     elements.
     """
     rule = rule_for_degree(6)
     basis = _basis_table(rule)
 
-    def blocks():
-        for parent, s, w in _mesh_node_blocks(space.mesh, rule):
-            vals = np.asarray(e(s))
-            if fe is not None:
-                vals = vals - basis @ _vertex_values(space, fe.coefficients,
-                                                     parent)
-            yield parent, s, w, vals, None, None
-    return _dual_norm_from_load(space, _load(space.mesh, blocks()))
+    def field(n):
+        vals = np.asarray(e(n.s))
+        if fe is not None:
+            vals = vals - basis @ _vertex_values(space, fe.coefficients,
+                                                 n.parent)
+        return vals, None
+    return _dual_norm_from_load(space, _load(
+        space.mesh, _mesh_nodes(space.mesh, rule, grad=False), field))
 
 
 def error_norms(sol, exact, coupling):

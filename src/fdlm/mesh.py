@@ -28,13 +28,15 @@ __all__ = [
 ]
 
 # Barycentric containment tolerances for point location (tight, then
-# wide), the band around cell edges that routes a query through the
-# careful tie-breaking path, and the number of such queries resolved
-# together.
+# wide) and the band around cell edges that routes a query through the
+# careful tie-breaking path.
 _BARY_TOL = 1e-12
 _BARY_TOL_WIDE = 1e-9
 _EDGE_BAND = 1e-9
-_TIE_BLOCK = 4096
+# Items handled together wherever work is blocked to bound transient
+# memory: tie-broken points here, structure elements in the supermesh,
+# cells of a node set in assembly.
+_BLOCK = 1024
 
 
 class DomainViolationError(RuntimeError):
@@ -81,6 +83,7 @@ class Triangulation:
         to its two triangles, ordered so that column 0 holds the triangle
         covering the "low" half of the cell (below the right diagonal,
         or below-left of the left diagonal).
+    areas : (n_triangles,) read-only float array of triangle areas
     """
 
     def __init__(self, vertices, triangles, n_cells_per_side, domain,
@@ -92,10 +95,9 @@ class Triangulation:
         self.orientation = orientation
         self.cell_tris = np.asarray(cell_tris, dtype=np.int64)
         self.boundary_vertex_flags = np.asarray(boundary_vertex_flags, dtype=bool)
-        self._areas = None
         self._grads = None
         self._centroids = None
-        self._validate()
+        self.areas = self._validate()
 
     # -- basic queries ---------------------------------------------------
 
@@ -126,16 +128,6 @@ class Triangulation:
         return self.vertices[self.triangles[t]]
 
     @property
-    def areas(self):
-        if self._areas is None:
-            p = self.vertices[self.triangles]
-            self._areas = 0.5 * np.abs(
-                (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-            self._areas.setflags(write=False)
-        return self._areas
-
-    @property
     def grads(self):
         """Gradients of the three barycentric (P1 hat) functions per triangle.
 
@@ -145,8 +137,6 @@ class Triangulation:
         if self._grads is None:
             p = self.vertices[self.triangles]
             a, b, c = p[:, 0], p[:, 1], p[:, 2]
-            twoA = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                    - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
             g = np.empty((self.n_triangles, 3, 2))
             g[:, 0, 0] = b[:, 1] - c[:, 1]
             g[:, 0, 1] = c[:, 0] - b[:, 0]
@@ -154,7 +144,7 @@ class Triangulation:
             g[:, 1, 1] = a[:, 0] - c[:, 0]
             g[:, 2, 0] = a[:, 1] - b[:, 1]
             g[:, 2, 1] = b[:, 0] - a[:, 0]
-            g /= twoA[:, None, None]
+            g /= 2.0 * self.areas[:, None, None]
             g.setflags(write=False)
             self._grads = g
         return self._grads
@@ -167,6 +157,8 @@ class Triangulation:
         return self._centroids
 
     def _validate(self):
+        """Check the domain and the triangles; return the (read-only)
+        triangle areas."""
         xmin, ymin, xmax, ymax = self.domain
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("degenerate domain rectangle")
@@ -181,6 +173,8 @@ class Triangulation:
         rect = (xmax - xmin) * (ymax - ymin)
         if abs(total - rect) > 1e-12 * rect:
             raise ValueError("triangle areas do not cover the rectangle")
+        signed.setflags(write=False)
+        return signed
 
     # -- point location --------------------------------------------------
 
@@ -265,8 +259,8 @@ class Triangulation:
         fast = inside & ~near
         out[fast] = self.cell_tris[cells[fast], np.where(low[fast], 0, 1)]
         slow = np.nonzero(inside & near)[0]
-        for start in range(0, slow.size, _TIE_BLOCK):
-            i = slow[start:start + _TIE_BLOCK]
+        for start in range(0, slow.size, _BLOCK):
+            i = slow[start:start + _BLOCK]
             out[i] = self._break_ties(pts[i], ix[i], iy[i])
         return out
 

@@ -401,7 +401,7 @@ class TestCouplingNodes:
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_exact_stream_weighs_values_and_h1_gradients(self, coupling,
                                                          monkeypatch):
-        monkeypatch.setattr(assembly, "_CELL_BLOCK", 7)
+        monkeypatch.setattr(assembly, "_BLOCK", 7)
         sets = list(self.nodes(coupling, "exact"))
         assert len(sets) > 1
         assert all(n.value and n.grad == (coupling == "h1") for n in sets)
@@ -414,7 +414,7 @@ class TestCouplingNodes:
             assert n.owner.shape == n.parent.shape == n.w.shape[:1]
 
     def test_exact_stream_consumed_twice(self, monkeypatch):
-        monkeypatch.setattr(assembly, "_CELL_BLOCK", 7)
+        monkeypatch.setattr(assembly, "_BLOCK", 7)
         stream = self.nodes("h1", "exact")
         first, second = list(stream), list(stream)
         assert len(first) == len(second) > 1
@@ -429,7 +429,7 @@ class TestCouplingNodes:
                 assemble_Cf_approx(self.L, self.V, self.xbar, asked,
                                    nodes=nodes[built])
             with pytest.raises(ValueError, match="coupling"):
-                assemble_rhs(self.V, self.Q, self.S, self.L,
+                assemble_rhs(self.V, self.S, self.L,
                              manufactured_solution(), self.xbar, asked,
                              "approx", approx_nodes=nodes[built])
 
@@ -554,7 +554,7 @@ class TestRightHandSides:
                                                          mode):
         params = FormParams(alpha=0.7, nu=0.5, beta=1.3, kappa=2.0)
         exact = polynomial_solution(self.xbar)
-        F, G, _ = assemble_rhs(self.V, self.Q, self.S, self.L, exact,
+        F, G, _ = assemble_rhs(self.V, self.S, self.L, exact,
                                self.xbar, coupling, mode, params)
         eye = np.eye(2)
         want_F = per_element_load(
@@ -573,7 +573,7 @@ class TestRightHandSides:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_solution_gives_zero_data(self):
-        F, G, D = assemble_rhs(self.V, self.Q, self.S, self.L,
+        F, G, D = assemble_rhs(self.V, self.S, self.L,
                                zero_solution(), self.xbar, "l2", "exact")
         assert not F.any() and not G.any() and not D.any()
 
@@ -581,7 +581,7 @@ class TestRightHandSides:
         # d is polynomial of degree 7 in s, so both the assembled value
         # and the degree-9 reference integrate it exactly
         exact = manufactured_solution()
-        _, _, D = assemble_rhs(self.V, self.Q, self.S, self.L, exact,
+        _, _, D = assemble_rhs(self.V, self.S, self.L, exact,
                                exact.xbar, "l2", "exact")
         rule = conical_product_rule(5)
         mesh = self.L.mesh
@@ -600,28 +600,28 @@ class TestRightHandSides:
         # with X = 0 and lambda = 0 only the constraint data survives,
         # and it reduces to integrals of u o xbar
         exact = manufactured_solution()
-        _, G, _ = assemble_rhs(self.V, self.Q, self.S, self.L,
+        _, G, _ = assemble_rhs(self.V, self.S, self.L,
                                zero_solution(), self.xbar, "h1", "approx")
         assert not G.any()
-        F, G, D = assemble_rhs(self.V, self.Q, self.S, self.L, exact,
+        F, G, D = assemble_rhs(self.V, self.S, self.L, exact,
                                exact.xbar, "h1", "exact")
         assert F.any() and G.any() and D.any()
 
     def test_mode_checked(self):
         with pytest.raises(ValueError):
-            assemble_rhs(self.V, self.Q, self.S, self.L, zero_solution(),
+            assemble_rhs(self.V, self.S, self.L, zero_solution(),
                          self.xbar, "l2", "adaptive")
         with pytest.raises(ValueError):
-            assemble_rhs(self.V, self.Q, self.S, self.L, zero_solution(),
+            assemble_rhs(self.V, self.S, self.L, zero_solution(),
                          self.xbar, "linf", "exact")
 
     def test_exact_and_approx_agree_to_quadrature_error(self):
         # both integrate the same functional, so on a fixed mesh the
         # difference is small but nonzero
         exact = manufactured_solution()
-        F1, _, D1 = assemble_rhs(self.V, self.Q, self.S, self.L, exact,
+        F1, _, D1 = assemble_rhs(self.V, self.S, self.L, exact,
                                  exact.xbar, "l2", "exact")
-        F2, _, D2 = assemble_rhs(self.V, self.Q, self.S, self.L, exact,
+        F2, _, D2 = assemble_rhs(self.V, self.S, self.L, exact,
                                  exact.xbar, "l2", "approx")
         scale = np.abs(F1).max()
         assert 0.0 < np.abs(F1 - F2).max() < 0.05 * scale

@@ -1,6 +1,6 @@
-"""Block-wise node sets: the loads, the exact coupling matrix and the
-error norms do not depend on the block size, and their transient memory
-stays bounded."""
+"""Block-wise work: point location, the supermesh, the loads, the
+coupling matrices and the error norms do not depend on the block size,
+and their transient memory stays bounded."""
 
 import tracemalloc
 
@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import fdlm.assembly as assembly
-from fdlm.assembly import assemble_Cf_exact, assemble_rhs
+import fdlm.geom_intersect as geom_intersect
+import fdlm.mesh as mesh
+from fdlm.assembly import (assemble_Cf_approx, assemble_Cf_exact,
+                           assemble_rhs, coupling_nodes)
 from fdlm.experiments_cli import build_level_spaces, solve_level
 from fdlm.geom_intersect import build_all_schemes
 from fdlm.manufactured_errors import error_norms, manufactured_solution
@@ -17,14 +20,33 @@ from fdlm.manufactured_errors import error_norms, manufactured_solution
 SMALL_BLOCK = 7
 
 
+def small_blocks(monkeypatch):
+    """Set the block size to SMALL_BLOCK in every module that binds it."""
+    for module in (mesh, geom_intersect, assembly):
+        monkeypatch.setattr(module, "_BLOCK", SMALL_BLOCK)
+
+
+def csr_arrays(C):
+    return C.indptr, C.indices, C.data
+
+
 def level_arrays(n_fluid, n_solid, coupling, mode):
-    """F, G, D and the CSR arrays of the exact coupling matrix."""
-    V, Q, S, L = build_level_spaces(n_fluid, n_solid)
+    """F, G, D, the supermesh table and the CSR arrays of the exact and,
+    in approx mode, the approx coupling matrix."""
+    V, _, S, L = build_level_spaces(n_fluid, n_solid)
     exact = manufactured_solution()
     schemes = build_all_schemes(L.mesh, exact.xbar, V.mesh)
+    table = (schemes.parent, schemes.owner, schemes.subcells,
+             schemes.s_areas, schemes.offsets)
     C = assemble_Cf_exact(L, V, exact.xbar, coupling, schemes=schemes)
-    return assemble_rhs(V, Q, S, L, exact, exact.xbar, coupling, mode,
-                        schemes=schemes) + (C.indptr, C.indices, C.data)
+    nodes = None
+    if mode == "approx":
+        nodes = coupling_nodes(L, V, exact.xbar, coupling, "approx")
+        table += csr_arrays(assemble_Cf_approx(L, V, exact.xbar, coupling,
+                                               nodes=nodes))
+    return assemble_rhs(V, S, L, exact, exact.xbar, coupling, mode,
+                        schemes=schemes, approx_nodes=nodes) \
+        + table + csr_arrays(C)
 
 
 def traced_peak_mb(fn, *args):
@@ -41,11 +63,12 @@ def traced_peak_mb(fn, *args):
                          [(16, 8, "l2", "exact"), (16, 23, "h1", "approx")])
 def test_rhs_does_not_depend_on_block_size(monkeypatch, n_fluid, n_solid,
                                            coupling, mode):
-    # also the exact coupling matrix, whose subcells stream in blocks
+    # also the supermesh and the coupling matrices, whose elements,
+    # subcells and located points are taken in blocks
     want = level_arrays(n_fluid, n_solid, coupling, mode)
-    monkeypatch.setattr(assembly, "_CELL_BLOCK", SMALL_BLOCK)
+    small_blocks(monkeypatch)
     got = level_arrays(n_fluid, n_solid, coupling, mode)
-    assert len(got) == len(want) == 6
+    assert len(got) == len(want) == (11 if mode == "exact" else 14)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -54,7 +77,7 @@ def test_error_norms_do_not_depend_on_block_size(monkeypatch):
     exact = manufactured_solution()
     _, sol, _ = solve_level(16, 8, "l2", "exact", exact)
     want = [error_norms(sol, exact, c) for c in ("l2", "h1")]
-    monkeypatch.setattr(assembly, "_CELL_BLOCK", SMALL_BLOCK)
+    small_blocks(monkeypatch)
     got = [error_norms(sol, exact, c) for c in ("l2", "h1")]
     assert got == want
 
@@ -71,9 +94,9 @@ def level_64_32():
 
 def test_rhs_transient_bounded(level_64_32):
     # Whole-mesh degree-6 node sets peaked at 84 MB here.
-    exact, _, (V, Q, S, L), schemes = level_64_32
+    exact, _, (V, _, S, L), schemes = level_64_32
     peak = traced_peak_mb(
-        lambda: assemble_rhs(V, Q, S, L, exact, exact.xbar, "l2", "exact",
+        lambda: assemble_rhs(V, S, L, exact, exact.xbar, "l2", "exact",
                              schemes=schemes))
     assert peak <= 25.0
 
@@ -89,3 +112,22 @@ def test_error_norms_transient_bounded(level_64_32):
     # Whole-mesh degree-6 node sets peaked at 67 MB here.
     exact, sol, _, _ = level_64_32
     assert traced_peak_mb(error_norms, sol, exact, "l2") <= 20.0
+
+
+def test_supermesh_transient_bounded():
+    # The whole-mesh candidate pairs peaked at 24.6 MB here.
+    exact = manufactured_solution()
+    V, _, _, L = build_level_spaces(32, 64)
+    peak = traced_peak_mb(build_all_schemes, L.mesh, exact.xbar, V.mesh)
+    assert peak <= 15.0
+
+
+def test_approx_matrix_transient_bounded():
+    # int64 COO indices, copied to int32 by coo_matrix, peaked at
+    # 122.2 MB here.
+    exact = manufactured_solution()
+    V, _, _, L = build_level_spaces(64, 181)
+    nodes = coupling_nodes(L, V, exact.xbar, "h1", "approx")
+    peak = traced_peak_mb(assemble_Cf_approx, L, V, exact.xbar, "h1",
+                          nodes)
+    assert peak <= 105.0

@@ -154,7 +154,7 @@ class TestSolveLevel:
         # which locates the nodes again, bit for bit
         V, S, L, Q = system.spaces
         exact = manufactured_solution()
-        want = np.concatenate(assemble_rhs(V, Q, S, L, exact, exact.xbar,
+        want = np.concatenate(assemble_rhs(V, S, L, exact, exact.xbar,
                                            coupling, "approx"))
         want[:V.n_dofs][V.dirichlet_mask] = 0.0
         np.testing.assert_array_equal(system.rhs[:want.size], want)
