@@ -31,6 +31,11 @@ def standard_map():
     return AffineMap(2.0 * np.eye(2), (-0.62, -0.62))
 
 
+# The sheared placement of test_geom_intersect: its matrix is not
+# symmetric, so a transposed Jacobian changes the gradient coupling.
+SHEARED = AffineMap(np.array([[1.9, 0.45], [0.0, 2.1]]), (-1.093, -0.971))
+
+
 def fluid_spaces(n):
     coarse = uniform_mesh((-2, -2), (2, 2), n)
     refined = midpoint_refine(coarse)
@@ -296,43 +301,45 @@ class TestFluidCoupling:
 
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_exact_matrix_against_fine_quadrature(self, coupling):
-        C = assemble_Cf_exact(self.L, self.V, self.xbar, coupling)
-        rng = np.random.default_rng(11)
-        for _ in range(3):
-            mu = rng.standard_normal(self.L.n_dofs)
-            vc = rng.standard_normal(self.V.n_dofs)
-            want = coupling_oracle(self.L, self.V, self.xbar, mu, vc,
-                                   coupling)
-            assert mu @ C @ vc == pytest.approx(want, rel=1e-12)
+        for xbar in (self.xbar, SHEARED):
+            C = assemble_Cf_exact(self.L, self.V, xbar, coupling)
+            rng = np.random.default_rng(11)
+            for _ in range(3):
+                mu = rng.standard_normal(self.L.n_dofs)
+                vc = rng.standard_normal(self.V.n_dofs)
+                want = coupling_oracle(self.L, self.V, xbar, mu, vc,
+                                       coupling)
+                assert mu @ C @ vc == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_approx_matrix_against_pointwise_eval(self, coupling):
         # replays the single-element rules with FEFunction evaluation
         # and scalar point location
-        C = assemble_Cf_approx(self.L, self.V, self.xbar, coupling)
-        rng = np.random.default_rng(3)
-        mu_f = FEFunction(self.L, rng.standard_normal(self.L.n_dofs))
-        v_f = FEFunction(self.V, rng.standard_normal(self.V.n_dofs))
         rule = rule_for_degree(2)
         mesh = self.L.mesh
-        want = 0.0
-        for t in range(mesh.n_triangles):
-            verts = mesh.vertices[mesh.triangles[t]]
-            pts = rule.points @ np.column_stack(
-                [verts[1] - verts[0], verts[2] - verts[0]]).T + verts[0]
-            acc = 0.0
-            for w, s in zip(rule.weights, pts):
-                x = self.xbar.apply(s)
-                owner = self.V.mesh.locate_point(x)
-                acc += w * float(mu_f.eval(t, s) @ v_f.eval(owner, x))
-            want += mesh.areas[t] * acc
-            if coupling == "h1":
-                xc = self.xbar.apply(mesh.centroids[t])
-                owner = self.V.mesh.locate_point(xc)
-                gs = v_f.eval_grad(owner) @ self.xbar.matrix
-                want += mesh.areas[t] * np.sum(mu_f.eval_grad(t) * gs)
-        got = mu_f.coefficients @ C @ v_f.coefficients
-        assert got == pytest.approx(want, rel=1e-12)
+        for xbar in (self.xbar, SHEARED):
+            C = assemble_Cf_approx(self.L, self.V, xbar, coupling)
+            rng = np.random.default_rng(3)
+            mu_f = FEFunction(self.L, rng.standard_normal(self.L.n_dofs))
+            v_f = FEFunction(self.V, rng.standard_normal(self.V.n_dofs))
+            want = 0.0
+            for t in range(mesh.n_triangles):
+                verts = mesh.vertices[mesh.triangles[t]]
+                pts = rule.points @ np.column_stack(
+                    [verts[1] - verts[0], verts[2] - verts[0]]).T + verts[0]
+                acc = 0.0
+                for w, s in zip(rule.weights, pts):
+                    x = xbar.apply(s)
+                    owner = self.V.mesh.locate_point(x)
+                    acc += w * float(mu_f.eval(t, s) @ v_f.eval(owner, x))
+                want += mesh.areas[t] * acc
+                if coupling == "h1":
+                    xc = xbar.apply(mesh.centroids[t])
+                    owner = self.V.mesh.locate_point(xc)
+                    gs = v_f.eval_grad(owner) @ xbar.matrix
+                    want += mesh.areas[t] * np.sum(mu_f.eval_grad(t) * gs)
+            got = mu_f.coefficients @ C @ v_f.coefficients
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_nested_grids_agree(self):
         # solid cells that coincide with fluid cells leave no quadrature
@@ -553,24 +560,26 @@ class TestRightHandSides:
     def test_volume_loads_against_per_element_quadrature(self, coupling,
                                                          mode):
         params = FormParams(alpha=0.7, nu=0.5, beta=1.3, kappa=2.0)
-        exact = polynomial_solution(self.xbar)
-        F, G, _ = assemble_rhs(self.V, self.S, self.L, exact,
-                               self.xbar, coupling, mode, params)
         eye = np.eye(2)
-        want_F = per_element_load(
-            self.V, lambda x: params.alpha * exact.u(x),
-            lambda x: (params.nu * exact.grad_u(x)
-                       - exact.p(x)[:, None, None] * eye))
         assemble = assemble_Cf_exact if mode == "exact" else \
             assemble_Cf_approx
-        lam_h = interpolate(self.L, exact.lam).coefficients
-        want_F += assemble(self.L, self.V, self.xbar, coupling).T @ lam_h
         h1 = 1.0 if coupling == "h1" else 0.0
-        want_G = per_element_load(
-            self.S, lambda s: params.beta * exact.X(s) - exact.lam(s),
-            lambda s: params.kappa * exact.grad_X(s) - h1 * exact.grad_lam(s))
-        for got, want in ((F, want_F), (G, want_G)):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for xbar in (self.xbar, SHEARED):
+            exact = polynomial_solution(xbar)
+            F, G, _ = assemble_rhs(self.V, self.S, self.L, exact,
+                                   xbar, coupling, mode, params)
+            want_F = per_element_load(
+                self.V, lambda x: params.alpha * exact.u(x),
+                lambda x: (params.nu * exact.grad_u(x)
+                           - exact.p(x)[:, None, None] * eye))
+            lam_h = interpolate(self.L, exact.lam).coefficients
+            want_F += assemble(self.L, self.V, xbar, coupling).T @ lam_h
+            want_G = per_element_load(
+                self.S, lambda s: params.beta * exact.X(s) - exact.lam(s),
+                lambda s: (params.kappa * exact.grad_X(s)
+                           - h1 * exact.grad_lam(s)))
+            for got, want in ((F, want_F), (G, want_G)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_solution_gives_zero_data(self):
         F, G, D = assemble_rhs(self.V, self.S, self.L,
