@@ -10,8 +10,9 @@ The coupling matrix, the coupling loads and every right-hand side run
 through one quadrature core over node sets: M cells of K nodes, cell m
 lying in triangle parent[m] of the mesh it is assembled on (and, for
 the coupling, in fluid triangle owner[m]), with nodes s (M, K, 2),
-their images x under the placement map, its Jacobian jac (M, 2, 2),
-and one weight per node, w (M, K).  A set weighs the value feature
+their images x under the one affine placement map of the structure,
+its Jacobian jac (the map's (2, 2) matrix, shared by every cell), and
+one weight per node, w (M, K).  A set weighs the value feature
 (mu . v), the gradient feature (grad mu : grad(v o xbar)) or both,
 fixed when it is built, and each feature is computed only on the sets
 that weigh it.  Hat gradients are constant on a cell, so the gradient
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geom_intersect import _xbar_parts, build_all_schemes
+from .geom_intersect import build_all_schemes
 from .mesh import _BLOCK, DomainViolationError
 from .quadrature import rule_for_degree
 
@@ -250,14 +251,11 @@ def _mesh_nodes(mesh, rule, grad=True):
     return _Blocks(block, mesh.n_triangles)
 
 
-def _placed(parent, owner, s, w, parts, value, grad):
+def _placed(parent, owner, s, w, xbar, value, grad):
     """Node set of nodes s (M, K, 2) with weights w on the structure cells
-    parent, mapped by the placement map's per-element parts
-    (_xbar_parts)."""
-    mats, offs = parts
-    jac = mats[parent]
-    x = s @ jac.swapaxes(1, 2) + offs[parent][:, None, :]
-    return _Nodes(parent, owner, s, x, w, jac, value, grad)
+    parent, placed by the affine map xbar."""
+    return _Nodes(parent, owner, s, xbar.apply(s), w, xbar.matrix, value,
+                  grad)
 
 
 def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
@@ -273,7 +271,6 @@ def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
     _check_coupling(coupling)
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
-    parts = _xbar_parts(xbar, L.mesh.n_triangles)
     grad = coupling == "h1"
     if mode == "exact":
         if rule is None:
@@ -283,7 +280,7 @@ def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
 
         def block(b):
             s, w = _rule_nodes(schemes.subcells[b], schemes.s_areas[b], rule)
-            return _placed(schemes.parent[b], schemes.owner[b], s, w, parts,
+            return _placed(schemes.parent[b], schemes.owner[b], s, w, xbar,
                            True, grad)
         return _Blocks(block, schemes.parent.shape[0])
     mesh = L.mesh
@@ -291,10 +288,10 @@ def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
     s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas,
                        rule_for_degree(2))
     sets = [_placed(np.repeat(cells, 3), None, s.reshape(-1, 1, 2),
-                    w.reshape(-1, 1), parts, True, False)]
+                    w.reshape(-1, 1), xbar, True, False)]
     if grad:
         sets.append(_placed(cells, None, mesh.centroids[:, None, :],
-                            mesh.areas[:, None], parts, False, True))
+                            mesh.areas[:, None], xbar, False, True))
     owner = V.mesh.locate_points(
         np.concatenate([n.x.reshape(-1, 2) for n in sets]))
     if np.any(owner < 0):
@@ -411,13 +408,17 @@ def _structure_rhs(S, exact, params, coupling):
     return _load(S.mesh, _mesh_nodes(S.mesh, rule_for_degree(6)), field)
 
 
-def assemble_rhs(V, S, L, exact, xbar, coupling, mode, params=None,
+def assemble_rhs(V, S, L, exact, coupling, mode, params=None,
                  schemes=None, approx_nodes=None):
     """Right-hand side vectors (F, G, D) for the block system.
 
     F(v) = a_f(u, v) - (div v, p) + c(lambda, v o xbar),
     G(Y) = a_s(X, Y) - c(lambda, Y),
-    D(mu) = c(mu, d) with d = u(xbar) - X.
+    D(mu) = c(mu, d) with d = u(xbar) - X,
+
+    where xbar is the solution's placement map exact.xbar, which also
+    places the coupling nodes, and schemes or approx_nodes, if given,
+    must have been built with it.
 
     mode selects the coupling node sets (coupling_nodes): "exact" the
     supermesh subcells (passed as schemes, or built) under the degree-6
@@ -426,6 +427,7 @@ def assemble_rhs(V, S, L, exact, xbar, coupling, mode, params=None,
     """
     _check_coupling(coupling)
     params = params or FormParams()
+    xbar = exact.xbar
     if mode == "approx":
         nodes = _approx_nodes(L, V, xbar, coupling, approx_nodes)
     else:

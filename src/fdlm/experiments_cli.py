@@ -125,11 +125,10 @@ def coupling_gap_norm(Cf_ex, Cf_ap):
     return matrix_1norm_diff(Cf_ex.T, Cf_ap.T)
 
 
-def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None,
-                params=None):
+def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None):
     """Assemble and solve one level; returns (record, solution, system)."""
     exact = exact or manufactured_solution()
-    params = params or FormParams()
+    params = FormParams()
     V, Q, S, L = build_level_spaces(n_fluid, n_solid)
     xbar = exact.xbar
     schemes = build_all_schemes(L.mesh, xbar, V.mesh)
@@ -145,8 +144,8 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None,
         Cs=assemble_Cs(L, S, coupling),
         mean_row=pressure_mean_row(Q),
     )
-    rhs = assemble_rhs(V, S, L, exact, xbar, coupling, assembly_mode,
-                       params, schemes=schemes, approx_nodes=approx_nodes)
+    rhs = assemble_rhs(V, S, L, exact, coupling, assembly_mode, params,
+                       schemes=schemes, approx_nodes=approx_nodes)
     system = build_system(blocks, rhs, (V, S, L, Q))
     sol = solve(system)
     record = {
@@ -162,12 +161,11 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None,
 def run_convergence(plan):
     """Solve every level of the plan and return rate-annotated records."""
     exact = manufactured_solution()
-    params = FormParams()
     records = []
     for level, (n_fluid, n_solid) in enumerate(plan.schedule):
         try:
             record, _, _ = solve_level(n_fluid, n_solid, plan.coupling,
-                                        plan.assembly_mode, exact, params)
+                                        plan.assembly_mode, exact)
         except (DomainViolationError, SingularSystemError) as exc:
             raise type(exc)("level %d (n_fluid=%d, n_solid=%d): %s"
                             % (level, n_fluid, n_solid, exc)) from exc

@@ -8,17 +8,18 @@ it overlaps, the convex intersection polygons are fan-triangulated
 from their first vertex, and the pieces are pulled back to structure
 coordinates where the multiplier basis is native.
 
-``build_all_schemes`` builds the supermesh of a whole structure mesh
-as one flat ``IntersectionTable``: subcell k lies in structure element
-``parent[k]`` and fluid triangle ``owner[k]``, and the subcells of
-element t are the rows ``offsets[t]:offsets[t + 1]``, ordered by cell
-row, cell column, triangle within the cell and fan index.  The
-elements are taken in blocks of mesh._BLOCK: the candidate (element,
-fluid triangle) pairs of a block come from the structured-grid bounding
-box of every mapped element, and are clipped together by a
-Sutherland-Hodgman pass over masked polygon arrays (a triangle clipped
-by three half-planes keeps at most six vertices), fanned and pulled
-back before the next block, so only the table grows with the mesh.
+``build_all_schemes`` builds the supermesh of a whole structure mesh,
+placed by one affine map, as one flat ``IntersectionTable``: subcell k
+lies in structure element ``parent[k]`` and fluid triangle
+``owner[k]``, and the subcells of element t are the rows
+``offsets[t]:offsets[t + 1]``, ordered by cell row, cell column,
+triangle within the cell and fan index.  The elements are taken in
+blocks of mesh._BLOCK: the candidate (element, fluid triangle) pairs of
+a block come from the structured-grid bounding box of every mapped
+element, and are clipped together by a Sutherland-Hodgman pass over
+masked polygon arrays (a triangle clipped by three half-planes keeps at
+most six vertices), fanned, pulled back through the map's inverse and
+measured before the next block, so only the table grows with the mesh.
 
 Clipping runs in physical coordinates; tolerance-based predicates are
 sufficient because acceptance of the downstream studies is rate-based,
@@ -131,11 +132,11 @@ class IntersectionTable:
     give per-element CompositeQuadScheme views.
     """
 
-    def __init__(self, parent, owner, subcells, n_elements):
+    def __init__(self, parent, owner, subcells, s_areas, n_elements):
         self.parent = parent
         self.owner = owner
         self.subcells = subcells
-        self.s_areas = np.abs(_signed_areas(subcells))
+        self.s_areas = s_areas
         self.offsets = np.searchsorted(parent, np.arange(n_elements + 1))
 
     def __len__(self):
@@ -149,18 +150,6 @@ class IntersectionTable:
 
     def __iter__(self):
         return (self[t] for t in range(len(self)))
-
-
-def _xbar_parts(xbar, n_elements):
-    """Per-element matrices (n, 2, 2) and offsets (n, 2) of one map or a list."""
-    if hasattr(xbar, "apply"):
-        return (np.broadcast_to(xbar.matrix, (n_elements, 2, 2)),
-                np.broadcast_to(xbar.offset, (n_elements, 2)))
-    maps = list(xbar)
-    if len(maps) != n_elements:
-        raise ValueError("one placement map per structure element required")
-    return (np.stack([m.matrix for m in maps]),
-            np.stack([m.offset for m in maps]))
 
 
 def _signed_areas(tris):
@@ -285,10 +274,15 @@ def _fan_pairs(poly, count, sliver):
     return q, fans[q, i]
 
 
-def _supermesh(solid_tris, mats, offs, fluid_mesh):
+def _supermesh(solid_tris, xbar, fluid_mesh):
     """IntersectionTable of the elements solid_tris (E, 3, 2) placed by
-    x = mats[e] @ s + offs[e] against the fluid mesh, built in blocks of
-    _BLOCK elements."""
+    the affine map xbar against the fluid mesh, built in blocks of
+    _BLOCK elements.
+
+    Each block's fields are kept in lists; they are joined one field at
+    a time, each list cleared before the next is joined, so the table
+    never exists twice.
+    """
     n_el = solid_tris.shape[0]
     xmin, ymin, xmax, ymax = fluid_mesh.domain
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
@@ -296,11 +290,9 @@ def _supermesh(solid_tris, mats, offs, fluid_mesh):
     origin, h = (xmin, ymin), (fluid_mesh.hx, fluid_mesh.hy)
     fluid_tris = fluid_mesh.vertices[fluid_mesh.triangles]
     fluid_diam = _diameters(fluid_tris)
-    parents, owners, pieces = [], [], []
+    fields = ([], [], [], [])  # parent, owner, subcells, s_areas
     for start in range(0, n_el, _BLOCK):
-        b = slice(start, min(start + _BLOCK, n_el))
-        mapped = (solid_tris[b] @ mats[b].swapaxes(1, 2)
-                  + offs[b][:, None, :])
+        mapped = xbar.apply(solid_tris[start:start + _BLOCK])
         lo, hi = mapped.min(axis=1), mapped.max(axis=1)
         if (np.any(lo < (xmin - tol, ymin - tol))
                 or np.any(hi > (xmax + tol, ymax + tol))):
@@ -329,36 +321,38 @@ def _supermesh(solid_tris, mats, offs, fluid_mesh):
         el, tri, diam = el[lane], tri[lane], diam[lane]
         poly, count = _cleanup_pairs(poly, count, diam)
         q, sub = _fan_pairs(poly, count, _SLIVER_REL * np.abs(signed)[el])
-        el = el[q]
-        inv = np.linalg.inv(mats[b])[el]
-        parents.append(start + el)
-        owners.append(tri[q])
-        pieces.append((sub - offs[b][el][:, None, :]) @ inv.swapaxes(1, 2))
-    return IntersectionTable(np.concatenate(parents), np.concatenate(owners),
-                             np.concatenate(pieces), n_el)
+        sub = xbar.apply_inverse(sub)
+        for field, block in zip(fields, (start + el[q], tri[q], sub,
+                                         np.abs(_signed_areas(sub)))):
+            field.append(block)
+    table = []
+    for field in fields:
+        table.append(np.concatenate(field))
+        field.clear()
+    return IntersectionTable(*table, n_el)
 
 
 def build_composite_scheme(solid_tri, xbar_map, fluid_mesh):
     """Subcells of one structure element clipped against the fluid mesh.
 
     solid_tri is the (3, 2) element in structure coordinates, xbar_map
-    the affine placement map on that element.  Raises
+    the affine placement map (mesh.AffineMap).  Raises
     DomainViolationError if the mapped element leaves the fluid
     rectangle.
     """
     solid_tri = np.asarray(solid_tri, dtype=float).reshape(1, 3, 2)
-    return _supermesh(solid_tri, xbar_map.matrix[None], xbar_map.offset[None],
-                      fluid_mesh)[0]
+    return _supermesh(solid_tri, xbar_map, fluid_mesh)[0]
 
 
 def build_all_schemes(solid_mesh, xbar, fluid_mesh):
     """IntersectionTable of every structure element against the fluid mesh.
 
-    xbar is a single AffineMap used for all elements, or a sequence of
-    per-element maps.  The table holds geometry only; the quadrature rule
-    is chosen where it is integrated (assembly.coupling_nodes).  Raises
-    DomainViolationError if any mapped element leaves the fluid rectangle.
+    xbar is the structure's one placement map (mesh.AffineMap), whose
+    (2, 2) matrix is the Jacobian of every element; a sequence of
+    per-element maps is not accepted.  The table holds geometry only;
+    the quadrature rule is chosen where it is integrated
+    (assembly.coupling_nodes).  Raises DomainViolationError if any
+    mapped element leaves the fluid rectangle.
     """
-    mats, offs = _xbar_parts(xbar, solid_mesh.n_triangles)
-    return _supermesh(solid_mesh.vertices[solid_mesh.triangles], mats, offs,
+    return _supermesh(solid_mesh.vertices[solid_mesh.triangles], xbar,
                       fluid_mesh)

@@ -323,8 +323,7 @@ def test_09_matrix_and_load_match_independent_oracles():
     worst_c = 0.0
     for n in (8, 16, 32):
         V, Q, S, L = build_level_spaces(n, n // 2)
-        F_weak = assemble_rhs(V, S, L, exact, exact.xbar, "l2", "exact",
-                              params)[0]
+        F_weak = assemble_rhs(V, S, L, exact, "l2", "exact", params)[0]
         F_strong = _strong_load(V, exact, params)
         w = interpolate(V, exact.u).coefficients
         delta = abs(float((F_weak - F_strong) @ w))

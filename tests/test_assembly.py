@@ -437,8 +437,8 @@ class TestCouplingNodes:
                                    nodes=nodes[built])
             with pytest.raises(ValueError, match="coupling"):
                 assemble_rhs(self.V, self.S, self.L,
-                             manufactured_solution(), self.xbar, asked,
-                             "approx", approx_nodes=nodes[built])
+                             manufactured_solution(), asked, "approx",
+                             approx_nodes=nodes[built])
 
     def test_exact_matrix_repeats_with_shared_schemes(self):
         schemes = build_all_schemes(self.L.mesh, self.xbar, self.V.mesh)
@@ -567,7 +567,7 @@ class TestRightHandSides:
         for xbar in (self.xbar, SHEARED):
             exact = polynomial_solution(xbar)
             F, G, _ = assemble_rhs(self.V, self.S, self.L, exact,
-                                   xbar, coupling, mode, params)
+                                   coupling, mode, params)
             want_F = per_element_load(
                 self.V, lambda x: params.alpha * exact.u(x),
                 lambda x: (params.nu * exact.grad_u(x)
@@ -583,15 +583,14 @@ class TestRightHandSides:
 
     def test_zero_solution_gives_zero_data(self):
         F, G, D = assemble_rhs(self.V, self.S, self.L,
-                               zero_solution(), self.xbar, "l2", "exact")
+                               zero_solution(), "l2", "exact")
         assert not F.any() and not G.any() and not D.any()
 
     def test_constraint_data_against_fine_quadrature(self):
         # d is polynomial of degree 7 in s, so both the assembled value
         # and the degree-9 reference integrate it exactly
         exact = manufactured_solution()
-        _, _, D = assemble_rhs(self.V, self.S, self.L, exact,
-                               exact.xbar, "l2", "exact")
+        _, _, D = assemble_rhs(self.V, self.S, self.L, exact, "l2", "exact")
         rule = conical_product_rule(5)
         mesh = self.L.mesh
         mu_const = np.concatenate([np.ones(self.L.n_vertices),
@@ -610,28 +609,27 @@ class TestRightHandSides:
         # and it reduces to integrals of u o xbar
         exact = manufactured_solution()
         _, G, _ = assemble_rhs(self.V, self.S, self.L,
-                               zero_solution(), self.xbar, "h1", "approx")
+                               zero_solution(), "h1", "approx")
         assert not G.any()
-        F, G, D = assemble_rhs(self.V, self.S, self.L, exact,
-                               exact.xbar, "h1", "exact")
+        F, G, D = assemble_rhs(self.V, self.S, self.L, exact, "h1", "exact")
         assert F.any() and G.any() and D.any()
 
     def test_mode_checked(self):
         with pytest.raises(ValueError):
-            assemble_rhs(self.V, self.S, self.L, zero_solution(),
-                         self.xbar, "l2", "adaptive")
+            assemble_rhs(self.V, self.S, self.L, zero_solution(), "l2",
+                         "adaptive")
         with pytest.raises(ValueError):
-            assemble_rhs(self.V, self.S, self.L, zero_solution(),
-                         self.xbar, "linf", "exact")
+            assemble_rhs(self.V, self.S, self.L, zero_solution(), "linf",
+                         "exact")
 
     def test_exact_and_approx_agree_to_quadrature_error(self):
         # both integrate the same functional, so on a fixed mesh the
         # difference is small but nonzero
         exact = manufactured_solution()
-        F1, _, D1 = assemble_rhs(self.V, self.S, self.L, exact,
-                                 exact.xbar, "l2", "exact")
-        F2, _, D2 = assemble_rhs(self.V, self.S, self.L, exact,
-                                 exact.xbar, "l2", "approx")
+        F1, _, D1 = assemble_rhs(self.V, self.S, self.L, exact, "l2",
+                                 "exact")
+        F2, _, D2 = assemble_rhs(self.V, self.S, self.L, exact, "l2",
+                                 "approx")
         scale = np.abs(F1).max()
         assert 0.0 < np.abs(F1 - F2).max() < 0.05 * scale
         assert 0.0 < np.abs(D1 - D2).max()

@@ -154,8 +154,8 @@ class TestSolveLevel:
         # which locates the nodes again, bit for bit
         V, S, L, Q = system.spaces
         exact = manufactured_solution()
-        want = np.concatenate(assemble_rhs(V, S, L, exact, exact.xbar,
-                                           coupling, "approx"))
+        want = np.concatenate(assemble_rhs(V, S, L, exact, coupling,
+                                           "approx"))
         want[:V.n_dofs][V.dirichlet_mask] = 0.0
         np.testing.assert_array_equal(system.rhs[:want.size], want)
         assert len(calls) == 2
@@ -171,6 +171,19 @@ class TestQuadratureErrorStudy:
         write_quaderr_csv(recs, a)
         write_quaderr_csv(quadrature_error_study(plan), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("test_id,coupling,gaps", [
+        (2, "h1", [3.23856513, 2.2574446758297713, 2.1343998600000034,
+                   1.0925270492398491]),
+        (1, "l2", [0.012082215416666672, 0.0029168330208333517,
+                   0.00068346033854166962, 0.00016223753906250262]),
+    ], ids=["test2-h1", "test1-l2"])
+    def test_four_level_gaps_pinned(self, test_id, coupling, gaps):
+        # the gaps behind acceptance 01-03, which check only slopes
+        recs = quadrature_error_study(
+            ExperimentPlan(test_id, coupling, "approx", 4))
+        got = [r["cf_diff_1norm"] for r in recs]
+        np.testing.assert_allclose(got, gaps, rtol=1e-12, atol=0)
 
 
 class TestCli:

@@ -40,8 +40,7 @@ def coarsest_setup(exact):
         Cs=assemble_Cs(L, S, "l2"),
         mean_row=pressure_mean_row(Q),
     )
-    rhs = assemble_rhs(V, S, L, exact, exact.xbar, "l2", "exact",
-                       params=params)
+    rhs = assemble_rhs(V, S, L, exact, "l2", "exact", params=params)
     return build_system(blocks, rhs, (V, S, L, Q))
 
 
