@@ -408,8 +408,7 @@ def _structure_rhs(S, exact, params, coupling):
     return _load(S.mesh, _mesh_nodes(S.mesh, rule_for_degree(6)), field)
 
 
-def assemble_rhs(V, S, L, exact, coupling, mode, params=None,
-                 schemes=None, approx_nodes=None):
+def assemble_rhs(V, S, L, exact, coupling, mode, params=None, nodes=None):
     """Right-hand side vectors (F, G, D) for the block system.
 
     F(v) = a_f(u, v) - (div v, p) + c(lambda, v o xbar),
@@ -417,22 +416,22 @@ def assemble_rhs(V, S, L, exact, coupling, mode, params=None,
     D(mu) = c(mu, d) with d = u(xbar) - X,
 
     where xbar is the solution's placement map exact.xbar, which also
-    places the coupling nodes, and schemes or approx_nodes, if given,
-    must have been built with it.
+    places the coupling nodes.
 
     mode selects the coupling node sets (coupling_nodes): "exact" the
-    supermesh subcells (passed as schemes, or built) under the degree-6
-    rule, with D on the degree-6 structure nodes, "approx" the
-    single-element rules (passed as approx_nodes, or built) for both.
+    supermesh subcells under the degree-6 rule, with D on the degree-6
+    structure nodes, "approx" the single-element rules for both.  nodes,
+    if given, is mode's geometry built with xbar, reused instead of built:
+    the IntersectionTable (build_all_schemes) or the approx node sets.
     """
     _check_coupling(coupling)
     params = params or FormParams()
     xbar = exact.xbar
     if mode == "approx":
-        nodes = _approx_nodes(L, V, xbar, coupling, approx_nodes)
+        nodes = _approx_nodes(L, V, xbar, coupling, nodes)
     else:
         nodes = coupling_nodes(L, V, xbar, coupling, mode,
-                               rule_for_degree(6), schemes)
+                               rule_for_degree(6), nodes)
     F = (_volume_rhs_fluid(V, exact, params)
          + _load(V.mesh, nodes, _features(exact.lam, exact.grad_lam),
                  fluid=True))

@@ -161,7 +161,6 @@ def build_system(blocks, rhs, spaces):
     b = b.copy()
     b[fixed] = 0.0
     matrix = sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
-    matrix.sum_duplicates()
     return BlockSystem(matrix, b, offsets, spaces, blocks, mask)
 
 

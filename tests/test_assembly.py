@@ -438,7 +438,7 @@ class TestCouplingNodes:
             with pytest.raises(ValueError, match="coupling"):
                 assemble_rhs(self.V, self.S, self.L,
                              manufactured_solution(), asked, "approx",
-                             approx_nodes=nodes[built])
+                             nodes=nodes[built])
 
     def test_exact_matrix_repeats_with_shared_schemes(self):
         schemes = build_all_schemes(self.L.mesh, self.xbar, self.V.mesh)

@@ -39,13 +39,12 @@ def level_arrays(n_fluid, n_solid, coupling, mode):
     table = (schemes.parent, schemes.owner, schemes.subcells,
              schemes.s_areas, schemes.offsets)
     C = assemble_Cf_exact(L, V, exact.xbar, coupling, schemes=schemes)
-    nodes = None
+    nodes = schemes
     if mode == "approx":
         nodes = coupling_nodes(L, V, exact.xbar, coupling, "approx")
         table += csr_arrays(assemble_Cf_approx(L, V, exact.xbar, coupling,
                                                nodes=nodes))
-    return assemble_rhs(V, S, L, exact, coupling, mode, schemes=schemes,
-                        approx_nodes=nodes) \
+    return assemble_rhs(V, S, L, exact, coupling, mode, nodes=nodes) \
         + table + csr_arrays(C)
 
 
@@ -96,7 +95,7 @@ def test_rhs_transient_bounded(level_64_32):
     # Whole-mesh degree-6 node sets peaked at 84 MB here.
     exact, _, (V, _, S, L), schemes = level_64_32
     peak = traced_peak_mb(
-        lambda: assemble_rhs(V, S, L, exact, "l2", "exact", schemes=schemes))
+        lambda: assemble_rhs(V, S, L, exact, "l2", "exact", nodes=schemes))
     assert peak <= 25.0
 
 

@@ -160,6 +160,48 @@ class TestSolveLevel:
         np.testing.assert_array_equal(system.rhs[:want.size], want)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("coupling", ["l2", "h1"])
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_builds_only_its_own_coupling(self, coupling, mode,
+                                          monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("built the other mode's coupling")
+
+        if mode == "approx":
+            other = ["build_all_schemes", "assemble_Cf_exact"]
+        else:
+            other = ["coupling_nodes", "assemble_Cf_approx",
+                     "matrix_1norm_diff"]
+            monkeypatch.setattr(Triangulation, "locate_points", boom)
+        for name in other:
+            monkeypatch.setattr(xcli, name, boom)
+        record, sol, _ = xcli.solve_level(16, 8, coupling, mode)
+        assert "cf_diff_1norm" not in record
+        assert sol.relative_residual <= 1e-8
+
+
+class TestGapColumn:
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_run_gap_equals_quaderr_gap(self, mode, monkeypatch):
+        # both studies assemble each mode's matrix once per level, and
+        # run pairs the matrix it solved with the other mode's
+        calls = []
+        for name in ("assemble_Cf_exact", "assemble_Cf_approx"):
+            def counting(*args, _name=name, _fn=getattr(xcli, name),
+                         **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(xcli, name, counting)
+        plan = ExperimentPlan(2, "h1", mode, 2)
+        gaps = []
+        for study in (xcli.run_convergence, quadrature_error_study):
+            del calls[:]
+            gaps.append([r["cf_diff_1norm"] for r in study(plan)])
+            assert sorted(calls) == (["assemble_Cf_approx"] * 2
+                                     + ["assemble_Cf_exact"] * 2)
+        assert gaps[0] == gaps[1]
+        assert all(gap > 0 for gap in gaps[0])
+
 
 class TestQuadratureErrorStudy:
     def test_gap_shrinks_and_run_is_deterministic(self, tmp_path):
