@@ -32,7 +32,8 @@ and of supermesh subcells (exact coupling matrix and load) are streams
 built and consumed in blocks of at most mesh._BLOCK cells, so their
 size does not grow with the mesh; the per-cell contributions are kept
 and reduced once, in cell order, so the loads and matrices do not
-depend on the block size.
+depend on the block size.  The coupling gap (coupling_gap) walks the
+supermesh in blocks of structure elements and holds neither matrix.
 """
 
 from collections import namedtuple
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geom_intersect import build_all_schemes
+from .geom_intersect import IntersectionTable, _supermesh, build_all_schemes
 from .mesh import _BLOCK, DomainViolationError
 from .quadrature import rule_for_degree
 
@@ -54,6 +55,7 @@ __all__ = [
     "assemble_Cf_exact",
     "assemble_Cf_approx",
     "assemble_rhs",
+    "coupling_gap",
     "coupling_nodes",
     "matrix_1norm_diff",
     "pressure_mean_row",
@@ -96,8 +98,8 @@ def _csr(rows, cols, vals, shape):
     The COO indices are built as int32, which coo_matrix keeps without
     a copy, and tocsr() returns canonical CSR (sorted, summed indices).
     """
-    r = np.repeat(rows.astype(np.int32), cols.shape[1], axis=1)
-    c = np.tile(cols.astype(np.int32), (1, rows.shape[1]))
+    r = np.repeat(rows.astype(np.int32, copy=False), cols.shape[1], axis=1)
+    c = np.tile(cols.astype(np.int32, copy=False), (1, rows.shape[1]))
     return sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())),
                          shape=shape).tocsr()
 
@@ -187,12 +189,12 @@ class _Blocks:
     in order, built anew on every pass, so a stream can be consumed more
     than once."""
 
-    def __init__(self, make, n):
-        self._make, self._n = make, n
+    def __init__(self, make, n_cells):
+        self._make, self.n_cells = make, n_cells
 
     def __iter__(self):
-        return (self._make(slice(i, min(i + _BLOCK, self._n)))
-                for i in range(0, self._n, _BLOCK))
+        return (self._make(slice(i, min(i + _BLOCK, self.n_cells)))
+                for i in range(0, self.n_cells, _BLOCK))
 
 
 def _hats(mesh, tris, pts):
@@ -283,15 +285,21 @@ def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
             return _placed(schemes.parent[b], schemes.owner[b], s, w, xbar,
                            True, grad)
         return _Blocks(block, schemes.parent.shape[0])
+    return _approx_sets(L, V, xbar, grad, slice(0, L.mesh.n_triangles))
+
+
+def _approx_sets(L, V, xbar, grad, b):
+    """Approx node sets of the structure elements b (a slice): the edge
+    midpoints and, with grad, the centroids, located in the fluid mesh."""
     mesh = L.mesh
-    cells = np.arange(mesh.n_triangles)
-    s, w = _rule_nodes(mesh.vertices[mesh.triangles], mesh.areas,
+    cells = np.arange(b.start, b.stop)
+    s, w = _rule_nodes(mesh.vertices[mesh.triangles[b]], mesh.areas[b],
                        rule_for_degree(2))
     sets = [_placed(np.repeat(cells, 3), None, s.reshape(-1, 1, 2),
                     w.reshape(-1, 1), xbar, True, False)]
     if grad:
-        sets.append(_placed(cells, None, mesh.centroids[:, None, :],
-                            mesh.areas[:, None], xbar, False, True))
+        sets.append(_placed(cells, None, mesh.centroids[b][:, None, :],
+                            mesh.areas[b][:, None], xbar, False, True))
     owner = V.mesh.locate_points(
         np.concatenate([n.x.reshape(-1, 2) for n in sets]))
     if np.any(owner < 0):
@@ -301,26 +309,42 @@ def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
     return [n._replace(owner=o) for n, o in zip(sets, np.split(owner, cuts))]
 
 
+def _cell_entries(L, V, n):
+    """Coupling entries (M, 3, 3) of the cells of node set n: rows the
+    multiplier hats of structure triangle parent, columns the velocity
+    hats of fluid triangle owner, one component."""
+    vals = 0.0
+    if n.value:
+        vals = ((n.w[..., None] * _hats(L.mesh, n.parent, n.s))
+                .swapaxes(1, 2) @ _hats(V.mesh, n.owner, n.x))
+    if n.grad:
+        vals = vals + n.w.sum(axis=1)[:, None, None] * (
+            L.mesh.grads[n.parent]
+            @ (V.mesh.grads[n.owner] @ n.jac).swapaxes(1, 2))
+    return vals
+
+
 def _coupling_matrix(L, V, nodes):
     """Coupling matrix of node sets: rows multiplier, columns velocity
-    dofs, equal components only.  Each cell's (3, 3) entry is kept and
-    the entries are concatenated in cell order before one CSR build, so
-    the matrix does not depend on the blocking."""
-    cells = []
+    dofs, equal components only.  Each cell's dofs and (3, 3) entries
+    are written in cell order into arrays sized from the node sets
+    before one CSR build, so the matrix does not depend on the
+    blocking."""
+    if isinstance(nodes, _Blocks):
+        n_cells = nodes.n_cells
+    else:
+        n_cells = sum(n.parent.shape[0] for n in nodes)
+    rows = np.empty((n_cells, 3), dtype=np.int32)
+    cols = np.empty((n_cells, 3), dtype=np.int32)
+    vals = np.empty((n_cells, 3, 3))
+    at = 0
     for n in nodes:
-        vals = 0.0
-        if n.value:
-            vals = ((n.w[..., None] * _hats(L.mesh, n.parent, n.s))
-                    .swapaxes(1, 2) @ _hats(V.mesh, n.owner, n.x))
-        if n.grad:
-            vals = vals + n.w.sum(axis=1)[:, None, None] * (
-                L.mesh.grads[n.parent]
-                @ (V.mesh.grads[n.owner] @ n.jac).swapaxes(1, 2))
-        cells.append((n.parent, n.owner, vals))
-    parent, owner, vals = map(np.concatenate, zip(*cells))
-    del cells
-    return _vector_block(_csr(L.mesh.triangles[parent],
-                              V.mesh.triangles[owner], vals,
+        cells = slice(at, at + n.parent.shape[0])
+        rows[cells] = L.mesh.triangles[n.parent]
+        cols[cells] = V.mesh.triangles[n.owner]
+        vals[cells] = _cell_entries(L, V, n)
+        at = cells.stop
+    return _vector_block(_csr(rows, cols, vals,
                               (L.n_vertices, V.n_vertices)))
 
 
@@ -363,6 +387,60 @@ def matrix_1norm_diff(Aex, Aap):
     d = abs(Aex - Aap)
     col = np.asarray(d.sum(axis=0)).ravel()
     return float(col.max()) if col.size else 0.0
+
+
+def coupling_gap(L, V, xbar, coupling):
+    """Largest row sum of |C_exact - C_approx| over the multiplier rows,
+    C the scalar block of Cf = blockdiag(C, C): the gap of the whole
+    matrices (experiments_cli.coupling_gap_norm), bit for bit, without
+    either matrix.
+
+    The structure elements are taken in blocks of _BLOCK.  Each block is
+    clipped against the fluid mesh, and the (3, 3) entries of its exact
+    cells (the degree-2 rule on its subcells) and approx cells (edge
+    midpoints and, for h1, centroids, located in the fluid mesh) are
+    kept for the block in which their row is final, that of the last
+    element touching it.  A row reaches its entries in the order of the
+    whole matrix (approx: all midpoint cells, then all centroid cells),
+    so the CSR rows built for the rows final in a block, their
+    difference and its row sums are those of the whole matrices.
+    """
+    _check_coupling(coupling)
+    grad = coupling == "h1"
+    mesh, n_el = L.mesh, L.mesh.n_triangles
+    final = np.zeros(mesh.n_vertices, dtype=np.int64)
+    np.maximum.at(final, mesh.triangles, np.arange(n_el)[:, None])
+    final //= _BLOCK
+    rule = rule_for_degree(2)
+    # Per stream (exact, midpoints, centroids): final block -> entries.
+    pending = ({}, {}, {})
+    gap = 0.0
+    blocks = _supermesh(mesh.vertices, mesh.triangles, xbar, V.mesh)
+    for k, (parent, owner, subcells, s_areas) in enumerate(blocks):
+        s, w = _rule_nodes(subcells, s_areas, rule)
+        sets = [_placed(parent, owner, s, w, xbar, True, grad)]
+        sets += _approx_sets(L, V, xbar, grad,
+                             slice(k * _BLOCK, min((k + 1) * _BLOCK, n_el)))
+        for stream, n in zip(pending, sets):
+            vals = _cell_entries(L, V, n)
+            rows = mesh.triangles[n.parent]
+            cols = V.mesh.triangles[n.owner]
+            when = final[rows]
+            for j in np.unique(when):
+                m, i = np.nonzero(when == j)
+                stream.setdefault(j, []).append((rows[m, i], cols[m],
+                                                 vals[m, i]))
+        ex = pending[0].pop(k, [])
+        ap = pending[1].pop(k, []) + pending[2].pop(k, [])
+        if not (ex or ap):
+            continue
+        ex, ap = ([np.concatenate(f) for f in zip(*c)] for c in (ex, ap))
+        lo = min(ex[0].min(), ap[0].min())
+        shape = (max(ex[0].max(), ap[0].max()) + 1 - lo, V.n_vertices)
+        C_ex, C_ap = (_csr(r[:, None] - lo, c, v[:, None], shape)
+                      for r, c, v in (ex, ap))
+        gap = max(gap, float(abs(C_ex - C_ap).sum(axis=1).max()))
+    return gap
 
 
 def pressure_mean_row(Q):
@@ -425,6 +503,9 @@ def assemble_rhs(V, S, L, exact, coupling, mode, params=None, nodes=None):
     the IntersectionTable (build_all_schemes) or the approx node sets.
     """
     _check_coupling(coupling)
+    if nodes is not None and (isinstance(nodes, IntersectionTable)
+                              != (mode == "exact")):
+        raise ValueError("nodes were built for the other assembly mode")
     params = params or FormParams()
     xbar = exact.xbar
     if mode == "approx":

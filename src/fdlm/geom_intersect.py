@@ -20,6 +20,9 @@ element, and are clipped together by a Sutherland-Hodgman pass over
 masked polygon arrays (a triangle clipped by three half-planes keeps at
 most six vertices), fanned, pulled back through the map's inverse and
 measured before the next block, so only the table grows with the mesh.
+The blocks come from one generator (``_supermesh``), which
+``build_all_schemes`` joins into the table and the streamed coupling
+gap (``assembly.coupling_gap``) consumes one block at a time.
 
 Clipping runs in physical coordinates; tolerance-based predicates are
 sufficient because acceptance of the downstream studies is rate-based,
@@ -274,25 +277,25 @@ def _fan_pairs(poly, count, sliver):
     return q, fans[q, i]
 
 
-def _supermesh(solid_tris, xbar, fluid_mesh):
-    """IntersectionTable of the elements solid_tris (E, 3, 2) placed by
-    the affine map xbar against the fluid mesh, built in blocks of
-    _BLOCK elements.
+def _supermesh(vertices, triangles, xbar, fluid_mesh):
+    """Supermesh of the structure elements vertices[triangles] placed by
+    the affine map xbar against the fluid mesh, one block of _BLOCK
+    elements at a time.
 
-    Each block's fields are kept in lists; they are joined one field at
-    a time, each list cleared before the next is joined, so the table
-    never exists twice.
+    Yields, per block in element order, the block's subcells as the
+    IntersectionTable fields (parent, owner, subcells, s_areas), with
+    parent counted over all elements.  Each block's elements are
+    gathered, clipped, fanned and pulled back before the next.
     """
-    n_el = solid_tris.shape[0]
+    n_el = triangles.shape[0]
     xmin, ymin, xmax, ymax = fluid_mesh.domain
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
     n = fluid_mesh.n_cells_per_side
     origin, h = (xmin, ymin), (fluid_mesh.hx, fluid_mesh.hy)
     fluid_tris = fluid_mesh.vertices[fluid_mesh.triangles]
     fluid_diam = _diameters(fluid_tris)
-    fields = ([], [], [], [])  # parent, owner, subcells, s_areas
     for start in range(0, n_el, _BLOCK):
-        mapped = xbar.apply(solid_tris[start:start + _BLOCK])
+        mapped = xbar.apply(vertices[triangles[start:start + _BLOCK]])
         lo, hi = mapped.min(axis=1), mapped.max(axis=1)
         if (np.any(lo < (xmin - tol, ymin - tol))
                 or np.any(hi > (xmax + tol, ymax + tol))):
@@ -322,9 +325,17 @@ def _supermesh(solid_tris, xbar, fluid_mesh):
         poly, count = _cleanup_pairs(poly, count, diam)
         q, sub = _fan_pairs(poly, count, _SLIVER_REL * np.abs(signed)[el])
         sub = xbar.apply_inverse(sub)
-        for field, block in zip(fields, (start + el[q], tri[q], sub,
-                                         np.abs(_signed_areas(sub)))):
-            field.append(block)
+        yield start + el[q], tri[q], sub, np.abs(_signed_areas(sub))
+
+
+def _table(blocks, n_el):
+    """IntersectionTable of the _supermesh blocks of n_el elements.
+
+    The blocks' fields are kept in lists and joined one field at a
+    time, each list cleared before the next is joined, so the table
+    never exists twice.
+    """
+    fields = tuple(map(list, zip(*blocks)))
     table = []
     for field in fields:
         table.append(np.concatenate(field))
@@ -340,8 +351,9 @@ def build_composite_scheme(solid_tri, xbar_map, fluid_mesh):
     DomainViolationError if the mapped element leaves the fluid
     rectangle.
     """
-    solid_tri = np.asarray(solid_tri, dtype=float).reshape(1, 3, 2)
-    return _supermesh(solid_tri, xbar_map, fluid_mesh)[0]
+    solid_tri = np.asarray(solid_tri, dtype=float).reshape(3, 2)
+    one = np.arange(3).reshape(1, 3)
+    return _table(_supermesh(solid_tri, one, xbar_map, fluid_mesh), 1)[0]
 
 
 def build_all_schemes(solid_mesh, xbar, fluid_mesh):
@@ -354,5 +366,5 @@ def build_all_schemes(solid_mesh, xbar, fluid_mesh):
     (assembly.coupling_nodes).  Raises DomainViolationError if any
     mapped element leaves the fluid rectangle.
     """
-    return _supermesh(solid_mesh.vertices[solid_mesh.triangles], xbar,
-                      fluid_mesh)
+    return _table(_supermesh(solid_mesh.vertices, solid_mesh.triangles,
+                             xbar, fluid_mesh), solid_mesh.n_triangles)

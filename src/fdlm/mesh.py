@@ -232,7 +232,9 @@ class Triangulation:
         >= -1e-9, else to the first with the largest smallest one.  So
         points on shared edges and vertices go to the smallest
         containing index.  Points off every cell edge and diagonal by
-        more than 1e-9 cell widths use the direct structured lookup.
+        1e-9 cell widths or more use the direct structured lookup; points
+        within that band of the diagonal alone scan their cell's two
+        triangles, and the rest the 18 triangles of the cells around them.
         """
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         xmin, ymin, xmax, ymax = self.domain
@@ -253,27 +255,42 @@ class Triangulation:
         else:
             low = fx + fy <= 1.0
             near_diag = np.abs(fx + fy - 1.0) < _EDGE_BAND
-        near = (near_diag | (fx < _EDGE_BAND) | (fx > 1.0 - _EDGE_BAND)
-                | (fy < _EDGE_BAND) | (fy > 1.0 - _EDGE_BAND))
+        near_edge = ((fx < _EDGE_BAND) | (fx > 1.0 - _EDGE_BAND)
+                     | (fy < _EDGE_BAND) | (fy > 1.0 - _EDGE_BAND))
         cells = iy * n + ix
-        fast = inside & ~near
+        fast = inside & ~(near_diag | near_edge)
         out[fast] = self.cell_tris[cells[fast], np.where(low[fast], 0, 1)]
-        slow = np.nonzero(inside & near)[0]
-        for start in range(0, slow.size, _BLOCK):
+        # Clear of the cell edges by the band, a point near the diagonal
+        # lies in one of its cell's two triangles to within rounding and
+        # at least the band outside every other triangle, so the scan of
+        # the two gives the scan of all 18.
+        diag = np.nonzero(inside & near_diag & ~near_edge)[0]
+        slow = np.nonzero(inside & near_edge)[0]
+        for start in range(0, max(diag.size, slow.size), _BLOCK):
+            i = diag[start:start + _BLOCK]
+            out[i] = self._scan(pts[i], np.sort(self.cell_tris[cells[i]],
+                                                axis=1))
             i = slow[start:start + _BLOCK]
             out[i] = self._break_ties(pts[i], ix[i], iy[i])
         return out
 
     def _break_ties(self, pts, ix, iy):
-        """locate_point's candidate scan for points (P, 2) in cells (ix, iy)."""
+        """locate_point's candidate scan for points (P, 2) in cells (ix, iy):
+        the 18 triangles of the cells around them."""
         n = self.n_cells_per_side
         shift = np.arange(-1, 2)
         jx = (ix[:, None] + shift).repeat(3, axis=1)
         jy = np.tile(iy[:, None] + shift, 3)
         ok = (jx >= 0) & (jx < n) & (jy >= 0) & (jy < n)
         cand = self.cell_tris[np.where(ok, jy * n + jx, 0)].reshape(-1, 18)
+        cand = np.where(ok.repeat(2, axis=1), cand, self.n_triangles)
+        return self._scan(pts, np.sort(cand, axis=1))
+
+    def _scan(self, pts, cand):
+        """locate_point's ownership policy for points (P, 2) over their
+        candidate triangles cand (P, C), ascending, n_triangles marking
+        no candidate."""
         none = self.n_triangles
-        cand = np.sort(np.where(ok.repeat(2, axis=1), cand, none), axis=1)
         v = self.vertices[self.triangles[np.minimum(cand, none - 1)]]
         x0, y0 = v[..., 0, 0], v[..., 0, 1]
         x1, y1 = v[..., 1, 0], v[..., 1, 1]

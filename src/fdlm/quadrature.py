@@ -6,7 +6,6 @@ physical integral over a triangle T is |T| * sum_k w_k f(q_k).
 """
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "QuadratureRule",
@@ -40,6 +39,9 @@ def conical_product_rule(n):
     (1-u), which a Gauss-Jacobi rule with weight (1-u) absorbs; the v
     direction uses plain Gauss-Legendre.  n*n nodes, all interior.
     """
+    # Imported here, not at module load: only this rule needs it.
+    from scipy.special import roots_jacobi, roots_legendre
+
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")

@@ -440,6 +440,17 @@ class TestCouplingNodes:
                              manufactured_solution(), asked, "approx",
                              nodes=nodes[built])
 
+    def test_rhs_nodes_checked_against_mode(self):
+        exact = manufactured_solution()
+        given = {"exact": build_all_schemes(self.L.mesh, exact.xbar,
+                                            self.V.mesh),
+                 "approx": coupling_nodes(self.L, self.V, exact.xbar, "l2",
+                                          "approx")}
+        for built, asked in (("approx", "exact"), ("exact", "approx")):
+            with pytest.raises(ValueError, match="mode"):
+                assemble_rhs(self.V, self.S, self.L, exact, "l2", asked,
+                             nodes=given[built])
+
     def test_exact_matrix_repeats_with_shared_schemes(self):
         schemes = build_all_schemes(self.L.mesh, self.xbar, self.V.mesh)
         C1, C2 = (assemble_Cf_exact(self.L, self.V, self.xbar, "h1",

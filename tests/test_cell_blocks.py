@@ -1,6 +1,6 @@
 """Block-wise work: point location, the supermesh, the loads, the
-coupling matrices and the error norms do not depend on the block size,
-and their transient memory stays bounded."""
+coupling matrices, the streamed coupling gap and the error norms do not
+depend on the block size, and their transient memory stays bounded."""
 
 import tracemalloc
 
@@ -11,13 +11,24 @@ import fdlm.assembly as assembly
 import fdlm.geom_intersect as geom_intersect
 import fdlm.mesh as mesh
 from fdlm.assembly import (assemble_Cf_approx, assemble_Cf_exact,
-                           assemble_rhs, coupling_nodes)
-from fdlm.experiments_cli import build_level_spaces, solve_level
+                           assemble_rhs, coupling_gap, coupling_nodes)
+import fdlm.experiments_cli as xcli
+from fdlm.experiments_cli import (build_level_spaces, coupling_gap_norm,
+                                  solve_level)
 from fdlm.geom_intersect import build_all_schemes
 from fdlm.manufactured_errors import error_norms, manufactured_solution
 
 # A block size that leaves a short last block at every mesh used here.
 SMALL_BLOCK = 7
+
+# The experiments' placement and the sheared one of test_geom_intersect,
+# whose matrix is not symmetric.
+MAPS = {"manufactured": manufactured_solution().xbar,
+        "sheared": mesh.AffineMap(np.array([[1.9, 0.45], [0.0, 2.1]]),
+                                  (-1.093, -0.971))}
+# Levels 0-3 of Test 1 with the l2 coupling and Test 2 with h1.
+STUDIES = {"test1-l2": (xcli.test1_schedule(4), "l2"),
+           "test2-h1": (xcli.test2_schedule(4), "h1")}
 
 
 def small_blocks(monkeypatch):
@@ -132,3 +143,48 @@ def test_approx_matrix_transient_bounded():
     peak = traced_peak_mb(assemble_Cf_approx, L, V, exact.xbar, "h1",
                           nodes)
     assert peak <= 105.0
+
+
+@pytest.fixture(scope="module")
+def whole_gaps():
+    """coupling_gap_norm of the whole matrices, per study, map and level."""
+    gaps = {}
+    for study, (schedule, coupling) in STUDIES.items():
+        for name, xbar in MAPS.items():
+            for n_fluid, n_solid in schedule:
+                V, _, _, L = build_level_spaces(n_fluid, n_solid)
+                gaps[study, name, n_fluid] = coupling_gap_norm(
+                    assemble_Cf_exact(L, V, xbar, coupling),
+                    assemble_Cf_approx(L, V, xbar, coupling))
+    return gaps
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_streamed_gap_equals_whole_matrix_gap(whole_gaps, study, name):
+    schedule, coupling = STUDIES[study]
+    for n_fluid, n_solid in schedule:
+        V, _, _, L = build_level_spaces(n_fluid, n_solid)
+        got = coupling_gap(L, V, MAPS[name], coupling)
+        assert got == whole_gaps[study, name, n_fluid] > 0
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_streamed_gap_does_not_depend_on_block_size(monkeypatch, whole_gaps,
+                                                    study, name):
+    # Blocks of 7 elements leave rows pending across many blocks; levels
+    # 0-2, as level 3 takes thousands of such blocks.
+    small_blocks(monkeypatch)
+    schedule, coupling = STUDIES[study]
+    for n_fluid, n_solid in schedule[:3]:
+        V, _, _, L = build_level_spaces(n_fluid, n_solid)
+        got = coupling_gap(L, V, MAPS[name], coupling)
+        assert got == whole_gaps[study, name, n_fluid]
+
+
+def test_gap_transient_bounded():
+    # Both whole matrices and their difference peaked at 94.7 MB here.
+    exact = manufactured_solution()
+    V, _, _, L = build_level_spaces(64, 181)
+    assert traced_peak_mb(coupling_gap, L, V, exact.xbar, "h1") <= 20.0

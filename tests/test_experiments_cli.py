@@ -183,10 +183,12 @@ class TestSolveLevel:
 class TestGapColumn:
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     def test_run_gap_equals_quaderr_gap(self, mode, monkeypatch):
-        # both studies assemble each mode's matrix once per level, and
-        # run pairs the matrix it solved with the other mode's
+        # run assembles each mode's matrix once per level and pairs the
+        # matrix it solved with the other mode's; quaderr streams the gap
+        # once per level and assembles neither matrix
         calls = []
-        for name in ("assemble_Cf_exact", "assemble_Cf_approx"):
+        for name in ("assemble_Cf_exact", "assemble_Cf_approx",
+                     "coupling_gap"):
             def counting(*args, _name=name, _fn=getattr(xcli, name),
                          **kwargs):
                 calls.append(_name)
@@ -194,11 +196,13 @@ class TestGapColumn:
             monkeypatch.setattr(xcli, name, counting)
         plan = ExperimentPlan(2, "h1", mode, 2)
         gaps = []
-        for study in (xcli.run_convergence, quadrature_error_study):
+        for study, want in (
+                (xcli.run_convergence, ["assemble_Cf_approx"] * 2
+                 + ["assemble_Cf_exact"] * 2),
+                (quadrature_error_study, ["coupling_gap"] * 2)):
             del calls[:]
             gaps.append([r["cf_diff_1norm"] for r in study(plan)])
-            assert sorted(calls) == (["assemble_Cf_approx"] * 2
-                                     + ["assemble_Cf_exact"] * 2)
+            assert sorted(calls) == want
         assert gaps[0] == gaps[1]
         assert all(gap > 0 for gap in gaps[0])
 

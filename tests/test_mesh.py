@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fdlm import experiments_cli
+from fdlm.assembly import coupling_nodes
 from fdlm.manufactured_errors import manufactured_solution
-from fdlm.mesh import (AffineMap, Triangulation, element_map,
+from fdlm.mesh import (_EDGE_BAND, AffineMap, Triangulation, element_map,
                        midpoint_refine, uniform_mesh)
 from fdlm.quadrature import rule_for_degree
 
@@ -230,6 +231,56 @@ class TestLocatePoint:
                 assert fluid.locate_point(p) == t
                 on_edge += fluid._worst_barycentric(int(t), *p) < 1e-12
         assert on_edge > 100
+
+    @staticmethod
+    def scan_all(mesh, pts):
+        """The 18-candidate scan of every point inside the domain."""
+        xmin, ymin, _, _ = mesh.domain
+        n = mesh.n_cells_per_side
+        ix = np.clip(np.floor((pts[:, 0] - xmin) / mesh.hx), 0, n - 1)
+        iy = np.clip(np.floor((pts[:, 1] - ymin) / mesh.hy), 0, n - 1)
+        return np.concatenate([
+            mesh._break_ties(pts[i:i + 4096], ix[i:i + 4096].astype(int),
+                             iy[i:i + 4096].astype(int))
+            for i in range(0, pts.shape[0], 4096)])
+
+    def test_diagonal_band_owner_matches_full_scan_on_test2_nodes(self):
+        # Points near a diagonal alone scan two triangles, not 18.
+        exact = manufactured_solution()
+        on_diagonal = 0
+        for n_fluid, n_solid in experiments_cli.test2_schedule(4):
+            V, _, _, L = experiments_cli.build_level_spaces(n_fluid, n_solid)
+            x = np.concatenate([n.x.reshape(-1, 2) for n in coupling_nodes(
+                L, V, exact.xbar, "h1", "approx")])
+            fluid = V.mesh
+            np.testing.assert_array_equal(fluid.locate_points(x),
+                                          self.scan_all(fluid, x))
+            f = (x - fluid.domain[:2]) / fluid.hx % 1.0
+            on_diagonal += np.sum(np.abs(f[:, 0] - f[:, 1]) < _EDGE_BAND)
+        assert on_diagonal > 1000
+
+    @pytest.mark.parametrize("orientation", ["right", "left"])
+    def test_diagonal_band_owner_matches_full_scan_at_band_limits(
+            self, orientation):
+        mesh = uniform_mesh((-2, -2), (2, 2), 8, orientation=orientation)
+        h = mesh.hx
+        # Offsets from the cell edges and from the diagonal at and next to
+        # the band, in cell widths, in cells inside the mesh.
+        near = [_EDGE_BAND * k for k in (0.5, 1 - 1e-6, 1, 1 + 1e-6, 2)]
+        along = np.array(near + [0.25, 0.5] + [1 - e for e in near])
+        across = np.array([0.0] + near + [-e for e in near])
+        fx, fy = np.meshgrid(along, across)
+        fx, fy = fx.ravel(), fy.ravel()
+        fy = fx + fy if orientation == "right" else 1 - fx + fy
+        pts = []
+        for cx, cy in ((3, 4), (0, 0), (7, 7), (0, 7)):
+            pts.append(np.column_stack([-2 + (cx + fx) * h,
+                                        -2 + (cy + fy) * h]))
+        pts = np.concatenate(pts)
+        pts = pts[(np.abs(pts) <= 2).all(axis=1)]
+        bulk = mesh.locate_points(pts)
+        np.testing.assert_array_equal(bulk, self.scan_all(mesh, pts))
+        assert [mesh.locate_point(p) for p in pts] == list(bulk)
 
 
 def test_boundary_vertex_flags():

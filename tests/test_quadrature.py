@@ -1,10 +1,15 @@
 """Reference-triangle quadrature rules and the quadrature error functional."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdlm
 from fdlm.quadrature import (QuadratureRule, conical_product_rule, integrate,
                              rule_for_degree)
 
@@ -85,6 +90,18 @@ def test_conical_product_degree():
             got = apply_rule(rule, lambda x, y: x ** a * y ** b)
             np.testing.assert_allclose(got, reference_monomial_integral(a, b),
                                        rtol=1e-13)
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # Only conical_product_rule needs scipy.special, so the command line
+    # module does not pay its import.
+    src = str(Path(fdlm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, fdlm.experiments_cli; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False"]
 
 
 def test_integrate_affine_invariance():
