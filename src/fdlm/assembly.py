@@ -33,10 +33,13 @@ built and consumed in blocks of at most mesh._BLOCK cells, so their
 size does not grow with the mesh; the per-cell contributions are kept
 and reduced once, in cell order, so the loads and matrices do not
 depend on the block size.  The coupling gap (coupling_gap) walks the
-supermesh in blocks of structure elements and holds neither matrix.
+supermesh in blocks of structure elements, clipping the next block in
+a worker thread while it integrates the current one, and holds neither
+matrix.
 """
 
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,6 +407,15 @@ def coupling_gap(L, V, xbar, coupling):
     whole matrix (approx: all midpoint cells, then all centroid cells),
     so the CSR rows built for the rows final in a block, their
     difference and its row sums are those of the whole matrices.
+
+    The clipping (geom_intersect._supermesh) runs one block ahead in one
+    worker thread: while this thread locates the approx nodes, forms the
+    entries and reduces the rows of block k, the worker clips, fans and
+    pulls back block k + 1.  Both spend most of their time in numpy,
+    which releases the interpreter lock, so on two cores they overlap.
+    The worker calls neither point location nor a quadrature rule, an
+    error in a block is raised when that block is reached, and the
+    worker is joined before the call returns or raises.
     """
     _check_coupling(coupling)
     grad = coupling == "h1"
@@ -416,31 +428,49 @@ def coupling_gap(L, V, xbar, coupling):
     pending = ({}, {}, {})
     gap = 0.0
     blocks = _supermesh(mesh.vertices, mesh.triangles, xbar, V.mesh)
-    for k, (parent, owner, subcells, s_areas) in enumerate(blocks):
-        s, w = _rule_nodes(subcells, s_areas, rule)
-        sets = [_placed(parent, owner, s, w, xbar, True, grad)]
-        sets += _approx_sets(L, V, xbar, grad,
-                             slice(k * _BLOCK, min((k + 1) * _BLOCK, n_el)))
-        for stream, n in zip(pending, sets):
-            vals = _cell_entries(L, V, n)
-            rows = mesh.triangles[n.parent]
-            cols = V.mesh.triangles[n.owner]
-            when = final[rows]
-            for j in np.unique(when):
-                m, i = np.nonzero(when == j)
-                stream.setdefault(j, []).append((rows[m, i], cols[m],
-                                                 vals[m, i]))
-        ex = pending[0].pop(k, [])
-        ap = pending[1].pop(k, []) + pending[2].pop(k, [])
-        if not (ex or ap):
-            continue
-        ex, ap = ([np.concatenate(f) for f in zip(*c)] for c in (ex, ap))
-        lo = min(ex[0].min(), ap[0].min())
-        shape = (max(ex[0].max(), ap[0].max()) + 1 - lo, V.n_vertices)
-        C_ex, C_ap = (_csr(r[:, None] - lo, c, v[:, None], shape)
-                      for r, c, v in (ex, ap))
-        gap = max(gap, float(abs(C_ex - C_ap).sum(axis=1).max()))
+    with ThreadPoolExecutor(max_workers=1) as clipper:
+        for k, (parent, owner, subcells, s_areas) in enumerate(
+                _one_ahead(clipper, blocks)):
+            s, w = _rule_nodes(subcells, s_areas, rule)
+            sets = [_placed(parent, owner, s, w, xbar, True, grad)]
+            sets += _approx_sets(L, V, xbar, grad, slice(
+                k * _BLOCK, min((k + 1) * _BLOCK, n_el)))
+            for stream, n in zip(pending, sets):
+                vals = _cell_entries(L, V, n)
+                rows = mesh.triangles[n.parent]
+                cols = V.mesh.triangles[n.owner]
+                when = final[rows]
+                for j in np.unique(when):
+                    m, i = np.nonzero(when == j)
+                    stream.setdefault(j, []).append((rows[m, i], cols[m],
+                                                     vals[m, i]))
+            ex = pending[0].pop(k, [])
+            ap = pending[1].pop(k, []) + pending[2].pop(k, [])
+            if not (ex or ap):
+                continue
+            ex, ap = ([np.concatenate(f) for f in zip(*c)] for c in (ex, ap))
+            lo = min(ex[0].min(), ap[0].min())
+            shape = (max(ex[0].max(), ap[0].max()) + 1 - lo, V.n_vertices)
+            C_ex, C_ap = (_csr(r[:, None] - lo, c, v[:, None], shape)
+                          for r, c, v in (ex, ap))
+            gap = max(gap, float(abs(C_ex - C_ap).sum(axis=1).max()))
     return gap
+
+
+def _one_ahead(pool, items):
+    """The items of the iterator items, each computed by pool while the
+    caller works on the one before.
+
+    At most one item is computed ahead, and next(items) is called by one
+    thread at a time.  An exception raised computing an item is raised
+    here when that item is reached, so errors come in the order of the
+    items; the caller shuts the pool down, which waits for the item in
+    flight, on every exit.
+    """
+    ahead = pool.submit(next, items, None)
+    while (item := ahead.result()) is not None:
+        ahead = pool.submit(next, items, None)
+        yield item
 
 
 def pressure_mean_row(Q):

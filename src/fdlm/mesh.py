@@ -135,16 +135,17 @@ class Triangulation:
         of local vertex i, constant on the element.
         """
         if self._grads is None:
-            p = self.vertices[self.triangles]
-            a, b, c = p[:, 0], p[:, 1], p[:, 2]
             g = np.empty((self.n_triangles, 3, 2))
-            g[:, 0, 0] = b[:, 1] - c[:, 1]
-            g[:, 0, 1] = c[:, 0] - b[:, 0]
-            g[:, 1, 0] = c[:, 1] - a[:, 1]
-            g[:, 1, 1] = a[:, 0] - c[:, 0]
-            g[:, 2, 0] = a[:, 1] - b[:, 1]
-            g[:, 2, 1] = b[:, 0] - a[:, 0]
-            g /= 2.0 * self.areas[:, None, None]
+            for t, p in self._corners():
+                a, b, c = p[:, 0], p[:, 1], p[:, 2]
+                gt = g[t]
+                gt[:, 0, 0] = b[:, 1] - c[:, 1]
+                gt[:, 0, 1] = c[:, 0] - b[:, 0]
+                gt[:, 1, 0] = c[:, 1] - a[:, 1]
+                gt[:, 1, 1] = a[:, 0] - c[:, 0]
+                gt[:, 2, 0] = a[:, 1] - b[:, 1]
+                gt[:, 2, 1] = b[:, 0] - a[:, 0]
+                gt /= 2.0 * self.areas[t, None, None]
             g.setflags(write=False)
             self._grads = g
         return self._grads
@@ -152,9 +153,19 @@ class Triangulation:
     @property
     def centroids(self):
         if self._centroids is None:
-            self._centroids = self.vertices[self.triangles].mean(axis=1)
-            self._centroids.setflags(write=False)
+            c = np.empty((self.n_triangles, 2))
+            for t, p in self._corners():
+                p.mean(axis=1, out=c[t])
+            c.setflags(write=False)
+            self._centroids = c
         return self._centroids
+
+    def _corners(self):
+        """(t, vertices[triangles[t]]) over the blocks t (slices) of at
+        most _BLOCK triangles, so no (n_triangles, 3, 2) gather is made."""
+        for start in range(0, self.n_triangles, _BLOCK):
+            t = slice(start, start + _BLOCK)
+            yield t, self.vertices[self.triangles[t]]
 
     def _validate(self):
         """Check the domain and the triangles; return the (read-only)
@@ -164,9 +175,11 @@ class Triangulation:
             raise ValueError("degenerate domain rectangle")
         if self.orientation not in ("right", "left"):
             raise ValueError("orientation must be 'right' or 'left'")
-        p = self.vertices[self.triangles]
-        signed = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        signed = np.empty(self.n_triangles)
+        for t, p in self._corners():
+            signed[t] = 0.5 * (
+                (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
         if np.any(signed <= 0):
             raise ValueError("triangle with non-positive signed area")
         total = signed.sum()
@@ -320,28 +333,27 @@ def uniform_mesh(lo, hi, n, orientation="right"):
     xmax, ymax = float(hi[0]), float(hi[1])
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("degenerate domain rectangle")
-    xs = np.linspace(xmin, xmax, n + 1)
-    ys = np.linspace(ymin, ymax, n + 1)
-    X, Y = np.meshgrid(xs, ys)
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    iy, ix = np.divmod(np.arange(n * n), n)
-    v00 = iy * (n + 1) + ix
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    # Triangle corners as offsets from each cell's lower-left vertex.
     if orientation == "right":
-        triangles[0::2] = np.column_stack([v00, v10, v11])
-        triangles[1::2] = np.column_stack([v00, v11, v01])
+        corners = ((0, 1, n + 2), (0, n + 2, n + 1))
     elif orientation == "left":
-        triangles[0::2] = np.column_stack([v00, v10, v01])
-        triangles[1::2] = np.column_stack([v10, v11, v01])
+        corners = ((0, 1, n + 1), (1, n + 2, n + 1))
     else:
         raise ValueError("orientation must be 'right' or 'left'")
+    vertices = np.empty((n + 1, n + 1, 2))
+    vertices[..., 0] = np.linspace(xmin, xmax, n + 1)
+    vertices[..., 1] = np.linspace(ymin, ymax, n + 1)[:, None]
+    vertices = vertices.reshape(-1, 2)
 
-    cells = np.arange(n * n)
-    cell_tris = np.column_stack([2 * cells, 2 * cells + 1])
+    # Written one column at a time, so the only temporary is v00.
+    v00 = (np.arange(n) * (n + 1))[:, None] + np.arange(n)
+    triangles = np.empty((n, n, 2, 3), dtype=np.int64)
+    for j, tri in enumerate(corners):
+        for i, offset in enumerate(tri):
+            np.add(v00, offset, out=triangles[:, :, j, i])
+    triangles = triangles.reshape(-1, 3)
+
+    cell_tris = np.arange(2 * n * n).reshape(-1, 2)
     gx, gy = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
     boundary = ((gx == 0) | (gx == n) | (gy == 0) | (gy == n)).ravel()
     return Triangulation(vertices, triangles, n, (xmin, ymin, xmax, ymax),

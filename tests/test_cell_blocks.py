@@ -1,7 +1,10 @@
 """Block-wise work: point location, the supermesh, the loads, the
 coupling matrices, the streamed coupling gap and the error norms do not
-depend on the block size, and their transient memory stays bounded."""
+depend on the block size, and their transient memory stays bounded.
+The streamed gap clips in a worker thread: its errors and its traced
+calls are checked here too."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from fdlm.experiments_cli import (build_level_spaces, coupling_gap_norm,
                                   solve_level)
 from fdlm.geom_intersect import build_all_schemes
 from fdlm.manufactured_errors import error_norms, manufactured_solution
+from fdlm.mesh import DomainViolationError
 
 # A block size that leaves a short last block at every mesh used here.
 SMALL_BLOCK = 7
@@ -188,3 +192,64 @@ def test_gap_transient_bounded():
     exact = manufactured_solution()
     V, _, _, L = build_level_spaces(64, 181)
     assert traced_peak_mb(coupling_gap, L, V, exact.xbar, "h1") <= 20.0
+
+
+# Test 2 level 2 has 8 blocks of 8 element rows; this map lifts the top
+# row of elements, and no other, out of the fluid box, so the error
+# comes from clipping the last block after 7 blocks are integrated.
+LIFTED = mesh.AffineMap(2.0 * np.eye(2), (-0.62, 0.02))
+
+
+def test_gap_raises_clipping_error_in_order():
+    V, _, _, L = build_level_spaces(32, 64)
+    threads = threading.active_count()
+    message = "mapped structure element leaves the fluid domain"
+    with pytest.raises(DomainViolationError, match=message):
+        build_all_schemes(L.mesh, LIFTED, V.mesh)
+    with pytest.raises(DomainViolationError, match=message):
+        coupling_gap(L, V, LIFTED, "h1")
+    assert threading.active_count() == threads
+
+
+def test_gap_raises_location_error_and_joins_worker(monkeypatch):
+    # A node that locates nowhere fails _approx_sets on the calling
+    # thread while the worker clips the next block.
+    V, _, _, L = build_level_spaces(32, 64)
+    monkeypatch.setattr(V.mesh, "locate_points",
+                        lambda pts: np.full(len(pts), -1))
+    threads = threading.active_count()
+    with pytest.raises(DomainViolationError,
+                       match="mapped quadrature node leaves the fluid "
+                             "domain"):
+        coupling_gap(L, V, MAPS["manufactured"], "h1")
+    assert threading.active_count() == threads
+
+
+def test_gap_traced_calls_stay_on_calling_thread(monkeypatch):
+    # The benchmark tracer wraps locate_points and rule_for_degree, and
+    # its spans nest only if they run on one thread; the clipping does
+    # run on another.
+    seen = {"locate": set(), "rule": set(), "clip": set()}
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            seen[name].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    def clip(*args):
+        for block in supermesh(*args):
+            seen["clip"].add(threading.get_ident())
+            yield block
+
+    supermesh = assembly._supermesh
+    monkeypatch.setattr(mesh.Triangulation, "locate_points",
+                        recorded("locate", mesh.Triangulation.locate_points))
+    monkeypatch.setattr(assembly, "rule_for_degree",
+                        recorded("rule", assembly.rule_for_degree))
+    monkeypatch.setattr(assembly, "_supermesh", clip)
+    V, _, _, L = build_level_spaces(32, 64)
+    coupling_gap(L, V, MAPS["manufactured"], "h1")
+    main = threading.get_ident()
+    assert seen["locate"] == seen["rule"] == {main}
+    assert seen["clip"] and main not in seen["clip"]

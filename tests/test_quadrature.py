@@ -92,16 +92,34 @@ def test_conical_product_degree():
                                        rtol=1e-13)
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # Only conical_product_rule needs scipy.special, so the command line
-    # module does not pay its import.
+def test_degree6_table_is_the_conical_rule():
+    rule, conical = rule_for_degree(6), conical_product_rule(4)
+    assert rule.degree == conical.degree == 7
+    for got, want in ((rule.points, conical.points),
+                      (rule.weights, conical.weights)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
+    # Only conical_product_rule needs scipy.special, so neither the
+    # command line module nor a solve or run (degree-6 loads and norms)
+    # pays its import.
     src = str(Path(fdlm.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, fdlm.experiments_cli; "
-            "print('scipy.special' in sys.modules)")
+    code = ("import sys\n"
+            "from fdlm.experiments_cli import cli_main\n"
+            "cli_main(['solve', '--n-fluid', '8', '--n-solid', '4', "
+            "'--out', 'solve.csv'])\n"
+            "cli_main(['run', '--test', '1', '--levels', '2', "
+            "'--out', 'run.csv'])\n"
+            "print('scipy.special' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["False"]
+                         capture_output=True, text=True, timeout=120,
+                         cwd=tmp_path)
+    assert (tmp_path / "solve.csv").stat().st_size > 0
+    assert (tmp_path / "run.csv").stat().st_size > 0
+    assert out.stdout.split()[-1] == "False"
 
 
 def test_integrate_affine_invariance():
