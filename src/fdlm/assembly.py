@@ -29,13 +29,13 @@ construction; smooth volume terms use the degree-6 rule on the mesh
 triangles, loaded through the same core.  The node sets of mesh
 triangles (volume loads, the exact constraint load, the error norms)
 and of supermesh subcells (exact coupling matrix and load) are streams
-built and consumed in blocks of at most mesh._BLOCK cells, so their
+built and consumed in the blocks of cells of mesh._blocks, so their
 size does not grow with the mesh; the per-cell contributions are kept
 and reduced once, in cell order, so the loads and matrices do not
-depend on the block size.  The coupling gap (coupling_gap) walks the
-supermesh in blocks of structure elements, clipping the next block in
-a worker thread while it integrates the current one, and holds neither
-matrix.
+depend on the block size.  The coupling gap (coupling_gap) takes its
+blocks of structure elements from the supermesh, clipping the next
+block in a worker thread while it integrates the current one, and
+holds neither matrix.
 """
 
 from collections import namedtuple
@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geom_intersect import IntersectionTable, _supermesh, build_all_schemes
-from .mesh import _BLOCK, DomainViolationError
+from .mesh import DomainViolationError, _blocks
 from .quadrature import rule_for_degree
 
 __all__ = [
@@ -188,16 +188,15 @@ _Nodes = namedtuple("_Nodes", "parent owner s x w jac value grad")
 
 
 class _Blocks:
-    """Node sets make(b) over the blocks b of at most _BLOCK of n cells,
-    in order, built anew on every pass, so a stream can be consumed more
+    """Node sets make(b) over the blocks b (mesh._blocks) of n cells, in
+    order, built anew on every pass, so a stream can be consumed more
     than once."""
 
     def __init__(self, make, n_cells):
         self._make, self.n_cells = make, n_cells
 
     def __iter__(self):
-        return (self._make(slice(i, min(i + _BLOCK, self.n_cells)))
-                for i in range(0, self.n_cells, _BLOCK))
+        return map(self._make, _blocks(self.n_cells))
 
 
 def _hats(mesh, tris, pts):
@@ -247,7 +246,7 @@ def _rule_nodes(tris, areas, rule):
 
 def _mesh_nodes(mesh, rule, grad=True):
     """Node sets of rule on the triangles of mesh, weighing values and,
-    with grad, gradients, in blocks of at most _BLOCK triangles."""
+    with grad, gradients, in the blocks of triangles of mesh._blocks."""
     def block(b):
         s, w = _rule_nodes(mesh.vertices[mesh.triangles[b]], mesh.areas[b],
                            rule)
@@ -266,8 +265,8 @@ def _placed(parent, owner, s, w, xbar, value, grad):
 def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
     """Node sets of the exact or approx coupling, in cell order.
 
-    Exact: the supermesh subcells under rule, built anew in blocks of
-    at most _BLOCK subcells on every pass.  Approx: one node per
+    Exact: the supermesh subcells under rule, built anew in the blocks
+    of subcells of mesh._blocks on every pass.  Approx: one node per
     cell, the edge midpoints (degree-2 rule) and, for h1, the centroids,
     located in the fluid mesh; they do not depend on rule, so build them
     once and pass them to assemble_Cf_approx and assemble_rhs to locate
@@ -398,57 +397,60 @@ def coupling_gap(L, V, xbar, coupling):
     matrices (experiments_cli.coupling_gap_norm), bit for bit, without
     either matrix.
 
-    The structure elements are taken in blocks of _BLOCK.  Each block is
-    clipped against the fluid mesh, and the (3, 3) entries of its exact
-    cells (the degree-2 rule on its subcells) and approx cells (edge
-    midpoints and, for h1, centroids, located in the fluid mesh) are
-    kept for the block in which their row is final, that of the last
-    element touching it.  A row reaches its entries in the order of the
-    whole matrix (approx: all midpoint cells, then all centroid cells),
-    so the CSR rows built for the rows final in a block, their
-    difference and its row sums are those of the whole matrices.
+    The structure elements come in the blocks of the supermesh
+    (geom_intersect._supermesh), with their subcells.  Each block forms
+    the (3, 3) entries of its exact cells (the degree-2 rule on its
+    subcells) and approx cells (edge midpoints and, for h1, centroids,
+    located in the fluid mesh); an entry whose row is not final, that is
+    touched by an element of a later block, is carried to the next.  A
+    row reaches its entries in the order of the whole matrix (approx:
+    all midpoint cells, then all centroid cells), so the CSR rows built
+    for the rows final in a block, their difference and its row sums
+    are those of the whole matrices.
 
-    The clipping (geom_intersect._supermesh) runs one block ahead in one
-    worker thread: while this thread locates the approx nodes, forms the
-    entries and reduces the rows of block k, the worker clips, fans and
-    pulls back block k + 1.  Both spend most of their time in numpy,
-    which releases the interpreter lock, so on two cores they overlap.
-    The worker calls neither point location nor a quadrature rule, an
-    error in a block is raised when that block is reached, and the
-    worker is joined before the call returns or raises.
+    The clipping runs one block ahead in one worker thread: while this
+    thread locates the approx nodes, forms the entries and reduces the
+    rows of block k, the worker clips, fans and pulls back block k + 1.
+    Both spend most of their time in numpy, which releases the
+    interpreter lock, so on two cores they overlap.  The worker calls
+    neither point location nor a quadrature rule, an error in a block is
+    raised when that block is reached, and the worker is joined before
+    the call returns or raises.
     """
     _check_coupling(coupling)
     grad = coupling == "h1"
     mesh, n_el = L.mesh, L.mesh.n_triangles
     final = np.zeros(mesh.n_vertices, dtype=np.int64)
     np.maximum.at(final, mesh.triangles, np.arange(n_el)[:, None])
-    final //= _BLOCK
     rule = rule_for_degree(2)
-    # Per stream (exact, midpoints, centroids): final block -> entries.
-    pending = ({}, {}, {})
+    # Per stream (exact, midpoints, centroids): the entries (row,
+    # columns, values) whose row is not final yet, in cell order.
+    carried = [(np.empty(0, np.int64), np.empty((0, 3), np.int64),
+                np.empty((0, 3)))] * 3
     gap = 0.0
     blocks = _supermesh(mesh.vertices, mesh.triangles, xbar, V.mesh)
     with ThreadPoolExecutor(max_workers=1) as clipper:
-        for k, (parent, owner, subcells, s_areas) in enumerate(
-                _one_ahead(clipper, blocks)):
+        for b, parent, owner, subcells, s_areas in _one_ahead(clipper,
+                                                              blocks):
             s, w = _rule_nodes(subcells, s_areas, rule)
             sets = [_placed(parent, owner, s, w, xbar, True, grad)]
-            sets += _approx_sets(L, V, xbar, grad, slice(
-                k * _BLOCK, min((k + 1) * _BLOCK, n_el)))
-            for stream, n in zip(pending, sets):
-                vals = _cell_entries(L, V, n)
-                rows = mesh.triangles[n.parent]
-                cols = V.mesh.triangles[n.owner]
-                when = final[rows]
-                for j in np.unique(when):
-                    m, i = np.nonzero(when == j)
-                    stream.setdefault(j, []).append((rows[m, i], cols[m],
-                                                     vals[m, i]))
-            ex = pending[0].pop(k, [])
-            ap = pending[1].pop(k, []) + pending[2].pop(k, [])
-            if not (ex or ap):
+            sets += _approx_sets(L, V, xbar, grad, b)
+            done = []
+            for k, n in enumerate(sets):
+                entries = (mesh.triangles[n.parent].ravel(),
+                           np.repeat(V.mesh.triangles[n.owner], 3, axis=0),
+                           _cell_entries(L, V, n).reshape(-1, 3))
+                entries = [np.concatenate(f)
+                           for f in zip(carried[k], entries)]
+                is_final = final[entries[0]] < b.stop
+                done.append([np.compress(is_final, f, axis=0)
+                             for f in entries])
+                carried[k] = [np.compress(~is_final, f, axis=0)
+                              for f in entries]
+            ex = done[0]
+            ap = [np.concatenate(f) for f in zip(*done[1:])]
+            if not ex[0].size:
                 continue
-            ex, ap = ([np.concatenate(f) for f in zip(*c)] for c in (ex, ap))
             lo = min(ex[0].min(), ap[0].min())
             shape = (max(ex[0].max(), ap[0].max()) + 1 - lo, V.n_vertices)
             C_ex, C_ap = (_csr(r[:, None] - lo, c, v[:, None], shape)

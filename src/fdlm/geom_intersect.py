@@ -13,19 +13,20 @@ placed by one affine map, as one flat ``IntersectionTable``: subcell k
 lies in structure element ``parent[k]`` and fluid triangle
 ``owner[k]``, and the subcells of element t are the rows
 ``offsets[t]:offsets[t + 1]``, ordered by cell row, cell column,
-triangle within the cell and fan index.  The elements are taken in
-blocks of mesh._BLOCK: the candidate (element, fluid triangle) pairs of
-a block come from the structured-grid bounding box of every mapped
-element, and are clipped together by a Sutherland-Hodgman pass over
-masked polygon arrays (a triangle clipped by three half-planes keeps at
-most six vertices), fanned, pulled back through the map's inverse and
-measured before the next block, so only the table grows with the mesh.
-The blocks come from one generator (``_supermesh``), which
-``build_all_schemes`` joins into the table.  The streamed coupling gap
-(``assembly.coupling_gap``) advances it in a worker thread, one block
-ahead of the block it integrates, so ``_supermesh`` calls nothing that
-the benchmark tracer wraps (point location, ``rule_for_degree``) and
-touches no lazily cached mesh field.
+triangle within the cell and fan index.  The elements are taken in the
+blocks of ``mesh._blocks``: the candidate (element, fluid triangle)
+pairs of a block come from the structured-grid bounding box of every
+mapped element, and are clipped together by a Sutherland-Hodgman pass
+over masked polygon arrays (a triangle clipped by three half-planes
+keeps at most six vertices), fanned, pulled back through the map's
+inverse and measured before the next block, so only the table grows
+with the mesh.  The blocks come from one generator (``_supermesh``),
+which yields each block's element slice with its subcells;
+``build_all_schemes`` joins the subcells into the table, and the
+streamed coupling gap (``assembly.coupling_gap``) advances it in a
+worker thread, one block ahead of the block it integrates, so
+``_supermesh`` calls nothing that the benchmark tracer wraps (point
+location, ``rule_for_degree``).
 
 Clipping runs in physical coordinates; tolerance-based predicates are
 sufficient because acceptance of the downstream studies is rate-based,
@@ -35,7 +36,7 @@ same clipping and triangulation for a single pair.
 
 import numpy as np
 
-from .mesh import _BLOCK, DomainViolationError
+from .mesh import DomainViolationError, _blocks
 # Unused here; perfbench/tracing.py wraps it in this module's namespace.
 from .quadrature import rule_for_degree
 
@@ -290,23 +291,22 @@ def _fan_pairs(poly, count, sliver):
 
 def _supermesh(vertices, triangles, xbar, fluid_mesh):
     """Supermesh of the structure elements vertices[triangles] placed by
-    the affine map xbar against the fluid mesh, one block of _BLOCK
-    elements at a time.
+    the affine map xbar against the fluid mesh, in the element blocks of
+    mesh._blocks.
 
-    Yields, per block in element order, the block's subcells as the
-    IntersectionTable fields (parent, owner, subcells, s_areas), with
-    parent counted over all elements.  Each block's elements are
+    Yields, per block in order, its element slice and its subcells as
+    the IntersectionTable fields (parent, owner, subcells, s_areas),
+    with parent counted over all elements.  Each block's elements are
     gathered, clipped, fanned and pulled back before the next.
     """
-    n_el = triangles.shape[0]
     xmin, ymin, xmax, ymax = fluid_mesh.domain
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
     n = fluid_mesh.n_cells_per_side
     origin, h = (xmin, ymin), (fluid_mesh.hx, fluid_mesh.hy)
     fluid_tris = fluid_mesh.vertices[fluid_mesh.triangles]
     fluid_diam = _diameters(fluid_tris)
-    for start in range(0, n_el, _BLOCK):
-        mapped = xbar.apply(vertices[triangles[start:start + _BLOCK]])
+    for b in _blocks(triangles.shape[0]):
+        mapped = xbar.apply(vertices[triangles[b]])
         lo, hi = mapped.min(axis=1), mapped.max(axis=1)
         if (np.any(lo < (xmin - tol, ymin - tol))
                 or np.any(hi > (xmax + tol, ymax + tol))):
@@ -336,17 +336,17 @@ def _supermesh(vertices, triangles, xbar, fluid_mesh):
         poly, count = _cleanup_pairs(poly, count, diam)
         q, sub = _fan_pairs(poly, count, _SLIVER_REL * np.abs(signed)[el])
         sub = xbar.apply_inverse(sub)
-        yield start + el[q], tri[q], sub, np.abs(_signed_areas(sub))
+        yield b, b.start + el[q], tri[q], sub, np.abs(_signed_areas(sub))
 
 
 def _table(blocks, n_el):
     """IntersectionTable of the _supermesh blocks of n_el elements.
 
-    The blocks' fields are kept in lists and joined one field at a
-    time, each list cleared before the next is joined, so the table
-    never exists twice.
+    The blocks' fields, without their element slices, are kept in lists
+    and joined one field at a time, each list cleared before the next is
+    joined, so the table never exists twice.
     """
-    fields = tuple(map(list, zip(*blocks)))
+    fields = tuple(map(list, zip(*blocks)))[1:]
     table = []
     for field in fields:
         table.append(np.concatenate(field))

@@ -154,8 +154,8 @@ def _vertex_values(space, coeff, tris):
 def _field_sq_errors(space, coeff, exact_val, exact_grad):
     """Per-element squared L2 and H1-seminorm errors of coeff vs an analytic field.
 
-    The degree-6 node sets are built and evaluated in blocks of at most
-    mesh._BLOCK elements; the per-element errors are returned whole, in
+    The degree-6 node sets are built and evaluated in the element blocks
+    of mesh._blocks; the per-element errors are returned whole, in
     element order.
     """
     mesh = space.mesh
@@ -200,8 +200,8 @@ def dual_norm(space, e, fe=None):
     Solves -lap(Psi) + Psi = e - fe with natural boundary conditions on
     the structure mesh and returns the H1 norm of Psi, which equals the
     norm of the functional in the dual of H1.  The degree-6 node sets of
-    the load are built and consumed in blocks of at most mesh._BLOCK
-    elements.
+    the load are built and consumed in the element blocks of
+    mesh._blocks.
     """
     rule = rule_for_degree(6)
     basis = _basis_table(rule)

@@ -13,7 +13,9 @@ element diameter.  Midpoint refinement stores the four children of
 parent triangle t consecutively at 4t..4t+3, and the refined mesh keeps
 the structured cell-to-triangle lookup so point location stays O(1).
 
-All meshes are immutable after construction.
+A mesh computes its areas, hat gradients and centroids at construction
+and is immutable after it.  Every blocked loop of the package, here and
+in the supermesh and the node-set streams, takes its blocks from _blocks.
 """
 
 import numpy as np
@@ -34,9 +36,15 @@ _BARY_TOL = 1e-12
 _BARY_TOL_WIDE = 1e-9
 _EDGE_BAND = 1e-9
 # Items handled together wherever work is blocked to bound transient
-# memory: tie-broken points here, structure elements in the supermesh,
-# cells of a node set in assembly.
+# memory: triangles and tie-broken points here, structure elements in
+# the supermesh, cells of a node set in assembly.
 _BLOCK = 1024
+
+
+def _blocks(n):
+    """Slices of at most _BLOCK items that cover range(n) in order."""
+    for start in range(0, n, _BLOCK):
+        yield slice(start, min(start + _BLOCK, n))
 
 
 class DomainViolationError(RuntimeError):
@@ -60,12 +68,14 @@ class AffineMap:
 
     def apply(self, p):
         """Map one point (2,) or a stack of points (..., 2)."""
+        # One (N, 2) @ (2, 2) BLAS product, not one per leading index.
         p = np.asarray(p, dtype=float)
-        return p @ self.matrix.T + self.offset
+        return ((p.reshape(-1, 2) @ self.matrix.T).reshape(p.shape)
+                + self.offset)
 
     def apply_inverse(self, p):
-        p = np.asarray(p, dtype=float)
-        return (p - self.offset) @ self._inv.T
+        p = np.asarray(p, dtype=float) - self.offset
+        return (p.reshape(-1, 2) @ self._inv.T).reshape(p.shape)
 
 
 class Triangulation:
@@ -84,6 +94,13 @@ class Triangulation:
         covering the "low" half of the cell (below the right diagonal,
         or below-left of the left diagonal).
     areas : (n_triangles,) read-only float array of triangle areas
+    grads : (n_triangles, 3, 2) read-only float array; row i holds the
+        gradient of the hat function of local vertex i, constant on the
+        element
+    centroids : (n_triangles, 2) read-only float array
+
+    The geometry is computed in blocks of triangles, so no
+    (n_triangles, 3, 2) gather is made.
     """
 
     def __init__(self, vertices, triangles, n_cells_per_side, domain,
@@ -95,9 +112,36 @@ class Triangulation:
         self.orientation = orientation
         self.cell_tris = np.asarray(cell_tris, dtype=np.int64)
         self.boundary_vertex_flags = np.asarray(boundary_vertex_flags, dtype=bool)
-        self._grads = None
-        self._centroids = None
-        self.areas = self._validate()
+        xmin, ymin, xmax, ymax = self.domain
+        if not (xmax > xmin and ymax > ymin):
+            raise ValueError("degenerate domain rectangle")
+        if self.orientation not in ("right", "left"):
+            raise ValueError("orientation must be 'right' or 'left'")
+        n = self.n_triangles
+        self.areas, self.grads, self.centroids = (
+            np.empty(n), np.empty((n, 3, 2)), np.empty((n, 2)))
+        for t in _blocks(n):
+            p = self.vertices[self.triangles[t]]
+            a, b, c = p[:, 0], p[:, 1], p[:, 2]
+            area = self.areas[t]
+            area[:] = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                             - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+            if np.any(area <= 0):
+                raise ValueError("triangle with non-positive signed area")
+            g = self.grads[t]
+            g[:, 0, 0] = b[:, 1] - c[:, 1]
+            g[:, 0, 1] = c[:, 0] - b[:, 0]
+            g[:, 1, 0] = c[:, 1] - a[:, 1]
+            g[:, 1, 1] = a[:, 0] - c[:, 0]
+            g[:, 2, 0] = a[:, 1] - b[:, 1]
+            g[:, 2, 1] = b[:, 0] - a[:, 0]
+            g /= 2.0 * area[:, None, None]
+            p.mean(axis=1, out=self.centroids[t])
+        rect = (xmax - xmin) * (ymax - ymin)
+        if abs(self.areas.sum() - rect) > 1e-12 * rect:
+            raise ValueError("triangle areas do not cover the rectangle")
+        for arr in (self.areas, self.grads, self.centroids):
+            arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------
 
@@ -126,68 +170,6 @@ class Triangulation:
 
     def triangle_vertices(self, t):
         return self.vertices[self.triangles[t]]
-
-    @property
-    def grads(self):
-        """Gradients of the three barycentric (P1 hat) functions per triangle.
-
-        Shape (n_triangles, 3, 2); row i holds grad of the hat function
-        of local vertex i, constant on the element.
-        """
-        if self._grads is None:
-            g = np.empty((self.n_triangles, 3, 2))
-            for t, p in self._corners():
-                a, b, c = p[:, 0], p[:, 1], p[:, 2]
-                gt = g[t]
-                gt[:, 0, 0] = b[:, 1] - c[:, 1]
-                gt[:, 0, 1] = c[:, 0] - b[:, 0]
-                gt[:, 1, 0] = c[:, 1] - a[:, 1]
-                gt[:, 1, 1] = a[:, 0] - c[:, 0]
-                gt[:, 2, 0] = a[:, 1] - b[:, 1]
-                gt[:, 2, 1] = b[:, 0] - a[:, 0]
-                gt /= 2.0 * self.areas[t, None, None]
-            g.setflags(write=False)
-            self._grads = g
-        return self._grads
-
-    @property
-    def centroids(self):
-        if self._centroids is None:
-            c = np.empty((self.n_triangles, 2))
-            for t, p in self._corners():
-                p.mean(axis=1, out=c[t])
-            c.setflags(write=False)
-            self._centroids = c
-        return self._centroids
-
-    def _corners(self):
-        """(t, vertices[triangles[t]]) over the blocks t (slices) of at
-        most _BLOCK triangles, so no (n_triangles, 3, 2) gather is made."""
-        for start in range(0, self.n_triangles, _BLOCK):
-            t = slice(start, start + _BLOCK)
-            yield t, self.vertices[self.triangles[t]]
-
-    def _validate(self):
-        """Check the domain and the triangles; return the (read-only)
-        triangle areas."""
-        xmin, ymin, xmax, ymax = self.domain
-        if not (xmax > xmin and ymax > ymin):
-            raise ValueError("degenerate domain rectangle")
-        if self.orientation not in ("right", "left"):
-            raise ValueError("orientation must be 'right' or 'left'")
-        signed = np.empty(self.n_triangles)
-        for t, p in self._corners():
-            signed[t] = 0.5 * (
-                (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-        if np.any(signed <= 0):
-            raise ValueError("triangle with non-positive signed area")
-        total = signed.sum()
-        rect = (xmax - xmin) * (ymax - ymin)
-        if abs(total - rect) > 1e-12 * rect:
-            raise ValueError("triangle areas do not cover the rectangle")
-        signed.setflags(write=False)
-        return signed
 
     # -- point location --------------------------------------------------
 
@@ -279,11 +261,11 @@ class Triangulation:
         # the two gives the scan of all 18.
         diag = np.nonzero(inside & near_diag & ~near_edge)[0]
         slow = np.nonzero(inside & near_edge)[0]
-        for start in range(0, max(diag.size, slow.size), _BLOCK):
-            i = diag[start:start + _BLOCK]
+        for b in _blocks(max(diag.size, slow.size)):
+            i = diag[b]
             out[i] = self._scan(pts[i], np.sort(self.cell_tris[cells[i]],
                                                 axis=1))
-            i = slow[start:start + _BLOCK]
+            i = slow[b]
             out[i] = self._break_ties(pts[i], ix[i], iy[i])
         return out
 
@@ -331,8 +313,6 @@ def uniform_mesh(lo, hi, n, orientation="right"):
         raise ValueError("n must be a positive integer")
     xmin, ymin = float(lo[0]), float(lo[1])
     xmax, ymax = float(hi[0]), float(hi[1])
-    if not (xmax > xmin and ymax > ymin):
-        raise ValueError("degenerate domain rectangle")
     # Triangle corners as offsets from each cell's lower-left vertex.
     if orientation == "right":
         corners = ((0, 1, n + 2), (0, n + 2, n + 1))
@@ -368,6 +348,24 @@ def midpoint_refine(mesh):
     the parent vertices in first-encounter order, so the numbering is
     deterministic.
     """
+    # Each step is a function, so its temporaries are freed before the
+    # refined mesh computes its geometry.
+    vertices, children = _split(mesh)
+    n2 = 2 * mesh.n_cells_per_side
+    cell_tris = _cell_layout(vertices, children, n2, mesh.domain,
+                             mesh.orientation)
+    xmin, ymin, xmax, ymax = mesh.domain
+    tol = 1e-12 * max(xmax - xmin, ymax - ymin)
+    boundary = ((np.abs(vertices[:, 0] - xmin) < tol)
+                | (np.abs(vertices[:, 0] - xmax) < tol)
+                | (np.abs(vertices[:, 1] - ymin) < tol)
+                | (np.abs(vertices[:, 1] - ymax) < tol))
+    return Triangulation(vertices, children, n2, mesh.domain,
+                         mesh.orientation, cell_tris, boundary)
+
+
+def _split(mesh):
+    """Vertices and child triangles of the midpoint refinement of mesh."""
     nv = mesh.n_vertices
     tris = mesh.triangles
     # Edges (ab, bc, ca) of every triangle in turn, keyed by their ends.
@@ -385,9 +383,13 @@ def midpoint_refine(mesh):
     mid = unique[by_first]
     vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[mid // nv]
                                                 + mesh.vertices[mid % nv])])
+    return vertices, children
 
-    n2 = 2 * mesh.n_cells_per_side
-    xmin, ymin, xmax, ymax = mesh.domain
+
+def _cell_layout(vertices, children, n2, domain, orientation):
+    """cell_tris of the triangles vertices[children] on the n2-by-n2 grid
+    of domain, found from their centroids."""
+    xmin, ymin, xmax, ymax = domain
     hx = (xmax - xmin) / n2
     hy = (ymax - ymin) / n2
 
@@ -397,7 +399,7 @@ def midpoint_refine(mesh):
     cells = cy * n2 + cx
     fx = (cent[:, 0] - xmin) / hx - cx
     fy = (cent[:, 1] - ymin) / hy - cy
-    if mesh.orientation == "right":
+    if orientation == "right":
         low = fy < fx
     else:
         low = fx + fy < 1.0
@@ -407,14 +409,7 @@ def midpoint_refine(mesh):
     cell_tris[cells[~low], 1] = idx[~low]
     if np.any(cell_tris < 0):
         raise ValueError("refined mesh lost its structured cell layout")
-
-    tol = 1e-12 * max(xmax - xmin, ymax - ymin)
-    boundary = ((np.abs(vertices[:, 0] - xmin) < tol)
-                | (np.abs(vertices[:, 0] - xmax) < tol)
-                | (np.abs(vertices[:, 1] - ymin) < tol)
-                | (np.abs(vertices[:, 1] - ymax) < tol))
-    return Triangulation(vertices, children, n2, mesh.domain,
-                         mesh.orientation, cell_tris, boundary)
+    return cell_tris
 
 
 def element_map(mesh, t):

@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 import fdlm.assembly as assembly
+import fdlm.mesh
 from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
                            assemble_rhs, coupling_nodes, matrix_1norm_diff,
@@ -408,7 +409,7 @@ class TestCouplingNodes:
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_exact_stream_weighs_values_and_h1_gradients(self, coupling,
                                                          monkeypatch):
-        monkeypatch.setattr(assembly, "_BLOCK", 7)
+        monkeypatch.setattr(fdlm.mesh, "_BLOCK", 7)
         sets = list(self.nodes(coupling, "exact"))
         assert len(sets) > 1
         assert all(n.value and n.grad == (coupling == "h1") for n in sets)
@@ -421,7 +422,7 @@ class TestCouplingNodes:
             assert n.owner.shape == n.parent.shape == n.w.shape[:1]
 
     def test_exact_stream_consumed_twice(self, monkeypatch):
-        monkeypatch.setattr(assembly, "_BLOCK", 7)
+        monkeypatch.setattr(fdlm.mesh, "_BLOCK", 7)
         stream = self.nodes("h1", "exact")
         first, second = list(stream), list(stream)
         assert len(first) == len(second) > 1

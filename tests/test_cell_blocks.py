@@ -36,9 +36,8 @@ STUDIES = {"test1-l2": (xcli.test1_schedule(4), "l2"),
 
 
 def small_blocks(monkeypatch):
-    """Set the block size to SMALL_BLOCK in every module that binds it."""
-    for module in (mesh, geom_intersect, assembly):
-        monkeypatch.setattr(module, "_BLOCK", SMALL_BLOCK)
+    """Set the one block size, mesh._BLOCK, to SMALL_BLOCK."""
+    monkeypatch.setattr(mesh, "_BLOCK", SMALL_BLOCK)
 
 
 def csr_arrays(C):
@@ -85,6 +84,21 @@ def test_rhs_does_not_depend_on_block_size(monkeypatch, n_fluid, n_solid,
     assert len(got) == len(want) == (11 if mode == "exact" else 14)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_supermesh_blocks_tile_the_elements(monkeypatch, name):
+    # The streamed gap takes its element blocks from these slices.
+    small_blocks(monkeypatch)
+    V, _, _, L = build_level_spaces(16, 23)
+    vertices, triangles = L.mesh.vertices, L.mesh.triangles
+    stop = 0
+    for b, parent, *_ in geom_intersect._supermesh(vertices, triangles,
+                                                    MAPS[name], V.mesh):
+        assert b.start == stop < b.stop <= stop + SMALL_BLOCK
+        assert parent.size and np.all((b.start <= parent) & (parent < b.stop))
+        stop = b.stop
+    assert stop == L.mesh.n_triangles
 
 
 def test_error_norms_do_not_depend_on_block_size(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fdlm.mesh
 from fdlm import experiments_cli
 from fdlm.assembly import coupling_nodes
 from fdlm.manufactured_errors import manufactured_solution
@@ -124,6 +125,62 @@ class TestMidpointRefine:
         got = set(map(tuple, np.round(refined.vertices, 12)))
         want = set(map(tuple, np.round(direct.vertices, 12)))
         assert got == want
+
+
+GEOMETRY = ("areas", "grads", "centroids")
+MESHES = {"right": lambda: uniform_mesh((-2, -2), (2, 2), 5, "right"),
+          "left": lambda: uniform_mesh((0, 0), (1, 1), 6, "left"),
+          "refined": lambda: midpoint_refine(uniform_mesh((-2, -2), (2, 2),
+                                                          3, "right"))}
+
+
+class TestGeometry:
+    """Areas, hat gradients and centroids are computed once, in blocks,
+    at construction."""
+
+    @pytest.fixture(params=[None, 7], ids=["default-block", "block-7"])
+    def blocks(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fdlm.mesh, "_BLOCK", request.param)
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_read_only_attributes_set_at_construction(self, blocks, name):
+        mesh = MESHES[name]()
+        before = dict(vars(mesh))
+        for field in GEOMETRY:
+            assert field in before
+            arr = getattr(mesh, field)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+        mesh.locate_points(mesh.centroids)
+        assert vars(mesh).keys() == before.keys()
+        assert all(vars(mesh)[k] is v for k, v in before.items())
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_bit_equal_to_per_triangle_formulas(self, blocks, name):
+        mesh = MESHES[name]()
+        p = mesh.vertices[mesh.triangles]
+        (ax, ay), (bx, by), (cx, cy) = p[:, 0].T, p[:, 1].T, p[:, 2].T
+        area = 0.5 * ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
+        grads = np.stack([np.stack([by - cy, cx - bx], axis=1),
+                          np.stack([cy - ay, ax - cx], axis=1),
+                          np.stack([ay - by, bx - ax], axis=1)], axis=1)
+        grads /= 2.0 * area[:, None, None]
+        centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+        for got, want in zip((mesh.areas, mesh.grads, mesh.centroids),
+                             (area, grads, centroids)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_zero_area_triangle_raises_before_dividing(self, blocks):
+        vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+                    (0.5, 0.5)]
+        triangles = [(0, 1, 2), (0, 2, 3), (0, 4, 2)]
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match="non-positive signed area"):
+            Triangulation(vertices, triangles, 1, (0, 0, 1, 1), "right",
+                          [[0, 1]], [True] * 4 + [False])
 
 
 class TestElementMap:
