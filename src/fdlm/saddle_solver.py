@@ -14,28 +14,27 @@ eliminated symmetrically (unit diagonal, zero load).
 
 The system is solved by right-preconditioned flexible GMRES with a block
 lower-triangular preconditioner (Benzi, Golub & Liesen, "Numerical
-solution of saddle point problems", Acta Numerica 2005).
-Only two matrices are factored: the fluid Stokes block S_f, the
-(u, p, sigma) rows and columns, and the scalar block c of
-Cs = blockdiag(c, c), which is SPD because L and S share the structure
-mesh.  The preconditioner solves the fluid rows with S_f, then the
-multiplier row for X and the structure row for lambda with Cs:
+solution of saddle point problems", Acta Numerica 2005).  It solves the
+fluid rows with an approximate inverse of the fluid Stokes block S_f,
+the (u, p, sigma) rows and columns, then the multiplier row for X and
+the structure row for lambda with Cs = blockdiag(c, c), which is SPD
+because L and S share the structure mesh:
 
     w = S_f^-1 r_w,  X = -Cs^-1 (r_l - Cf u),  lambda = Cs^-1 (As X - r_X).
 
-Both LUs run in a geometric nested-dissection order (George, "Nested
-dissection of a regular finite element mesh", SIAM J. Numer. Anal.
-1973) computed from the vertices of each block's own mesh: the fluid
-mesh vertices for the velocity and pressure dofs of S_f, sigma last,
-and the structure mesh vertices for c, which does not depend on the
-placement map.  S_f is factored with a small
-quasidefinite diagonal shift (_SHIFT), which makes diagonal pivoting
-safe in that order; GMRES runs on the unshifted system and absorbs the
-shift.  Both LUs are single precision, which halves the memory of the
-factor values; GMRES keeps every residual in double precision and, being
-flexible, needs no exactly linear preconditioner, so the solve still
-reaches a double-precision residual (mixed-precision GMRES refinement,
-Carson & Higham, SISC 2018).
+S_f^-1 uses no factor.  Its velocity solves are sine transforms, which
+diagonalise the P1 stiffness on the uniform velocity grid (Buzbee,
+Golub & Nielson, SIAM J. Numer. Anal. 1970), and its pressure is a CG
+on the Schur complement preconditioned by the lumped pressure mass
+(Elman, Silvester & Wathen, OUP 2014, ch. 9), stopped at a loose
+tolerance.  Only c is factored, in single precision, in a geometric
+nested-dissection order (George, "Nested dissection of a regular finite
+element mesh", SIAM J. Numer. Anal. 1973) computed from the structure
+mesh vertices, which does not depend on the placement map.  GMRES keeps
+every residual in double precision and, being flexible, needs no
+exactly linear preconditioner, so the solve still reaches a
+double-precision residual (mixed-precision GMRES refinement, Carson &
+Higham, SISC 2018).
 """
 
 import numpy as np
@@ -170,7 +169,8 @@ _LEAF_SIZE = 64
 
 
 def _nested_dissection(A, points):
-    """Fill-reducing symmetric order of A from dof positions points (n, 2).
+    """Fill-reducing symmetric order of A (n, n) from dof positions
+    points (n, 2).
 
     A recursion over parts, starting from all n dofs.  A part of at most
     _LEAF_SIZE dofs, or with all its dofs at one point, is emitted in its
@@ -181,7 +181,6 @@ def _nested_dissection(A, points):
     fewer of them (the lower side on a tie), form the separator.  Matrix
     edges that cross the cut or touch the separator are dropped, and the
     part is emitted as its lower half, its upper half, then the separator.
-    Dofs beyond the first n (the dense mean multiplier) go last.
     Where two extents are equal in exact arithmetic, the rounding of the
     coordinates picks the axis, so callers pass mesh coordinates, not
     mapped ones, to keep the order independent of the placement map.
@@ -190,7 +189,7 @@ def _nested_dissection(A, points):
     Returns perm: perm[k] is the dof eliminated k-th.
     """
     n = len(points)
-    G = A[:n, :n].tocoo()
+    G = A.tocoo()
     off = G.row < G.col
     upper = np.zeros(n, dtype=bool)
     mark = np.zeros(n, dtype=bool)
@@ -224,23 +223,16 @@ def _nested_dissection(A, points):
         order.append(dofs[sep])
 
     dissect(np.arange(n), G.row[off], G.col[off])
-    return np.concatenate(order + [np.arange(n, A.shape[0])])
+    return np.concatenate(order)
 
 
-# Relative size of the stabilizing diagonal shift.  The fluid block has
-# zero diagonal in the pressure and mean rows, which makes threshold row
-# pivoting explode the fill of the factors.  Adding +eps (velocity rows)
-# / -eps (pressure and mean rows) scaled by the row magnitude makes the
-# block quasidefinite, and a quasidefinite matrix can be factored with
-# pure diagonal pivoting in any symmetric order, here the
-# nested-dissection one.  GMRES on the unshifted system removes the
-# perturbation.  In the single-precision factors the velocity-row shift
-# is below rounding; the pressure and mean rows have a zero diagonal, so
-# their shift is kept.
-_SHIFT = 1e-8
 # GMRES restart length, and the cap on its iterations over all cycles.
 _RESTART = 50
 _MAX_ITER = 200
+# Relative tolerance of the inner pressure CG, and the cap on its steps.
+# Flexible GMRES corrects what the inner solve leaves.
+_INNER_TOL = 1e-2
+_INNER_MAX_ITER = 100
 
 
 def _lu(M, perm):
@@ -261,15 +253,124 @@ def _lu(M, perm):
     return lu_solve
 
 
-def _factor_shifted(A_csr, dual_start, perm):
-    """LU of A shifted to be quasidefinite, rows from dual_start on being
-    the dual ones, in the symmetric order perm (see _lu)."""
-    rowmax = np.asarray(abs(A_csr).max(axis=1).todense()).ravel()
-    if not np.all(rowmax > 0):
-        raise SingularSystemError("matrix has an empty row")
-    sign = np.ones(A_csr.shape[0])
-    sign[dual_start:] = -1.0
-    return _lu(A_csr + sp.diags(_SHIFT * rowmax * sign), perm)
+def _sine_transform(a):
+    """Orthonormal type-I sine transform of a (..., M, M) over its last two
+    axes; it is its own inverse.  Along each axis it is the imaginary part
+    of a real FFT of length 2(M + 1) of the data placed at 1..M, with a
+    sign that the two axes cancel."""
+    n = a.shape[-1] + 1
+    for _ in range(2):
+        ext = np.zeros(a.shape[:-1] + (2 * n,))
+        ext[..., 1:n] = a
+        a = np.fft.rfft(ext)[..., 1:n].imag.swapaxes(-1, -2)
+    return a * (2.0 / n)
+
+
+def _velocity_solver(Af, V):
+    """Solve with Af after Dirichlet elimination by sine transforms.
+
+    V lives on a uniform mesh of N x N square cells, where the P1
+    stiffness K at the interior vertices is the 5-point Laplacian, with
+    eigenvalues 4 sin^2(j pi / 2N) + 4 sin^2(k pi / 2N), j, k = 1..N-1,
+    and sine-transform eigenvectors (Buzbee, Golub & Nielson, SIAM J.
+    Numer. Anal. 1970).  nu and the mass term are read from the interior
+    rows of Af = nu K + alpha M: a row sums to alpha h^2, the lumped mass,
+    and its diagonal is 4 nu + alpha h^2 / 2.  The solve divides by
+    nu (eigenvalue of K) + alpha h^2, which inverts Af exactly for
+    alpha = 0 and is spectrally equivalent to it otherwise.  The
+    eliminated Dirichlet dofs of V are solved by the identity.
+    Returns a function mapping a velocity vector to the solution.
+    """
+    mesh = V.mesh
+    N = mesh.n_cells_per_side
+    xmin, ymin, xmax, ymax = mesh.domain
+    h = (xmax - xmin) / N
+    if abs((ymax - ymin) / N - h) > 1e-12 * h:
+        raise ValueError("the velocity mesh cells are not square")
+    verts = np.flatnonzero(~V.dirichlet_mask[:V.n_vertices])
+    ij = (mesh.vertices[verts] - (xmin, ymin)) / h
+    grid = np.rint(ij).astype(np.intp)
+    on_grid = (verts.size == (N - 1) ** 2
+               and np.abs(ij - grid).max() <= 1e-6
+               and grid.min() >= 1 and grid.max() <= N - 1)
+    if on_grid:
+        slots = np.full((N - 1, N - 1), -1, dtype=np.intp)
+        slots[grid[:, 1] - 1, grid[:, 0] - 1] = verts
+        on_grid = slots.min() >= 0
+    if not on_grid:
+        raise ValueError("the interior velocity vertices are not the "
+                         "interior of the uniform grid")
+    dofs = slots + V.n_vertices * np.arange(2)[:, None, None]
+    rows = dofs.ravel()
+    lumped = float(np.mean((Af @ np.ones(Af.shape[1]))[rows]))
+    nu = (float(np.mean(Af.diagonal()[rows])) - 0.5 * lumped) / 4.0
+    lam = 4.0 * np.sin(np.arange(1, N) * np.pi / (2 * N)) ** 2
+    eig = nu * (lam[:, None] + lam) + lumped
+    if not eig.min() > 0.0:
+        raise SingularSystemError("fluid block is not positive definite")
+
+    def velocity_solve(f):
+        z = f.copy()
+        z[dofs] = _sine_transform(_sine_transform(f[dofs]) / eig)
+        return z
+    return velocity_solve
+
+
+def _stokes_solver(system, A):
+    """Approximate solve with the fluid Stokes block S_f of the system
+    matrix A, the (u, p, sigma) rows and columns, using no factor.
+
+    With K^-1 the velocity solve of _velocity_solver, Bm = A[p, u] and m
+    the mean row, the rows of S_f read K u + Bm^T p = f,
+    Bm u + m sigma = g and m^T p = h.  Bm^T annihilates constants, so
+    sigma = sum(g') / sum(m) with g' = g - Bm K^-1 f makes the pressure
+    equation (Bm K^-1 Bm^T) p = m sigma - g' consistent.  It is solved by
+    CG preconditioned by the lumped pressure mass, diag(m), which is
+    spectrally equivalent to Bm K^-1 Bm^T for this inf-sup stable pair
+    (Elman, Silvester & Wathen, "Finite Elements and Fast Iterative
+    Solvers", OUP 2014, ch. 9), to relative _INNER_TOL in the norm of its
+    preconditioned residual.  The constant is then fixed by m^T p = h,
+    and u = K^-1 (f - Bm^T p).
+    Returns a function mapping (f, g, h) to (u, p, sigma).
+    """
+    o = system.offsets
+    V = system.spaces[0]
+    m = system.blocks.mean_row
+    if not np.all(m > 0.0):
+        raise SingularSystemError("pressure mean row is not positive")
+    msum = m.sum()
+    Bm = A[o["p"]:o["sigma"], :o["x"]]
+    BmT = Bm.T.tocsr()
+    velocity_solve = _velocity_solver(system.blocks.Af, V)
+    tol2 = _INNER_TOL ** 2
+
+    def stokes_solve(f, g, h):
+        # u is kept as K^-1 f - K^-1 Bm^T p along the CG steps, which
+        # saves the last velocity solve; Bm^T ignores the constant of p.
+        u = velocity_solve(f)
+        gp = g - Bm @ u
+        sigma = gp.sum() / msum
+        r = m * sigma - gp
+        p = np.zeros_like(r)
+        z = r / m
+        d = z
+        rz = r @ z
+        stop = tol2 * rz
+        for _ in range(_INNER_MAX_ITER):
+            if rz <= stop:
+                break
+            y = velocity_solve(BmT @ d)
+            q = Bm @ y
+            step = rz / (d @ q)
+            p += step * d
+            u -= step * y
+            r -= step * q
+            z = r / m
+            rz, rz_old = r @ z, rz
+            d = z + (rz / rz_old) * d
+        p += (h - m @ p) / msum
+        return u, p, sigma
+    return stokes_solve
 
 
 def _gmres(matvec, precondition, b, tol):
@@ -278,9 +379,9 @@ def _gmres(matvec, precondition, b, tol):
     flexible inner-outer preconditioned GMRES algorithm", SISC 1993).  It
     keeps z_j = precondition(v_j) and updates x by the z_j, so the
     preconditioner need not be exactly linear, as a single-precision LU
-    is not.  Stops when the true relative residual, taken after each
-    cycle, is <= tol, stalls (falls less than half in a cycle) or
-    _MAX_ITER is reached.
+    or an inner iteration is not.  Stops when the true relative
+    residual, taken after each cycle, is <= tol, stalls (falls less than
+    half in a cycle) or _MAX_ITER is reached.
     Returns (x, iterations, history of the true relative residual); x = 0
     with no iterations when b = 0."""
     bnorm = np.linalg.norm(b)
@@ -323,9 +424,10 @@ def solve(system):
     """Solve by block-preconditioned GMRES; returns a DiscreteSolution with
     residual data and the solver's iterations and residual history.
 
-    S_f and the scalar block c of Cs are each factored once in single
-    precision, in orders taken from the fluid and the structure mesh
-    vertices; flexible GMRES stops at a true relative residual of 1e-12.
+    The fluid rows are solved by sine transforms inside a pressure CG
+    (_stokes_solver), and the scalar block c of Cs is factored once in
+    single precision, in an order taken from the structure mesh vertices;
+    flexible GMRES stops at a true relative residual of 1e-12.
     A factorization failure, and a relative residual left above 1e-9,
     are reported as a singular system.
     """
@@ -337,12 +439,8 @@ def solve(system):
     u = slice(0, o["x"])
     xs = slice(o["x"], o["lambda"])
     lam = slice(o["lambda"], o["p"])
-    fluid = np.r_[u, o["p"]:n]
-    Sf = A[fluid][:, fluid]
-    fluid_points = np.concatenate([V.mesh.vertices] * V.value_dim
-                                  + [Q.mesh.vertices])
-    fluid_solve = _factor_shifted(
-        Sf, o["x"], _nested_dissection(Sf, fluid_points))
+    p = slice(o["p"], o["sigma"])
+    stokes_solve = _stokes_solver(system, A)
     k = S.n_vertices
     c = system.blocks.Cs[:k, :k]
     c_solve = _lu(c, _nested_dissection(c, S.mesh.vertices))
@@ -354,7 +452,7 @@ def solve(system):
 
     def precondition(r):
         z = np.empty(n)
-        z[fluid] = fluid_solve(r[fluid])
+        z[u], z[p], z[-1] = stokes_solve(r[u], r[p], r[-1])
         z[xs] = -cs_solve(r[lam] - Cf @ z[u])
         z[lam] = cs_solve(As @ z[xs] - r[xs])
         return z
