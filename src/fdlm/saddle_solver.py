@@ -27,10 +27,12 @@ diagonalise the P1 stiffness on the uniform velocity grid (Buzbee,
 Golub & Nielson, SIAM J. Numer. Anal. 1970), and its pressure is a CG
 on the Schur complement preconditioned by the lumped pressure mass
 (Elman, Silvester & Wathen, OUP 2014, ch. 9), stopped at a loose
-tolerance.  Only c is factored, in single precision, in a geometric
-nested-dissection order (George, "Nested dissection of a regular finite
-element mesh", SIAM J. Numer. Anal. 1973) computed from the structure
-mesh vertices, which does not depend on the placement map.  GMRES keeps
+tolerance.  Only c is factored, in single precision, in the nested
+dissection of the structure mesh's grid into boxes (George, "Nested
+dissection of a regular finite element mesh", SIAM J. Numer. Anal.
+1973), which does not depend on the placement map.  The velocity solves
+and this order each read their mesh's grid from the vertex coordinates
+once, and reject a mesh with a vertex off its grid point.  GMRES keeps
 every residual in double precision and, being flexible, needs no
 exactly linear preconditioner, so the solve still reaches a
 double-precision residual (mixed-precision GMRES refinement, Carson &
@@ -163,67 +165,44 @@ def build_system(blocks, rhs, spaces):
     return BlockSystem(matrix, b, offsets, spaces, blocks, mask)
 
 
-# Parts of at most this many dofs are not cut further and keep their
-# original order.
+def _grid(mesh):
+    """(n + 1, n + 1) array of the vertex ids of the uniform mesh of
+    n x n cells, [i, j] being the grid point in row i (y) and column j
+    (x), read from the coordinates.  Raises ValueError unless every
+    vertex sits on its own grid point."""
+    n = mesh.n_cells_per_side
+    xmin, ymin, _, _ = mesh.domain
+    ij = (mesh.vertices - (xmin, ymin)) / (mesh.hx, mesh.hy)
+    k = np.rint(ij).astype(np.intp)
+    grid = np.full((n + 1, n + 1), -1, dtype=np.intp)
+    if (mesh.n_vertices == grid.size and np.abs(ij - k).max() <= 1e-6
+            and k.min() >= 0 and k.max() <= n):
+        grid[k[:, 1], k[:, 0]] = np.arange(mesh.n_vertices)
+    if grid.min() < 0:
+        raise ValueError("the mesh vertices are not the points of its "
+                         "uniform grid")
+    return grid
+
+
+# Boxes of at most this many vertices are not cut further.
 _LEAF_SIZE = 64
 
 
-def _nested_dissection(A, points):
-    """Fill-reducing symmetric order of A (n, n) from dof positions
-    points (n, 2).
-
-    A recursion over parts, starting from all n dofs.  A part of at most
-    _LEAF_SIZE dofs, or with all its dofs at one point, is emitted in its
-    original order.  Otherwise it is cut at the lower median of its longer
-    coordinate axis, the upper half taking the dofs above the median (at
-    or above it when the median is the top).  The dofs on one side that
-    have a matrix neighbour on the other side, taken from the side with
-    fewer of them (the lower side on a tie), form the separator.  Matrix
-    edges that cross the cut or touch the separator are dropped, and the
-    part is emitted as its lower half, its upper half, then the separator.
-    Where two extents are equal in exact arithmetic, the rounding of the
-    coordinates picks the axis, so callers pass mesh coordinates, not
-    mapped ones, to keep the order independent of the placement map.
-    The pattern of A is assumed symmetric: each matrix edge is taken once,
-    from the strict upper triangle, and marks both of its ends.
-    Returns perm: perm[k] is the dof eliminated k-th.
-    """
-    n = len(points)
-    G = A.tocoo()
-    off = G.row < G.col
-    upper = np.zeros(n, dtype=bool)
-    mark = np.zeros(n, dtype=bool)
-    order = []
-
-    def dissect(dofs, ei, ej):
-        # dofs ascending; ei, ej the matrix edges between them.  upper
-        # and mark are scratch, reset before the recursive calls.
-        if (dofs.size <= _LEAF_SIZE
-                or not np.any(extent := np.ptp(points[dofs], axis=0))):
-            order.append(dofs)
-            return
-        c = points[dofs, np.argmax(extent)]
-        med = np.partition(c, (c.size - 1) // 2)[(c.size - 1) // 2]
-        up = c > med if med < c.max() else c >= med
-        upper[dofs] = up
-        ui = upper[ei]
-        cross = ui != upper[ej]
-        mark[ei[cross]] = True
-        mark[ej[cross]] = True
-        rim = mark[dofs]
-        sep = rim & (up == (np.count_nonzero(rim & up)
-                            < np.count_nonzero(rim & ~up)))
-        mark[dofs] = sep
-        keep = ~(cross | mark[ei] | mark[ej])
-        lo, hi = keep & ~ui, keep & ui
-        upper[dofs] = False
-        mark[dofs] = False
-        dissect(dofs[~up & ~sep], ei[lo], ej[lo])
-        dissect(dofs[up & ~sep], ei[hi], ej[hi])
-        order.append(dofs[sep])
-
-    dissect(np.arange(n), G.row[off], G.col[off])
-    return np.concatenate(order)
+def _dissection(grid):
+    """Nested-dissection order of the vertices of a grid box (George,
+    "Nested dissection of a regular finite element mesh", SIAM J. Numer.
+    Anal. 1973).  A box of at most _LEAF_SIZE vertices is emitted row by
+    row.  Otherwise its middle grid line across the longer side (a column
+    on a tie) cuts it, and it is emitted as the halves before the line,
+    then after it, then the line.  Every P1 edge joins grid points at
+    most one step apart in each index, so the line separates the halves.
+    Returns perm: perm[k] is the vertex eliminated k-th."""
+    if grid.size <= _LEAF_SIZE:
+        return grid.ravel()
+    axis = int(grid.shape[1] >= grid.shape[0])
+    mid = grid.shape[axis] // 2
+    lo, line, hi = np.split(grid, [mid, mid + 1], axis=axis)
+    return np.concatenate([_dissection(lo), _dissection(hi), line.ravel()])
 
 
 # GMRES restart length, and the cap on its iterations over all cycles.
@@ -257,10 +236,11 @@ def _sine_transform(a):
     """Orthonormal type-I sine transform of a (..., M, M) over its last two
     axes; it is its own inverse.  Along each axis it is the imaginary part
     of a real FFT of length 2(M + 1) of the data placed at 1..M, with a
-    sign that the two axes cancel."""
+    sign that the two axes cancel.  a is square, so both axes share one
+    zero-padded buffer."""
     n = a.shape[-1] + 1
+    ext = np.zeros(a.shape[:-1] + (2 * n,))
     for _ in range(2):
-        ext = np.zeros(a.shape[:-1] + (2 * n,))
         ext[..., 1:n] = a
         a = np.fft.rfft(ext)[..., 1:n].imag.swapaxes(-1, -2)
     return a * (2.0 / n)
@@ -278,28 +258,20 @@ def _velocity_solver(Af, V):
     and its diagonal is 4 nu + alpha h^2 / 2.  The solve divides by
     nu (eigenvalue of K) + alpha h^2, which inverts Af exactly for
     alpha = 0 and is spectrally equivalent to it otherwise.  The
-    eliminated Dirichlet dofs of V are solved by the identity.
+    eliminated Dirichlet dofs of V, which must be the grid's outer ring,
+    are solved by the identity.
     Returns a function mapping a velocity vector to the solution.
     """
     mesh = V.mesh
     N = mesh.n_cells_per_side
-    xmin, ymin, xmax, ymax = mesh.domain
-    h = (xmax - xmin) / N
-    if abs((ymax - ymin) / N - h) > 1e-12 * h:
+    if abs(mesh.hy - mesh.hx) > 1e-12 * mesh.hx:
         raise ValueError("the velocity mesh cells are not square")
-    verts = np.flatnonzero(~V.dirichlet_mask[:V.n_vertices])
-    ij = (mesh.vertices[verts] - (xmin, ymin)) / h
-    grid = np.rint(ij).astype(np.intp)
-    on_grid = (verts.size == (N - 1) ** 2
-               and np.abs(ij - grid).max() <= 1e-6
-               and grid.min() >= 1 and grid.max() <= N - 1)
-    if on_grid:
-        slots = np.full((N - 1, N - 1), -1, dtype=np.intp)
-        slots[grid[:, 1] - 1, grid[:, 0] - 1] = verts
-        on_grid = slots.min() >= 0
-    if not on_grid:
-        raise ValueError("the interior velocity vertices are not the "
-                         "interior of the uniform grid")
+    slots = _grid(mesh)[1:-1, 1:-1]
+    fixed = np.ones(V.n_vertices, dtype=bool)
+    fixed[slots] = False
+    if not np.array_equal(V.dirichlet_mask, np.tile(fixed, 2)):
+        raise ValueError("the Dirichlet velocity dofs are not the outer "
+                         "ring of the uniform grid")
     dofs = slots + V.n_vertices * np.arange(2)[:, None, None]
     rows = dofs.ravel()
     lumped = float(np.mean((Af @ np.ones(Af.shape[1]))[rows]))
@@ -426,10 +398,11 @@ def solve(system):
 
     The fluid rows are solved by sine transforms inside a pressure CG
     (_stokes_solver), and the scalar block c of Cs is factored once in
-    single precision, in an order taken from the structure mesh vertices;
-    flexible GMRES stops at a true relative residual of 1e-12.
-    A factorization failure, and a relative residual left above 1e-9,
-    are reported as a singular system.
+    single precision, in the nested dissection of the structure mesh's
+    grid (_dissection); flexible GMRES stops at a true relative residual
+    of 1e-12.  A factorization failure, and a relative residual left above
+    1e-9, are reported as a singular system; a structure mesh with a
+    vertex off its grid point raises ValueError before any factorization.
     """
     V, S, L, Q = system.spaces
     A = system.matrix.tocsr()
@@ -443,7 +416,7 @@ def solve(system):
     stokes_solve = _stokes_solver(system, A)
     k = S.n_vertices
     c = system.blocks.Cs[:k, :k]
-    c_solve = _lu(c, _nested_dissection(c, S.mesh.vertices))
+    c_solve = _lu(c, _dissection(_grid(S.mesh)))
 
     def cs_solve(v):
         return c_solve(v.reshape(2, k).T).T.ravel()

@@ -18,7 +18,8 @@ from fdlm.fespace import (multiplier_space, pressure_space, solid_space,
                           velocity_space)
 from fdlm.experiments_cli import solve_level
 from fdlm.manufactured_errors import manufactured_solution, zero_solution
-from fdlm.mesh import AffineMap, midpoint_refine, uniform_mesh
+from fdlm.mesh import (AffineMap, Triangulation, midpoint_refine,
+                       uniform_mesh)
 from fdlm.saddle_solver import (Blocks, SingularSystemError, build_system,
                                 dump_solution, solve)
 
@@ -186,6 +187,15 @@ class TestSolve:
         assert sol.residual_history[-1] <= 1e-12
 
 
+def off_grid(mesh):
+    """mesh with its first interior vertex moved a tenth of a cell in x."""
+    v = mesh.vertices.copy()
+    v[np.argmin(mesh.boundary_vertex_flags), 0] += 0.1 * mesh.hx
+    return Triangulation(v, mesh.triangles, mesh.n_cells_per_side,
+                         mesh.domain, mesh.orientation, mesh.cell_tris,
+                         mesh.boundary_vertex_flags)
+
+
 def velocity_block(n_fluid, params):
     """Velocity space on the refined (-2, 2)^2 mesh of n_fluid cells a
     side, and its fluid block."""
@@ -229,6 +239,21 @@ class TestFluidSolve:
         V = velocity_space(midpoint_refine(uniform_mesh((0, 0), (2, 1), 4)))
         Af = assemble_Af(V, FormParams())
         with pytest.raises(ValueError):
+            saddle._velocity_solver(Af, V)
+
+    def test_velocity_solve_needs_ring_dirichlet(self):
+        V = velocity_space(midpoint_refine(uniform_mesh((-2, -2), (2, 2), 4)))
+        Af = assemble_Af(V, FormParams())
+        V.dirichlet_mask = V.dirichlet_mask.copy()
+        V.dirichlet_mask[np.argmin(V.dirichlet_mask)] = True
+        with pytest.raises(ValueError, match="outer ring"):
+            saddle._velocity_solver(Af, V)
+
+    def test_velocity_solve_needs_grid_vertices(self):
+        V = velocity_space(off_grid(midpoint_refine(
+            uniform_mesh((-2, -2), (2, 2), 4))))
+        Af = assemble_Af(V, FormParams())
+        with pytest.raises(ValueError, match="not the points"):
             saddle._velocity_solver(Af, V)
 
     def test_tight_inner_solve_equals_spsolve(self, manufactured_system,
@@ -280,15 +305,15 @@ def mmd_reference(system):
 
 
 def recorded_solve(n_fluid, n_solid, coupling, mode, exact=None):
-    """solve_level run recording the permutations solve passes to
-    _nested_dissection, that of c alone, and the fill and the dtype of
-    the matrix of each factorization."""
+    """solve_level run recording the order solve passes to _lu, that of c
+    alone, and the fill and the dtype of the matrix of each
+    factorization."""
     perms, fills, dtypes = [], [], []
-    real_nd, real_splu = saddle._nested_dissection, saddle.splu
+    real_lu, real_splu = saddle._lu, saddle.splu
 
-    def recording_nd(A, points):
-        perms.append(real_nd(A, points))
-        return perms[-1]
+    def recording_lu(M, perm):
+        perms.append(perm)
+        return real_lu(M, perm)
 
     def counting_splu(A, *args, **kwargs):
         dtypes.append(A.dtype)
@@ -297,7 +322,7 @@ def recorded_solve(n_fluid, n_solid, coupling, mode, exact=None):
         return lu
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(saddle, "_nested_dissection", recording_nd)
+        mp.setattr(saddle, "_lu", recording_lu)
         mp.setattr(saddle, "splu", counting_splu)
         _, sol, system = solve_level(n_fluid, n_solid, coupling, mode, exact)
     return sol, system, perms, fills, dtypes
@@ -308,7 +333,7 @@ ORDERED_LEVELS = {"t1_level0_l2": (16, 8, "l2"), "t2_level2_h1": (32, 64, "h1")}
 # First 16 hex digits of the sha256 of each level's c permutation as
 # little-endian int64, which pins the order bit for bit.
 PERM_SHA256 = {"t1_level0_l2": ("3b3d00e173cf0d58",),
-               "t2_level2_h1": ("9538616bb0ddf4be",)}
+               "t2_level2_h1": ("fbf96d5b0f38c5bd",)}
 
 
 @pytest.fixture(scope="module")
@@ -350,18 +375,71 @@ class TestNestedDissection:
         for p, q in zip(perms, moved):
             np.testing.assert_array_equal(p, q)
 
-    def test_separator_follows_halves(self):
-        # A path on a line is cut at its median, vertex 99; the halves
-        # come first, the one-vertex separator last.
-        n = 200
-        A = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
-                     [-1, 0, 1], format="csr")
-        pts = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
-        perm = saddle._nested_dissection(A, pts)
-        np.testing.assert_array_equal(np.sort(perm[:99]), np.arange(99))
-        np.testing.assert_array_equal(np.sort(perm[99:199]),
-                                      np.arange(100, 200))
-        assert perm[-1] == 99
+    def test_separator_is_middle_column(self):
+        # The 17 x 17 grid is cut by its middle column, x = 8, which is
+        # eliminated last, after every vertex of both halves.
+        mesh = uniform_mesh((0, 0), (1, 1), 16)
+        perm = saddle._dissection(saddle._grid(mesh))
+        np.testing.assert_array_equal(np.sort(perm),
+                                      np.arange(mesh.n_vertices))
+        x = np.rint(16 * mesh.vertices[:, 0]).astype(int)
+        np.testing.assert_array_equal(perm[-17:], np.flatnonzero(x == 8))
+        np.testing.assert_array_equal(np.sort(perm[:136]),
+                                      np.flatnonzero(x < 8))
+        np.testing.assert_array_equal(np.sort(perm[136:-17]),
+                                      np.flatnonzero(x > 8))
+
+    def test_grid_of_refined_mesh(self):
+        # Midpoint refinement numbers its new vertices after the old
+        # ones, not row by row.
+        mesh = midpoint_refine(uniform_mesh((-2, -1), (2, 3), 8))
+        grid = saddle._grid(mesh)
+        assert grid.shape == (17, 17)
+        assert not np.array_equal(grid.ravel(), np.arange(mesh.n_vertices))
+        j, i = np.meshgrid(np.arange(17), np.arange(17))
+        np.testing.assert_allclose(mesh.vertices[grid, 0], -2 + 0.25 * j,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(mesh.vertices[grid, 1], -1 + 0.25 * i,
+                                   rtol=0, atol=1e-14)
+
+    def test_off_grid_structure_vertex_rejected(self, manufactured_system):
+        # One structure vertex a tenth of a cell off its grid point: the
+        # order of c must refuse the mesh before anything is factored.
+        sys_ = manufactured_system
+        V, _, _, Q = sys_.spaces
+        solid = off_grid(uniform_mesh((0, 0), (1, 1), 8, orientation="left"))
+        moved = build_system(sys_.blocks, sys_.split(sys_.rhs)[:3],
+                             (V, solid_space(solid), multiplier_space(solid),
+                              Q))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saddle, "splu", lambda *a, **k: calls.append(a))
+            with pytest.raises(ValueError, match="not the points"):
+                solve(moved)
+        assert calls == []
+
+    def test_fill_not_above_mmd_of_c(self):
+        # At n_solid = 256, h1, the grid order fills c less than
+        # SuperLU's own MMD_AT_PLUS_A order of c does (5,743,912 against
+        # 6,122,094).
+        mesh = uniform_mesh((0, 0), (1, 1), 256, orientation="left")
+        k = mesh.n_vertices
+        c = assemble_Cs(multiplier_space(mesh), solid_space(mesh),
+                        "h1")[:k, :k]
+        fills = []
+        real_splu = saddle.splu
+
+        def counting_splu(A, *args, **kwargs):
+            lu = real_splu(A, *args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(saddle, "splu", counting_splu)
+            saddle._lu(c, saddle._dissection(saddle._grid(mesh)))
+        mmd = splu(c.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
+        assert fills[0] <= mmd.L.nnz + mmd.U.nnz
 
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_agrees_with_mmd_reference(self, ordered_solves, level):
