@@ -1,5 +1,7 @@
 """Structured mesh construction, refinement, and point location."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,23 @@ class TestLocatePoint:
         bulk = mesh.locate_points(pts)
         np.testing.assert_array_equal(bulk, self.scan_all(mesh, pts))
         assert [mesh.locate_point(p) for p in pts] == list(bulk)
+
+
+def pin(a):
+    """First 16 hex digits of sha256 over a as little-endian int64."""
+    return hashlib.sha256(np.asarray(a, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("lo, hi, orientation, cell_tris, boundary", [
+    ((-2, -2), (2, 2), "right", "5658787f1125d5b7", "aa97636c83b333c8"),
+    ((0, 0), (1, 1), "left", "5f60787fa70bf246", "8657ae985e4e14c6")])
+def test_refined_layout_pinned(lo, hi, orientation, cell_tris, boundary):
+    mesh = midpoint_refine(uniform_mesh(lo, hi, 8, orientation))
+    assert pin(mesh.cell_tris) == cell_tris
+    assert pin(mesh.boundary_vertex_flags) == boundary
+    assert mesh.orientation == orientation
+    assert mesh.domain == (*map(float, lo), *map(float, hi))
+    assert mesh.n_cells_per_side == 16
 
 
 def test_boundary_vertex_flags():
