@@ -3,20 +3,28 @@
 A mesh is a uniform n-by-n split of a rectangle into square cells, each
 cell cut into two triangles along one diagonal.  With orientation
 "right" the diagonal runs from the lower-left to the upper-right corner
-of the cell, with "left" it runs the other way.  Vertices are numbered
-lexicographically (x fastest, row major), cells row by row, and the two
-triangles of cell c are 2c and 2c+1, so matrix sparsity patterns are
-reproducible across runs.
+of the cell, with "left" it runs the other way.  uniform_mesh numbers
+vertices lexicographically (x fastest, row major), cells row by row, and
+the two triangles of cell c are 2c and 2c+1, so matrix sparsity patterns
+are reproducible across runs.
 
 The mesh size h is the grid spacing (side length divided by n), not the
 element diameter.  Midpoint refinement stores the four children of
-parent triangle t consecutively at 4t..4t+3, and the refined mesh keeps
-the structured cell-to-triangle lookup so point location stays O(1).
+parent triangle t consecutively at 4t..4t+3 and appends the midpoints
+after the parent vertices, so it numbers neither row by row.
 
-A mesh computes its areas, hat gradients and centroids at construction
-and is immutable after it.  Every blocked loop of the package, here and
-in the supermesh and the node-set streams, takes its blocks from _blocks.
+A Triangulation is built from its vertices and triangles alone.  It
+reads its grid, diagonal, cell-to-triangle lookup and boundary from the
+coordinates once, at construction, checks that the mesh is the uniform
+grid of its own vertices, and computes its areas, hat gradients and
+centroids; it is immutable after it.  Point location, the supermesh, the
+velocity solves and the order of the structure coupling block all rely
+on that grid and take it from here.  Every blocked loop of the package,
+here and in the supermesh and the node-set streams, takes its blocks
+from _blocks.
 """
+
+import math
 
 import numpy as np
 
@@ -79,55 +87,77 @@ class AffineMap:
 
 
 class Triangulation:
-    """Structured triangle mesh of an axis-aligned rectangle.
+    """Uniform triangle grid of an axis-aligned rectangle.
+
+    Triangulation(vertices, triangles) reads everything else from the
+    coordinates, once, and checks it: the vertices must be the (n + 1)^2
+    points of the uniform n x n grid of their bounding box, each within
+    1e-6 cell widths of its own point, and the triangles must be the two
+    halves of every cell, all cells cut along the same diagonal.  Any
+    other input raises ValueError.
 
     Attributes
     ----------
     vertices : (n_vertices, 2) float array
     triangles : (n_triangles, 3) int array, counterclockwise
-    n_cells_per_side : int
-    domain : (xmin, ymin, xmax, ymax)
-    orientation : "right" or "left"
-    boundary_vertex_flags : (n_vertices,) bool array
-    cell_tris : (n_cells_per_side**2, 2) int array mapping each grid cell
-        to its two triangles, ordered so that column 0 holds the triangle
-        covering the "low" half of the cell (below the right diagonal,
-        or below-left of the left diagonal).
+    n_cells_per_side : int, isqrt(n_vertices) - 1
+    domain : (xmin, ymin, xmax, ymax), the bounding box of the vertices
+    orientation : "right" or "left", the diagonal of every cell
+    grid : (n_cells_per_side + 1, n_cells_per_side + 1) read-only int
+        array; grid[i, j] is the vertex at the grid point in row i (y)
+        and column j (x)
+    boundary_vertex_flags : (n_vertices,) read-only bool array, True on
+        the outer ring of grid
+    cell_tris : (n_cells_per_side**2, 2) read-only int array mapping
+        each grid cell, row by row, to its two triangles; column 0 holds
+        the half with two corners on the cell's lower grid row (below
+        the right diagonal, or below-left of the left diagonal).
     areas : (n_triangles,) read-only float array of triangle areas
     grads : (n_triangles, 3, 2) read-only float array; row i holds the
         gradient of the hat function of local vertex i, constant on the
         element
     centroids : (n_triangles, 2) read-only float array
 
-    The geometry is computed in blocks of triangles, so no
-    (n_triangles, 3, 2) gather is made.
+    The grid is read in blocks of vertices and the geometry in blocks of
+    triangles, so no (n_triangles, 3, 2) gather is made.
     """
 
-    def __init__(self, vertices, triangles, n_cells_per_side, domain,
-                 orientation, cell_tris, boundary_vertex_flags):
+    def __init__(self, vertices, triangles):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
-        self.n_cells_per_side = int(n_cells_per_side)
-        self.domain = tuple(float(v) for v in domain)
-        self.orientation = orientation
-        self.cell_tris = np.asarray(cell_tris, dtype=np.int64)
-        self.boundary_vertex_flags = np.asarray(boundary_vertex_flags, dtype=bool)
+        n = self.n_cells_per_side = math.isqrt(self.n_vertices) - 1
+        if n < 1 or (n + 1) ** 2 != self.n_vertices:
+            raise ValueError("the vertex count is not (n + 1)^2 for an n >= 1")
+        self.domain = tuple(float(v) for v in np.concatenate(
+            [self.vertices.min(axis=0), self.vertices.max(axis=0)]))
         xmin, ymin, xmax, ymax = self.domain
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("degenerate domain rectangle")
-        if self.orientation not in ("right", "left"):
-            raise ValueError("orientation must be 'right' or 'left'")
-        n = self.n_triangles
+        origin, h = np.array([xmin, ymin]), np.array([self.hx, self.hy])
+        self.grid = np.full((n + 1, n + 1), -1, dtype=np.intp)
+        for v in _blocks(self.n_vertices):
+            ij = (self.vertices[v] - origin) / h
+            k = np.rint(ij).astype(np.intp)
+            # A block with a vertex off its point is not written, so it
+            # leaves a grid point without a vertex, as a duplicate does.
+            if np.abs(ij - k).max() <= 1e-6:
+                self.grid[k[:, 1], k[:, 0]] = np.arange(v.start, v.stop)
+        if self.grid.min() < 0:
+            raise ValueError("the mesh vertices are not the points of its "
+                             "uniform grid")
+        self.boundary_vertex_flags = np.ones(self.n_vertices, dtype=bool)
+        self.boundary_vertex_flags[self.grid[1:-1, 1:-1]] = False
+
+        nt = self.n_triangles
         self.areas, self.grads, self.centroids = (
-            np.empty(n), np.empty((n, 3, 2)), np.empty((n, 2)))
-        for t in _blocks(n):
-            p = self.vertices[self.triangles[t]]
+            np.empty(nt), np.empty((nt, 3, 2)), np.empty((nt, 2)))
+        self.cell_tris = np.full((n * n, 2), -1, dtype=np.int64)
+        span = 1.5 * h[::-1]
+        n_right = 0
+        for t in _blocks(nt):
+            # np.take gathers rows several times faster than indexing.
+            p = np.take(self.vertices, self.triangles[t], axis=0)
             a, b, c = p[:, 0], p[:, 1], p[:, 2]
-            area = self.areas[t]
-            area[:] = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                             - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
-            if np.any(area <= 0):
-                raise ValueError("triangle with non-positive signed area")
             g = self.grads[t]
             g[:, 0, 0] = b[:, 1] - c[:, 1]
             g[:, 0, 1] = c[:, 0] - b[:, 0]
@@ -135,12 +165,40 @@ class Triangulation:
             g[:, 1, 1] = a[:, 0] - c[:, 0]
             g[:, 2, 0] = a[:, 1] - b[:, 1]
             g[:, 2, 1] = b[:, 0] - a[:, 0]
+            # Row i of g is now the edge opposite corner i turned by a
+            # right angle, (dy, -dx); the area is
+            # ((b - a) x (c - a)) / 2, with b - a and c - a read from it.
+            area = self.areas[t]
+            np.multiply(g[:, 2, 1], g[:, 1, 0], out=area)
+            area -= g[:, 1, 1] * g[:, 2, 0]
+            area *= 0.5
+            if np.any(area <= 0):
+                raise ValueError("triangle with non-positive signed area")
+            # Corners on grid points, at most a cell apart along each axis
+            # and not in a line, are three corners of one cell.
+            if np.any(np.abs(g) > span):
+                raise ValueError("a triangle is not half of one grid cell")
             g /= 2.0 * area[:, None, None]
-            p.mean(axis=1, out=self.centroids[t])
-        rect = (xmax - xmin) * (ymax - ymin)
-        if abs(self.areas.sum() - rect) > 1e-12 * rect:
-            raise ValueError("triangle areas do not cover the rectangle")
-        for arr in (self.areas, self.grads, self.centroids):
+            cent = np.divide(a + b + c, 3.0, out=self.centroids[t])
+            # A half's centroid is a third or two thirds of the way across
+            # its cell along each axis: (2/3, 1/3) or (1/3, 2/3) for the
+            # halves along the right diagonal, (1/3, 1/3) or (2/3, 2/3)
+            # along the left one; a third up for the half with two
+            # corners on the lower row.
+            f = (cent - origin) / h
+            cell = np.floor(f)
+            upper = f - cell > 0.5
+            n_right += np.count_nonzero(upper[:, 0] != upper[:, 1])
+            self.cell_tris[(cell[:, 1] * n + cell[:, 0]).astype(np.intp),
+                           upper[:, 1].astype(np.intp)] = np.arange(t.start,
+                                                                    t.stop)
+        if 0 < n_right < nt:
+            raise ValueError("the mesh mixes both cell diagonals")
+        if nt != 2 * n * n or self.cell_tris.min() < 0:
+            raise ValueError("a grid cell lacks a half")
+        self.orientation = "right" if n_right else "left"
+        for arr in (self.grid, self.boundary_vertex_flags, self.cell_tris,
+                    self.areas, self.grads, self.centroids):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------
@@ -331,13 +389,7 @@ def uniform_mesh(lo, hi, n, orientation="right"):
     for j, tri in enumerate(corners):
         for i, offset in enumerate(tri):
             np.add(v00, offset, out=triangles[:, :, j, i])
-    triangles = triangles.reshape(-1, 3)
-
-    cell_tris = np.arange(2 * n * n).reshape(-1, 2)
-    gx, gy = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
-    boundary = ((gx == 0) | (gx == n) | (gy == 0) | (gy == n)).ravel()
-    return Triangulation(vertices, triangles, n, (xmin, ymin, xmax, ymax),
-                         orientation, cell_tris, boundary)
+    return Triangulation(vertices, triangles.reshape(-1, 3))
 
 
 def midpoint_refine(mesh):
@@ -348,20 +400,9 @@ def midpoint_refine(mesh):
     the parent vertices in first-encounter order, so the numbering is
     deterministic.
     """
-    # Each step is a function, so its temporaries are freed before the
+    # _split is a function, so its temporaries are freed before the
     # refined mesh computes its geometry.
-    vertices, children = _split(mesh)
-    n2 = 2 * mesh.n_cells_per_side
-    cell_tris = _cell_layout(vertices, children, n2, mesh.domain,
-                             mesh.orientation)
-    xmin, ymin, xmax, ymax = mesh.domain
-    tol = 1e-12 * max(xmax - xmin, ymax - ymin)
-    boundary = ((np.abs(vertices[:, 0] - xmin) < tol)
-                | (np.abs(vertices[:, 0] - xmax) < tol)
-                | (np.abs(vertices[:, 1] - ymin) < tol)
-                | (np.abs(vertices[:, 1] - ymax) < tol))
-    return Triangulation(vertices, children, n2, mesh.domain,
-                         mesh.orientation, cell_tris, boundary)
+    return Triangulation(*_split(mesh))
 
 
 def _split(mesh):
@@ -384,32 +425,6 @@ def _split(mesh):
     vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[mid // nv]
                                                 + mesh.vertices[mid % nv])])
     return vertices, children
-
-
-def _cell_layout(vertices, children, n2, domain, orientation):
-    """cell_tris of the triangles vertices[children] on the n2-by-n2 grid
-    of domain, found from their centroids."""
-    xmin, ymin, xmax, ymax = domain
-    hx = (xmax - xmin) / n2
-    hy = (ymax - ymin) / n2
-
-    cent = vertices[children].mean(axis=1)
-    cx = np.clip(np.floor((cent[:, 0] - xmin) / hx).astype(np.int64), 0, n2 - 1)
-    cy = np.clip(np.floor((cent[:, 1] - ymin) / hy).astype(np.int64), 0, n2 - 1)
-    cells = cy * n2 + cx
-    fx = (cent[:, 0] - xmin) / hx - cx
-    fy = (cent[:, 1] - ymin) / hy - cy
-    if orientation == "right":
-        low = fy < fx
-    else:
-        low = fx + fy < 1.0
-    cell_tris = np.full((n2 * n2, 2), -1, dtype=np.int64)
-    idx = np.arange(children.shape[0])
-    cell_tris[cells[low], 0] = idx[low]
-    cell_tris[cells[~low], 1] = idx[~low]
-    if np.any(cell_tris < 0):
-        raise ValueError("refined mesh lost its structured cell layout")
-    return cell_tris
 
 
 def element_map(mesh, t):

@@ -31,10 +31,10 @@ tolerance.  Only c is factored, in single precision, in the nested
 dissection of the structure mesh's grid into boxes (George, "Nested
 dissection of a regular finite element mesh", SIAM J. Numer. Anal.
 1973), which does not depend on the placement map.  The velocity solves
-and this order each read their mesh's grid from the vertex coordinates
-once, and reject a mesh with a vertex off its grid point.  GMRES keeps
-every residual in double precision and, being flexible, needs no
-exactly linear preconditioner, so the solve still reaches a
+and this order take the vertex at each grid point from mesh.grid, which
+the mesh read from its coordinates and checked when it was built.
+GMRES keeps every residual in double precision and, being flexible,
+needs no exactly linear preconditioner, so the solve still reaches a
 double-precision residual (mixed-precision GMRES refinement, Carson &
 Higham, SISC 2018).
 """
@@ -165,25 +165,6 @@ def build_system(blocks, rhs, spaces):
     return BlockSystem(matrix, b, offsets, spaces, blocks, mask)
 
 
-def _grid(mesh):
-    """(n + 1, n + 1) array of the vertex ids of the uniform mesh of
-    n x n cells, [i, j] being the grid point in row i (y) and column j
-    (x), read from the coordinates.  Raises ValueError unless every
-    vertex sits on its own grid point."""
-    n = mesh.n_cells_per_side
-    xmin, ymin, _, _ = mesh.domain
-    ij = (mesh.vertices - (xmin, ymin)) / (mesh.hx, mesh.hy)
-    k = np.rint(ij).astype(np.intp)
-    grid = np.full((n + 1, n + 1), -1, dtype=np.intp)
-    if (mesh.n_vertices == grid.size and np.abs(ij - k).max() <= 1e-6
-            and k.min() >= 0 and k.max() <= n):
-        grid[k[:, 1], k[:, 0]] = np.arange(mesh.n_vertices)
-    if grid.min() < 0:
-        raise ValueError("the mesh vertices are not the points of its "
-                         "uniform grid")
-    return grid
-
-
 # Boxes of at most this many vertices are not cut further.
 _LEAF_SIZE = 64
 
@@ -266,10 +247,9 @@ def _velocity_solver(Af, V):
     N = mesh.n_cells_per_side
     if abs(mesh.hy - mesh.hx) > 1e-12 * mesh.hx:
         raise ValueError("the velocity mesh cells are not square")
-    slots = _grid(mesh)[1:-1, 1:-1]
-    fixed = np.ones(V.n_vertices, dtype=bool)
-    fixed[slots] = False
-    if not np.array_equal(V.dirichlet_mask, np.tile(fixed, 2)):
+    slots = mesh.grid[1:-1, 1:-1]
+    if not np.array_equal(V.dirichlet_mask,
+                          np.tile(mesh.boundary_vertex_flags, 2)):
         raise ValueError("the Dirichlet velocity dofs are not the outer "
                          "ring of the uniform grid")
     dofs = slots + V.n_vertices * np.arange(2)[:, None, None]
@@ -401,8 +381,7 @@ def solve(system):
     single precision, in the nested dissection of the structure mesh's
     grid (_dissection); flexible GMRES stops at a true relative residual
     of 1e-12.  A factorization failure, and a relative residual left above
-    1e-9, are reported as a singular system; a structure mesh with a
-    vertex off its grid point raises ValueError before any factorization.
+    1e-9, are reported as a singular system.
     """
     V, S, L, Q = system.spaces
     A = system.matrix.tocsr()
@@ -416,7 +395,7 @@ def solve(system):
     stokes_solve = _stokes_solver(system, A)
     k = S.n_vertices
     c = system.blocks.Cs[:k, :k]
-    c_solve = _lu(c, _dissection(_grid(S.mesh)))
+    c_solve = _lu(c, _dissection(S.mesh.grid))
 
     def cs_solve(v):
         return c_solve(v.reshape(2, k).T).T.ravel()

@@ -176,13 +176,13 @@ class TestGeometry:
             assert np.array_equal(got, want)
 
     def test_zero_area_triangle_raises_before_dividing(self, blocks):
-        vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
-                    (0.5, 0.5)]
-        triangles = [(0, 1, 2), (0, 2, 3), (0, 4, 2)]
+        # The first triangle runs along the bottom row of the 3 x 3 grid.
+        mesh = uniform_mesh((0, 0), (1, 1), 2)
+        triangles = mesh.triangles.copy()
+        triangles[0] = (0, 1, 2)
         with np.errstate(all="raise"), pytest.raises(
                 ValueError, match="non-positive signed area"):
-            Triangulation(vertices, triangles, 1, (0, 0, 1, 1), "right",
-                          [[0, 1]], [True] * 4 + [False])
+            Triangulation(mesh.vertices, triangles)
 
 
 class TestElementMap:
@@ -349,7 +349,8 @@ def pin(a):
 
 @pytest.mark.parametrize("lo, hi, orientation, cell_tris, boundary", [
     ((-2, -2), (2, 2), "right", "5658787f1125d5b7", "aa97636c83b333c8"),
-    ((0, 0), (1, 1), "left", "5f60787fa70bf246", "8657ae985e4e14c6")])
+    ((0, 0), (1, 1), "left", "5f60787fa70bf246", "8657ae985e4e14c6")],
+    ids=["right", "left"])
 def test_refined_layout_pinned(lo, hi, orientation, cell_tris, boundary):
     mesh = midpoint_refine(uniform_mesh(lo, hi, 8, orientation))
     assert pin(mesh.cell_tris) == cell_tris
@@ -357,6 +358,103 @@ def test_refined_layout_pinned(lo, hi, orientation, cell_tris, boundary):
     assert mesh.orientation == orientation
     assert mesh.domain == (*map(float, lo), *map(float, hi))
     assert mesh.n_cells_per_side == 16
+
+
+def moved(mesh, i, dx, dy):
+    """mesh with vertex i moved by (dx, dy) cell widths, rebuilt."""
+    v = mesh.vertices.copy()
+    v[i] += (dx * mesh.hx, dy * mesh.hy)
+    return Triangulation(v, mesh.triangles)
+
+
+class TestGridChecks:
+    """A Triangulation is the uniform grid of its own vertices, or its
+    construction raises ValueError."""
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_grid_attributes_read_only(self, name):
+        mesh = MESHES[name]()
+        for field in ("grid", "cell_tris", "boundary_vertex_flags"):
+            arr = getattr(mesh, field)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+
+    @pytest.mark.parametrize("refine", [0, 1])
+    def test_vertex_off_its_grid_point(self, refine):
+        mesh = uniform_mesh((-2, -2), (2, 2), 4)
+        for _ in range(refine):
+            mesh = midpoint_refine(mesh)
+        inner = np.flatnonzero(~mesh.boundary_vertex_flags)
+        for i in (inner[0], inner[-1]):
+            with pytest.raises(ValueError, match="not the points"):
+                moved(mesh, i, 0.1, 0.0)
+        # Within 1e-6 cell widths a vertex is on its point.
+        assert np.array_equal(moved(mesh, inner[0], 1e-7, 0.0).grid,
+                              mesh.grid)
+
+    def test_duplicated_vertex(self):
+        mesh = uniform_mesh((0, 0), (1, 1), 4)
+        v = mesh.vertices.copy()
+        v[7] = v[6]
+        with pytest.raises(ValueError, match="not the points"):
+            Triangulation(v, mesh.triangles)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_vertex_count_not_a_square(self, extra):
+        mesh = uniform_mesh((0, 0), (1, 1), 2)
+        v = (mesh.vertices[:-1] if extra < 0
+             else np.vstack([mesh.vertices, [(0.25, 0.25)]]))
+        with pytest.raises(ValueError, match="vertex count"):
+            Triangulation(v, mesh.triangles[:-2])
+
+    def test_one_cell_split_by_the_other_diagonal(self):
+        mesh = uniform_mesh((0, 0), (1, 1), 4, "right")
+        triangles = mesh.triangles.copy()
+        v = 6  # lower-left vertex of cell 5, row 1, column 1
+        triangles[10:12] = [(v, v + 1, v + 5), (v + 1, v + 6, v + 5)]
+        with pytest.raises(ValueError, match="both cell diagonals"):
+            Triangulation(mesh.vertices, triangles)
+
+    def test_triangle_spanning_two_cells(self):
+        mesh = uniform_mesh((0, 0), (1, 1), 2)
+        triangles = mesh.triangles.copy()
+        triangles[0] = (0, 2, 4)
+        with pytest.raises(ValueError, match="not half of one grid cell"):
+            Triangulation(mesh.vertices, triangles)
+
+    @pytest.mark.parametrize("triangles", [
+        lambda t: t[1:], lambda t: np.vstack([t[:1], t[:1], t[2:]]),
+        lambda t: np.vstack([t, t[:1]])], ids=["dropped", "twice", "extra"])
+    def test_cell_lacks_a_half(self, triangles):
+        mesh = uniform_mesh((0, 0), (1, 1), 3)
+        with pytest.raises(ValueError, match="lacks a half"):
+            Triangulation(mesh.vertices, triangles(mesh.triangles))
+
+    def test_moved_fluid_vertex_under_the_structure(self):
+        # Moving the refined fluid vertex nearest the mapped structure's
+        # centre by 0.3 cells once changed the owners of 11 of the 512 h1
+        # approx nodes at (8, 8) and kept the supermesh area defect at
+        # 4.4e-16: nothing noticed.
+        V, _, _, _ = experiments_cli.build_level_spaces(8, 8)
+        fluid = V.mesh
+        centre = manufactured_solution().xbar.apply((0.5, 0.5))
+        i = np.argmin(np.linalg.norm(fluid.vertices - centre, axis=1))
+        with pytest.raises(ValueError, match="not the points"):
+            moved(fluid, i, 0.3, 0.3)
+
+    def test_orientation_is_read_from_the_triangles(self):
+        # This mesh once declared "left" made locate_points disagree with
+        # locate_point on 524 of these 1,000 points; the diagonal is no
+        # longer an argument.
+        mesh = midpoint_refine(uniform_mesh((-2, -2), (2, 2), 8, "right"))
+        with pytest.raises(TypeError):
+            Triangulation(mesh.vertices, mesh.triangles, orientation="left")
+        rebuilt = Triangulation(mesh.vertices, mesh.triangles)
+        assert rebuilt.orientation == "right"
+        pts = np.random.default_rng(5).uniform(-2, 2, size=(1000, 2))
+        assert [rebuilt.locate_point(p) for p in pts] == list(
+            rebuilt.locate_points(pts))
 
 
 def test_boundary_vertex_flags():

@@ -191,9 +191,7 @@ def off_grid(mesh):
     """mesh with its first interior vertex moved a tenth of a cell in x."""
     v = mesh.vertices.copy()
     v[np.argmin(mesh.boundary_vertex_flags), 0] += 0.1 * mesh.hx
-    return Triangulation(v, mesh.triangles, mesh.n_cells_per_side,
-                         mesh.domain, mesh.orientation, mesh.cell_tris,
-                         mesh.boundary_vertex_flags)
+    return Triangulation(v, mesh.triangles)
 
 
 def velocity_block(n_fluid, params):
@@ -250,11 +248,11 @@ class TestFluidSolve:
             saddle._velocity_solver(Af, V)
 
     def test_velocity_solve_needs_grid_vertices(self):
-        V = velocity_space(off_grid(midpoint_refine(
-            uniform_mesh((-2, -2), (2, 2), 4))))
-        Af = assemble_Af(V, FormParams())
+        # The velocity solve reads mesh.grid; a mesh with a vertex off
+        # its grid point is refused where it is built.
+        mesh = midpoint_refine(uniform_mesh((-2, -2), (2, 2), 4))
         with pytest.raises(ValueError, match="not the points"):
-            saddle._velocity_solver(Af, V)
+            off_grid(mesh)
 
     def test_tight_inner_solve_equals_spsolve(self, manufactured_system,
                                               monkeypatch):
@@ -379,7 +377,7 @@ class TestNestedDissection:
         # The 17 x 17 grid is cut by its middle column, x = 8, which is
         # eliminated last, after every vertex of both halves.
         mesh = uniform_mesh((0, 0), (1, 1), 16)
-        perm = saddle._dissection(saddle._grid(mesh))
+        perm = saddle._dissection(mesh.grid)
         np.testing.assert_array_equal(np.sort(perm),
                                       np.arange(mesh.n_vertices))
         x = np.rint(16 * mesh.vertices[:, 0]).astype(int)
@@ -393,7 +391,7 @@ class TestNestedDissection:
         # Midpoint refinement numbers its new vertices after the old
         # ones, not row by row.
         mesh = midpoint_refine(uniform_mesh((-2, -1), (2, 3), 8))
-        grid = saddle._grid(mesh)
+        grid = mesh.grid
         assert grid.shape == (17, 17)
         assert not np.array_equal(grid.ravel(), np.arange(mesh.n_vertices))
         j, i = np.meshgrid(np.arange(17), np.arange(17))
@@ -402,20 +400,14 @@ class TestNestedDissection:
         np.testing.assert_allclose(mesh.vertices[grid, 1], -1 + 0.25 * i,
                                    rtol=0, atol=1e-14)
 
-    def test_off_grid_structure_vertex_rejected(self, manufactured_system):
+    def test_off_grid_structure_vertex_rejected(self):
         # One structure vertex a tenth of a cell off its grid point: the
-        # order of c must refuse the mesh before anything is factored.
-        sys_ = manufactured_system
-        V, _, _, Q = sys_.spaces
-        solid = off_grid(uniform_mesh((0, 0), (1, 1), 8, orientation="left"))
-        moved = build_system(sys_.blocks, sys_.split(sys_.rhs)[:3],
-                             (V, solid_space(solid), multiplier_space(solid),
-                              Q))
+        # mesh is refused where it is built, before anything is factored.
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(saddle, "splu", lambda *a, **k: calls.append(a))
             with pytest.raises(ValueError, match="not the points"):
-                solve(moved)
+                off_grid(uniform_mesh((0, 0), (1, 1), 8, orientation="left"))
         assert calls == []
 
     def test_fill_not_above_mmd_of_c(self):
@@ -436,7 +428,7 @@ class TestNestedDissection:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(saddle, "splu", counting_splu)
-            saddle._lu(c, saddle._dissection(saddle._grid(mesh)))
+            saddle._lu(c, saddle._dissection(mesh.grid))
         mmd = splu(c.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A",
                    options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
         assert fills[0] <= mmd.L.nnz + mmd.U.nnz
