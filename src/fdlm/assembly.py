@@ -100,11 +100,15 @@ def _csr(rows, cols, vals, shape):
 
     The COO indices are built as int32, which coo_matrix keeps without
     a copy, and tocsr() returns canonical CSR (sorted, summed indices).
+    Entries that sum to exactly zero, such as the stiffness couplings
+    across the diagonals of right-angled cells, are not stored.
     """
     r = np.repeat(rows.astype(np.int32, copy=False), cols.shape[1], axis=1)
     c = np.tile(cols.astype(np.int32, copy=False), (1, rows.shape[1]))
-    return sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())),
-                         shape=shape).tocsr()
+    A = sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())),
+                      shape=shape).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def _scalar_mass(mesh):

@@ -98,8 +98,8 @@ class Triangulation:
 
     Attributes
     ----------
-    vertices : (n_vertices, 2) float array
-    triangles : (n_triangles, 3) int array, counterclockwise
+    vertices : (n_vertices, 2) read-only float array
+    triangles : (n_triangles, 3) read-only int array, counterclockwise
     n_cells_per_side : int, isqrt(n_vertices) - 1
     domain : (xmin, ymin, xmax, ymax), the bounding box of the vertices
     orientation : "right" or "left", the diagonal of every cell
@@ -119,12 +119,16 @@ class Triangulation:
     centroids : (n_triangles, 2) read-only float array
 
     The grid is read in blocks of vertices and the geometry in blocks of
-    triangles, so no (n_triangles, 3, 2) gather is made.
+    triangles, so no (n_triangles, 3, 2) gather is made.  vertices and
+    triangles are views of the arrays passed in when those already have
+    the dtype (float64, int64), so no copy is made; the caller's arrays
+    stay writable, and writing to them after construction leaves the
+    checked attributes stale.
     """
 
     def __init__(self, vertices, triangles):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=np.int64)
+        self.vertices = np.asarray(vertices, dtype=float).view()
+        self.triangles = np.asarray(triangles, dtype=np.int64).view()
         n = self.n_cells_per_side = math.isqrt(self.n_vertices) - 1
         if n < 1 or (n + 1) ** 2 != self.n_vertices:
             raise ValueError("the vertex count is not (n + 1)^2 for an n >= 1")
@@ -197,7 +201,8 @@ class Triangulation:
         if nt != 2 * n * n or self.cell_tris.min() < 0:
             raise ValueError("a grid cell lacks a half")
         self.orientation = "right" if n_right else "left"
-        for arr in (self.grid, self.boundary_vertex_flags, self.cell_tris,
+        for arr in (self.vertices, self.triangles, self.grid,
+                    self.boundary_vertex_flags, self.cell_tris,
                     self.areas, self.grads, self.centroids):
             arr.setflags(write=False)
 

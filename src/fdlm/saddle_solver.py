@@ -39,6 +39,8 @@ double-precision residual (mixed-precision GMRES refinement, Carson &
 Higham, SISC 2018).
 """
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -67,15 +69,24 @@ class Blocks:
 
 
 class BlockSystem:
-    """Assembled global matrix with its right-hand side and dof layout."""
+    """Assembled global matrix with its right-hand side and dof layout.
 
-    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask):
+    Cf and Bm are the multiplier rows Cf and the pressure rows -B of the
+    matrix without their Dirichlet columns, and BmT is Bm's transpose;
+    the solve's preconditioner applies them.
+    """
+
+    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask,
+                 Cf, Bm, BmT):
         self.matrix = matrix
         self.rhs = rhs
         self.offsets = offsets
         self.spaces = spaces
         self.blocks = blocks
         self.dirichlet_mask = dirichlet_mask
+        self.Cf = Cf
+        self.Bm = Bm
+        self.BmT = BmT
 
     @property
     def n_dofs(self):
@@ -113,12 +124,60 @@ class DiscreteSolution:
         return self.residual_norm / self.rhs_norm
 
 
+def _drop(M, cols, rows=None):
+    """The canonical CSR matrix M without its entries in the columns
+    marked True in cols and, if given, in the rows marked in rows; same
+    shape, still canonical."""
+    keep = ~cols[M.indices]
+    if rows is not None:
+        keep &= np.repeat(~rows, np.diff(M.indptr))
+    count = np.zeros(M.nnz + 1, dtype=M.indptr.dtype)
+    np.cumsum(keep, out=count[1:])
+    return sp.csr_matrix((M.data[keep], M.indices[keep], count[M.indptr]),
+                         shape=M.shape)
+
+
+def _stack(rows, sizes):
+    """One canonical CSR matrix, with int32 indices below 2**31 entries,
+    of the grid of canonical CSR blocks rows, None standing for a zero
+    block; block (i, j) is sizes[i] x sizes[j].  Each block's entries
+    are written straight to their place, after the entries of the blocks
+    to its left in the same rows, so no stacked copy of a row of blocks
+    is made."""
+    offsets = [0, *itertools.accumulate(sizes)]
+    counts = np.concatenate([sum(np.diff(M.indptr) for M in row
+                                 if M is not None) for row in rows])
+    nnz = int(counts.sum())
+    indptr = np.zeros(counts.size + 1,
+                      dtype=np.int32 if nnz < 2 ** 31 else np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=indptr.dtype)
+    data = np.empty(nnz)
+    for i, row in enumerate(rows):
+        # The next free slot of each row of the row block.
+        free = indptr[offsets[i]:offsets[i + 1]].copy()
+        for M, col in zip(row, offsets):
+            if M is None:
+                continue
+            n = np.diff(M.indptr)
+            at = (np.repeat(free - M.indptr[:-1], n)
+                  + np.arange(M.nnz, dtype=indptr.dtype))
+            indices[at] = M.indices + col
+            data[at] = M.data
+            free += n
+    return sp.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
+
+
 def build_system(blocks, rhs, spaces):
     """Assemble the bordered global matrix and eliminate Dirichlet dofs.
 
-    blocks: Blocks instance; rhs: (F, G, D) tuple; spaces: (V, S, L, Q),
-    where L and S must live on the same structure mesh.
-    The velocity space's dirichlet_mask marks the constrained dofs.
+    blocks: Blocks instance of canonical CSR matrices; rhs: (F, G, D)
+    tuple; spaces: (V, S, L, Q), where L and S must live on the same
+    structure mesh.  The velocity space's dirichlet_mask marks the
+    constrained dofs.  Their rows and columns are dropped from Af and
+    their columns from Cf and B, block by block, a unit diagonal is put
+    in their rows, and the row blocks are stacked into one canonical
+    CSR matrix.
     """
     V, S, L, Q = spaces
     nu, ns, nl, npre = V.n_dofs, S.n_dofs, L.n_dofs, Q.n_dofs
@@ -134,35 +193,31 @@ def build_system(blocks, rhs, spaces):
         raise ValueError("coupling block shape mismatch")
     if blocks.mean_row.shape != (npre,):
         raise ValueError("mean row length mismatch")
-
-    m = sp.csr_matrix(blocks.mean_row.reshape(1, -1))
-    A = sp.bmat([
-        [blocks.Af, None, blocks.Cf.T, -blocks.B.T, None],
-        [None, blocks.As, -blocks.Cs.T, None, None],
-        [blocks.Cf, -blocks.Cs, None, None, None],
-        [-blocks.B, None, None, None, m.T],
-        [None, None, None, m, None],
-    ], format="coo")
-
     F, G, D = rhs
     b = np.concatenate([F, G, D, np.zeros(npre), [0.0]])
-    if b.shape[0] != A.shape[0]:
+    if b.shape[0] != nu + ns + nl + npre + 1:
         raise ValueError("right-hand side length mismatch")
+
+    fixed = V.dirichlet_mask
+    b[:nu][fixed] = 0.0
+    Af = (_drop(blocks.Af.tocsr(), fixed, fixed)
+          + sp.diags(fixed.astype(float), format="csr"))
+    Cf = _drop(blocks.Cf.tocsr(), fixed)
+    Bm = -_drop(blocks.B.tocsr(), fixed)
+    Cs = -blocks.Cs.tocsr()
+    m = sp.csr_matrix(blocks.mean_row.reshape(1, -1))
+    BmT = Bm.T.tocsr()
+    matrix = _stack([[Af, None, Cf.T.tocsr(), BmT, None],
+                     [None, blocks.As.tocsr(), Cs.T.tocsr(), None, None],
+                     [Cf, Cs, None, None, None],
+                     [Bm, None, None, None, m.T.tocsr()],
+                     [None, None, None, m, None]], (nu, ns, nl, npre, 1))
 
     offsets = {"u": 0, "x": nu, "lambda": nu + ns, "p": nu + ns + nl,
                "sigma": nu + ns + nl + npre}
-
-    mask = np.zeros(A.shape[0], dtype=bool)
-    mask[:nu] = V.dirichlet_mask
-    keep = ~(mask[A.row] | mask[A.col])
-    fixed = np.flatnonzero(mask)
-    rows = np.concatenate([A.row[keep], fixed])
-    cols = np.concatenate([A.col[keep], fixed])
-    data = np.concatenate([A.data[keep], np.ones(fixed.size)])
-    b = b.copy()
-    b[fixed] = 0.0
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
-    return BlockSystem(matrix, b, offsets, spaces, blocks, mask)
+    mask = np.zeros(matrix.shape[0], dtype=bool)
+    mask[:nu] = fixed
+    return BlockSystem(matrix, b, offsets, spaces, blocks, mask, Cf, Bm, BmT)
 
 
 # Boxes of at most this many vertices are not cut further.
@@ -268,11 +323,11 @@ def _velocity_solver(Af, V):
     return velocity_solve
 
 
-def _stokes_solver(system, A):
+def _stokes_solver(system):
     """Approximate solve with the fluid Stokes block S_f of the system
-    matrix A, the (u, p, sigma) rows and columns, using no factor.
+    matrix, the (u, p, sigma) rows and columns, using no factor.
 
-    With K^-1 the velocity solve of _velocity_solver, Bm = A[p, u] and m
+    With K^-1 the velocity solve of _velocity_solver, Bm = system.Bm and m
     the mean row, the rows of S_f read K u + Bm^T p = f,
     Bm u + m sigma = g and m^T p = h.  Bm^T annihilates constants, so
     sigma = sum(g') / sum(m) with g' = g - Bm K^-1 f makes the pressure
@@ -285,14 +340,12 @@ def _stokes_solver(system, A):
     and u = K^-1 (f - Bm^T p).
     Returns a function mapping (f, g, h) to (u, p, sigma).
     """
-    o = system.offsets
     V = system.spaces[0]
     m = system.blocks.mean_row
     if not np.all(m > 0.0):
         raise SingularSystemError("pressure mean row is not positive")
     msum = m.sum()
-    Bm = A[o["p"]:o["sigma"], :o["x"]]
-    BmT = Bm.T.tocsr()
+    Bm, BmT = system.Bm, system.BmT
     velocity_solve = _velocity_solver(system.blocks.Af, V)
     tol2 = _INNER_TOL ** 2
 
@@ -384,7 +437,7 @@ def solve(system):
     1e-9, are reported as a singular system.
     """
     V, S, L, Q = system.spaces
-    A = system.matrix.tocsr()
+    A = system.matrix
     b = system.rhs
     o = system.offsets
     n = A.shape[0]
@@ -392,7 +445,7 @@ def solve(system):
     xs = slice(o["x"], o["lambda"])
     lam = slice(o["lambda"], o["p"])
     p = slice(o["p"], o["sigma"])
-    stokes_solve = _stokes_solver(system, A)
+    stokes_solve = _stokes_solver(system)
     k = S.n_vertices
     c = system.blocks.Cs[:k, :k]
     c_solve = _lu(c, _dissection(S.mesh.grid))
@@ -400,7 +453,7 @@ def solve(system):
     def cs_solve(v):
         return c_solve(v.reshape(2, k).T).T.ravel()
 
-    Cf, As = A[lam, u], A[xs, xs]
+    Cf, As = system.Cf, system.blocks.As
 
     def precondition(r):
         z = np.empty(n)

@@ -380,6 +380,23 @@ class TestGridChecks:
             with pytest.raises(ValueError):
                 arr.flat[0] = 0
 
+    def test_vertices_and_triangles_read_only_views(self):
+        # Moving a vertex of a built mesh once went unnoticed, leaving
+        # grid, cell_tris and the geometry stale.
+        mesh = uniform_mesh((0, 0), (1, 1), 4)
+        with pytest.raises(ValueError):
+            mesh.vertices[6] += (0.03, 0)
+        with pytest.raises(ValueError):
+            mesh.triangles[0] = (0, 1, 2)
+        # The caller's arrays are viewed, not copied, and stay writable.
+        v, t = mesh.vertices.copy(), mesh.triangles.copy()
+        rebuilt = Triangulation(v, t)
+        assert np.shares_memory(rebuilt.vertices, v)
+        assert np.shares_memory(rebuilt.triangles, t)
+        v[6] += (0.03, 0)
+        t[0] = (0, 1, 2)
+        assert v.flags.writeable and t.flags.writeable
+
     @pytest.mark.parametrize("refine", [0, 1])
     def test_vertex_off_its_grid_point(self, refine):
         mesh = uniform_mesh((-2, -2), (2, 2), 4)

@@ -3,6 +3,7 @@ GMRES solve."""
 
 import copy
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,7 +56,70 @@ def manufactured_sol(manufactured_system):
     return solve(manufactured_system)
 
 
+def coo_reference(blocks, dirichlet_mask):
+    """The global matrix built the old way: the whole system stacked in
+    COO, every entry in a Dirichlet row or column masked out, a unit
+    diagonal appended in those rows, converted to CSR; stored zeros
+    dropped."""
+    m = sp.csr_matrix(blocks.mean_row.reshape(1, -1))
+    A = sp.bmat([
+        [blocks.Af, None, blocks.Cf.T, -blocks.B.T, None],
+        [None, blocks.As, -blocks.Cs.T, None, None],
+        [blocks.Cf, -blocks.Cs, None, None, None],
+        [-blocks.B, None, None, None, m.T],
+        [None, None, None, m, None],
+    ], format="coo")
+    keep = ~(dirichlet_mask[A.row] | dirichlet_mask[A.col])
+    fixed = np.flatnonzero(dirichlet_mask)
+    rows = np.concatenate([A.row[keep], fixed])
+    cols = np.concatenate([A.col[keep], fixed])
+    data = np.concatenate([A.data[keep], np.ones(fixed.size)])
+    ref = sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
+    ref.eliminate_zeros()
+    return ref
+
+
+def csr_bytes(A):
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
 class TestBuildSystem:
+    @pytest.mark.parametrize("params", [FormParams(), FormParams(alpha=1.0)],
+                             ids=["stiffness", "with_mass"])
+    def test_equals_coo_reference(self, params):
+        sys_ = coarsest_setup(manufactured_solution(), params)
+        got = sys_.matrix
+        want = coo_reference(sys_.blocks, sys_.dirichlet_mask)
+        assert got.format == "csr" and got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        # Sorted, duplicate-free indices, checked from the arrays.
+        assert got.has_canonical_format
+
+    def test_no_stored_zeros(self, manufactured_system):
+        sys_ = manufactured_system
+        b = sys_.blocks
+        for M in (b.Af, b.As, b.B, b.Cf, b.Cs, sys_.matrix):
+            assert M.nnz > 0 and np.all(M.data != 0.0)
+        # On right-angled cells the P1 stiffness is the 5-point stencil:
+        # the couplings across the cell diagonals are exact zeros.
+        n = sys_.spaces[0].mesh.n_cells_per_side + 1
+        assert b.Af.nnz == 2 * (5 * n * n - 4 * n)
+
+    def test_build_transient_bounded(self, manufactured_system):
+        # The old COO build peaked at 5.2 times its result here.
+        sys_ = manufactured_system
+        F, G, D, _, _ = sys_.split(sys_.rhs)
+        tracemalloc.start()
+        try:
+            built = build_system(sys_.blocks, (F, G, D), sys_.spaces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * csr_bytes(built.matrix)
+
     def test_coarsest_dimension(self, manufactured_system):
         # 2 * 33^2 velocity + 2 * 81 structure + 2 * 81 multiplier
         # + 17^2 pressure + 1 mean multiplier
@@ -266,7 +330,7 @@ class TestFluidSolve:
         want = spsolve(A[fluid][:, fluid].tocsc(), r)
         nu = o["x"]
         monkeypatch.setattr(saddle, "_INNER_TOL", 1e-14)
-        stokes_solve = saddle._stokes_solver(sys_, A)
+        stokes_solve = saddle._stokes_solver(sys_)
         u, p, sigma = stokes_solve(r[:nu], r[nu:-1], r[-1])
         got = np.concatenate([u, p, [sigma]])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
