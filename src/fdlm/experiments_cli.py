@@ -166,24 +166,34 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None):
     return record, sol, system
 
 
+def _convergence_record(n_fluid, n_solid, plan, exact):
+    """One level's record: the solve in the plan's assembly mode, then the
+    gap against the other mode's matrix.  The solved system is released
+    before that matrix is built, and nothing of the level outlives the
+    call."""
+    record, sol, system = solve_level(n_fluid, n_solid, plan.coupling,
+                                      plan.assembly_mode, exact)
+    V, _, L, _ = system.spaces
+    Cf = {plan.assembly_mode: system.blocks.Cf}
+    del sol, system
+    other = "approx" if plan.assembly_mode == "exact" else "exact"
+    Cf[other] = _coupling(L, V, exact.xbar, plan.coupling, other)[0]
+    record["cf_diff_1norm"] = coupling_gap_norm(Cf["exact"], Cf["approx"])
+    return record
+
+
 def run_convergence(plan):
     """Solve every level of the plan and return rate-annotated records;
     the gap column builds the other mode's matrix after each solve."""
     exact = manufactured_solution()
-    other = "approx" if plan.assembly_mode == "exact" else "exact"
     records = []
     for level, (n_fluid, n_solid) in enumerate(plan.schedule):
         try:
-            record, _, system = solve_level(n_fluid, n_solid, plan.coupling,
-                                            plan.assembly_mode, exact)
-            V, _, L, _ = system.spaces
-            Cf = {plan.assembly_mode: system.blocks.Cf}
-            Cf[other] = _coupling(L, V, exact.xbar, plan.coupling, other)[0]
+            record = _convergence_record(n_fluid, n_solid, plan, exact)
         except (DomainViolationError, SingularSystemError) as exc:
             raise type(exc)("level %d (n_fluid=%d, n_solid=%d): %s"
                             % (level, n_fluid, n_solid, exc)) from exc
         record["level"] = level
-        record["cf_diff_1norm"] = coupling_gap_norm(Cf["exact"], Cf["approx"])
         records.append(record)
     return compute_rates(records, plan.test_id)
 

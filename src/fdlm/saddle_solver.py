@@ -1,4 +1,4 @@
-"""Block assembly and solution of the coupled saddle system.
+"""The coupled saddle system as a block operator, and its solution.
 
 Unknown order is (u, X, lambda, p, sigma) where sigma is the scalar
 multiplier enforcing zero pressure mean.  The system reads
@@ -10,7 +10,10 @@ multiplier enforcing zero pressure mean.  The system reads
     [ 0     0     0    m^T   0  ] [s]      [0]
 
 and is symmetric indefinite.  Velocity Dirichlet rows and columns are
-eliminated symmetrically (unit diagonal, zero load).
+eliminated symmetrically (unit diagonal, zero load).  GMRES needs only
+the action of this matrix, so it is never stacked: SaddleOperator
+applies it from the assembled blocks, masking the Dirichlet velocity
+entries, and the preconditioner applies the same masked blocks.
 
 The system is solved by right-preconditioned flexible GMRES with a block
 lower-triangular preconditioner (Benzi, Golub & Liesen, "Numerical
@@ -42,7 +45,6 @@ Higham, SISC 2018).
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fespace import FEFunction
@@ -69,24 +71,20 @@ class Blocks:
 
 
 class BlockSystem:
-    """Assembled global matrix with its right-hand side and dof layout.
+    """Global system with its right-hand side and dof layout.
 
-    Cf and Bm are the multiplier rows Cf and the pressure rows -B of the
-    matrix without their Dirichlet columns, and BmT is Bm's transpose;
-    the solve's preconditioner applies them.
+    matrix is the SaddleOperator of the blocks: it has the eliminated
+    matrix's shape, dot, @ and nnz, but stores no matrix of its own.
+    The solve's preconditioner applies the same masked blocks.
     """
 
-    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask,
-                 Cf, Bm, BmT):
+    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask):
         self.matrix = matrix
         self.rhs = rhs
         self.offsets = offsets
         self.spaces = spaces
         self.blocks = blocks
         self.dirichlet_mask = dirichlet_mask
-        self.Cf = Cf
-        self.Bm = Bm
-        self.BmT = BmT
 
     @property
     def n_dofs(self):
@@ -124,60 +122,94 @@ class DiscreteSolution:
         return self.residual_norm / self.rhs_norm
 
 
-def _drop(M, cols, rows=None):
-    """The canonical CSR matrix M without its entries in the columns
-    marked True in cols and, if given, in the rows marked in rows; same
-    shape, still canonical."""
-    keep = ~cols[M.indices]
+def _stored(M, cols, rows=None):
+    """Nonzeros of the canonical CSR matrix M outside the columns marked
+    True in cols and, if given, the rows marked in rows."""
+    keep = M.data != 0.0
+    keep &= ~cols[M.indices]
     if rows is not None:
         keep &= np.repeat(~rows, np.diff(M.indptr))
-    count = np.zeros(M.nnz + 1, dtype=M.indptr.dtype)
-    np.cumsum(keep, out=count[1:])
-    return sp.csr_matrix((M.data[keep], M.indices[keep], count[M.indptr]),
-                         shape=M.shape)
+    return np.count_nonzero(keep)
 
 
-def _stack(rows, sizes):
-    """One canonical CSR matrix, with int32 indices below 2**31 entries,
-    of the grid of canonical CSR blocks rows, None standing for a zero
-    block; block (i, j) is sizes[i] x sizes[j].  Each block's entries
-    are written straight to their place, after the entries of the blocks
-    to its left in the same rows, so no stacked copy of a row of blocks
-    is made."""
-    offsets = [0, *itertools.accumulate(sizes)]
-    counts = np.concatenate([sum(np.diff(M.indptr) for M in row
-                                 if M is not None) for row in rows])
-    nnz = int(counts.sum())
-    indptr = np.zeros(counts.size + 1,
-                      dtype=np.int32 if nnz < 2 ** 31 else np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(nnz, dtype=indptr.dtype)
-    data = np.empty(nnz)
-    for i, row in enumerate(rows):
-        # The next free slot of each row of the row block.
-        free = indptr[offsets[i]:offsets[i + 1]].copy()
-        for M, col in zip(row, offsets):
-            if M is None:
-                continue
-            n = np.diff(M.indptr)
-            at = (np.repeat(free - M.indptr[:-1], n)
-                  + np.arange(M.nnz, dtype=indptr.dtype))
-            indices[at] = M.indices + col
-            data[at] = M.data
-            free += n
-    return sp.csr_matrix((data, indices, indptr), shape=(counts.size,) * 2)
+class SaddleOperator:
+    """The global matrix after Dirichlet elimination, applied block by
+    block from the caller's own blocks; nothing is stacked or copied.
+
+    With free = ~fixed the Dirichlet-free part of a velocity vector,
+    x = (u, X, lambda, p, sigma) maps to
+
+        y_u      = free (Af (free u) + Cf^T lambda - B^T p) + fixed u
+        y_X      = As X - Cs^T lambda
+        y_lambda = Cf (free u) - Cs X
+        y_p      = -B (free u) + m sigma
+        y_sigma  = m^T p
+
+    which is the product with the stacked matrix whose Dirichlet rows
+    and columns hold a unit diagonal and nothing else.  The transposes
+    are views of the blocks.
+    """
+
+    def __init__(self, blocks, fixed):
+        self.Af, self.As, self.B = blocks.Af, blocks.As, blocks.B
+        self.Cf, self.Cs, self.m = blocks.Cf, blocks.Cs, blocks.mean_row
+        self.CfT, self.CsT, self.BT = self.Cf.T, self.Cs.T, self.B.T
+        self.fixed = fixed
+        sizes = (self.Af.shape[0], self.As.shape[0], self.Cs.shape[0],
+                 self.B.shape[0])
+        self._cuts = list(itertools.accumulate(sizes))
+        self.shape = (self._cuts[-1] + 1,) * 2
+
+    @property
+    def nnz(self):
+        """Entries the stacked eliminated matrix would store: the nonzeros
+        of each block outside the Dirichlet rows and columns, those of
+        the off-diagonal blocks twice, and the unit diagonal of the
+        Dirichlet rows.  Counted on each access."""
+        fixed = self.fixed
+        return int(_stored(self.Af, fixed, fixed) + np.count_nonzero(fixed)
+                   + 2 * (_stored(self.Cf, fixed) + _stored(self.B, fixed)
+                          + np.count_nonzero(self.Cs.data)
+                          + np.count_nonzero(self.m))
+                   + np.count_nonzero(self.As.data))
+
+    def free(self, u):
+        """u with its Dirichlet entries set to zero."""
+        return np.where(self.fixed, 0.0, u)
+
+    def Bm(self, u):
+        """The pressure rows -B (free u)."""
+        return -(self.B @ self.free(u))
+
+    def BmT(self, p):
+        """Their transpose, free (-B^T p)."""
+        return self.free(-(self.BT @ p))
+
+    def dot(self, x):
+        u, X, lam, p = np.split(x[:-1], self._cuts[:-1])
+        uf = self.free(u)
+        y_u = self.Af @ uf
+        y_u += self.CfT @ lam
+        y_u -= self.BT @ p
+        return np.concatenate([
+            np.where(self.fixed, u, y_u),
+            self.As @ X - self.CsT @ lam,
+            self.Cf @ uf - self.Cs @ X,
+            self.m * x[-1] - self.B @ uf,
+            [self.m @ p]])
+
+    __matmul__ = dot
 
 
 def build_system(blocks, rhs, spaces):
-    """Assemble the bordered global matrix and eliminate Dirichlet dofs.
+    """The bordered global system with Dirichlet dofs eliminated.
 
     blocks: Blocks instance of canonical CSR matrices; rhs: (F, G, D)
     tuple; spaces: (V, S, L, Q), where L and S must live on the same
     structure mesh.  The velocity space's dirichlet_mask marks the
-    constrained dofs.  Their rows and columns are dropped from Af and
-    their columns from Cf and B, block by block, a unit diagonal is put
-    in their rows, and the row blocks are stacked into one canonical
-    CSR matrix.
+    constrained dofs; their load is set to zero.  The matrix is a
+    SaddleOperator over the blocks themselves, which are neither
+    stacked nor copied.
     """
     V, S, L, Q = spaces
     nu, ns, nl, npre = V.n_dofs, S.n_dofs, L.n_dofs, Q.n_dofs
@@ -200,24 +232,12 @@ def build_system(blocks, rhs, spaces):
 
     fixed = V.dirichlet_mask
     b[:nu][fixed] = 0.0
-    Af = (_drop(blocks.Af.tocsr(), fixed, fixed)
-          + sp.diags(fixed.astype(float), format="csr"))
-    Cf = _drop(blocks.Cf.tocsr(), fixed)
-    Bm = -_drop(blocks.B.tocsr(), fixed)
-    Cs = -blocks.Cs.tocsr()
-    m = sp.csr_matrix(blocks.mean_row.reshape(1, -1))
-    BmT = Bm.T.tocsr()
-    matrix = _stack([[Af, None, Cf.T.tocsr(), BmT, None],
-                     [None, blocks.As.tocsr(), Cs.T.tocsr(), None, None],
-                     [Cf, Cs, None, None, None],
-                     [Bm, None, None, None, m.T.tocsr()],
-                     [None, None, None, m, None]], (nu, ns, nl, npre, 1))
-
     offsets = {"u": 0, "x": nu, "lambda": nu + ns, "p": nu + ns + nl,
                "sigma": nu + ns + nl + npre}
-    mask = np.zeros(matrix.shape[0], dtype=bool)
+    mask = np.zeros(b.size, dtype=bool)
     mask[:nu] = fixed
-    return BlockSystem(matrix, b, offsets, spaces, blocks, mask, Cf, Bm, BmT)
+    return BlockSystem(SaddleOperator(blocks, fixed), b, offsets, spaces,
+                       blocks, mask)
 
 
 # Boxes of at most this many vertices are not cut further.
@@ -327,11 +347,12 @@ def _stokes_solver(system):
     """Approximate solve with the fluid Stokes block S_f of the system
     matrix, the (u, p, sigma) rows and columns, using no factor.
 
-    With K^-1 the velocity solve of _velocity_solver, Bm = system.Bm and m
-    the mean row, the rows of S_f read K u + Bm^T p = f,
-    Bm u + m sigma = g and m^T p = h.  Bm^T annihilates constants, so
-    sigma = sum(g') / sum(m) with g' = g - Bm K^-1 f makes the pressure
-    equation (Bm K^-1 Bm^T) p = m sigma - g' consistent.  It is solved by
+    With K^-1 the velocity solve of _velocity_solver, Bm = -B (free u)
+    the pressure rows of system.matrix (SaddleOperator.Bm) and m the mean
+    row, the rows of S_f read K u + Bm^T p = f, Bm u + m sigma = g and
+    m^T p = h.  Bm^T annihilates constants, so sigma = sum(g') / sum(m)
+    with g' = g - Bm K^-1 f makes the pressure equation
+    (Bm K^-1 Bm^T) p = m sigma - g' consistent.  It is solved by
     CG preconditioned by the lumped pressure mass, diag(m), which is
     spectrally equivalent to Bm K^-1 Bm^T for this inf-sup stable pair
     (Elman, Silvester & Wathen, "Finite Elements and Fast Iterative
@@ -345,7 +366,7 @@ def _stokes_solver(system):
     if not np.all(m > 0.0):
         raise SingularSystemError("pressure mean row is not positive")
     msum = m.sum()
-    Bm, BmT = system.Bm, system.BmT
+    A = system.matrix
     velocity_solve = _velocity_solver(system.blocks.Af, V)
     tol2 = _INNER_TOL ** 2
 
@@ -353,7 +374,7 @@ def _stokes_solver(system):
         # u is kept as K^-1 f - K^-1 Bm^T p along the CG steps, which
         # saves the last velocity solve; Bm^T ignores the constant of p.
         u = velocity_solve(f)
-        gp = g - Bm @ u
+        gp = g - A.Bm(u)
         sigma = gp.sum() / msum
         r = m * sigma - gp
         p = np.zeros_like(r)
@@ -364,8 +385,8 @@ def _stokes_solver(system):
         for _ in range(_INNER_MAX_ITER):
             if rz <= stop:
                 break
-            y = velocity_solve(BmT @ d)
-            q = Bm @ y
+            y = velocity_solve(A.BmT(d))
+            q = A.Bm(y)
             step = rz / (d @ q)
             p += step * d
             u -= step * y
@@ -453,13 +474,11 @@ def solve(system):
     def cs_solve(v):
         return c_solve(v.reshape(2, k).T).T.ravel()
 
-    Cf, As = system.Cf, system.blocks.As
-
     def precondition(r):
         z = np.empty(n)
         z[u], z[p], z[-1] = stokes_solve(r[u], r[p], r[-1])
-        z[xs] = -cs_solve(r[lam] - Cf @ z[u])
-        z[lam] = cs_solve(As @ z[xs] - r[xs])
+        z[xs] = -cs_solve(r[lam] - A.Cf @ A.free(z[u]))
+        z[lam] = cs_solve(A.As @ z[xs] - r[xs])
         return z
 
     x, iterations, history = _gmres(A.dot, precondition, b, 1e-12)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ class TestGapColumn:
             assert sorted(calls) == want
         assert gaps[0] == gaps[1]
         assert all(gap > 0 for gap in gaps[0])
+
+    def test_run_releases_each_level_before_the_next(self, monkeypatch):
+        # Level k's system (its blocks and load) is gone when level k + 1
+        # starts to assemble.
+        systems, alive = [], []
+        solve_level = xcli.solve_level
+
+        def recording(*args, **kwargs):
+            alive.append([ref() is not None for ref in systems])
+            out = solve_level(*args, **kwargs)
+            systems.append(weakref.ref(out[2]))
+            return out
+
+        monkeypatch.setattr(xcli, "solve_level", recording)
+        xcli.run_convergence(ExperimentPlan(1, "l2", "approx", 3))
+        assert alive == [[], [False], [False, False]]
 
 
 class TestQuadratureErrorStudy:

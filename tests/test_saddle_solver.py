@@ -25,11 +25,12 @@ from fdlm.saddle_solver import (Blocks, SingularSystemError, build_system,
                                 dump_solution, solve)
 
 
-def coarsest_setup(exact, params=FormParams()):
-    """Spaces, blocks and data of the smallest production mesh pair."""
-    coarse = uniform_mesh((-2, -2), (2, 2), 16)
+def level_setup(exact, params=FormParams(), n_fluid=16, n_solid=8):
+    """Spaces, blocks and data of a production mesh pair, by default the
+    smallest one."""
+    coarse = uniform_mesh((-2, -2), (2, 2), n_fluid)
     refined = midpoint_refine(coarse)
-    solid = uniform_mesh((0, 0), (1, 1), 8, orientation="left")
+    solid = uniform_mesh((0, 0), (1, 1), n_solid, orientation="left")
     V = velocity_space(refined)
     Q = pressure_space(coarse)
     S = solid_space(solid)
@@ -48,7 +49,13 @@ def coarsest_setup(exact, params=FormParams()):
 
 @pytest.fixture(scope="module")
 def manufactured_system():
-    return coarsest_setup(manufactured_solution())
+    return level_setup(manufactured_solution())
+
+
+@pytest.fixture(scope="module")
+def level2_system():
+    """Test 1 level 2, (64, 32), l2 exact."""
+    return level_setup(manufactured_solution(), n_fluid=64, n_solid=32)
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +64,9 @@ def manufactured_sol(manufactured_system):
 
 
 def coo_reference(blocks, dirichlet_mask):
-    """The global matrix built the old way: the whole system stacked in
-    COO, every entry in a Dirichlet row or column masked out, a unit
-    diagonal appended in those rows, converted to CSR; stored zeros
-    dropped."""
+    """The eliminated global matrix, stacked: the whole system in COO,
+    every entry in a Dirichlet row or column masked out, a unit diagonal
+    appended in those rows, converted to CSR; stored zeros dropped."""
     m = sp.csr_matrix(blocks.mean_row.reshape(1, -1))
     A = sp.bmat([
         [blocks.Af, None, blocks.Cf.T, -blocks.B.T, None],
@@ -79,46 +85,61 @@ def coo_reference(blocks, dirichlet_mask):
     return ref
 
 
-def csr_bytes(A):
-    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-
-
 class TestBuildSystem:
-    @pytest.mark.parametrize("params", [FormParams(), FormParams(alpha=1.0)],
-                             ids=["stiffness", "with_mass"])
-    def test_equals_coo_reference(self, params):
-        sys_ = coarsest_setup(manufactured_solution(), params)
-        got = sys_.matrix
-        want = coo_reference(sys_.blocks, sys_.dirichlet_mask)
-        assert got.format == "csr" and got.shape == want.shape
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_array_equal(got.data, want.data)
-        assert got.indices.dtype == got.indptr.dtype == np.int32
-        # Sorted, duplicate-free indices, checked from the arrays.
-        assert got.has_canonical_format
+    @pytest.mark.parametrize("params,offset", [
+        (FormParams(), (-0.62, -0.62)),
+        (FormParams(alpha=1.0), (-0.62, -0.62)),
+        (FormParams(), (-2.0, -2.0))],
+        ids=["stiffness", "with_mass", "structure_on_boundary"])
+    def test_equals_coo_reference(self, params, offset):
+        # The operator applies the stacked matrix, also to vectors whose
+        # Dirichlet entries are not zero; its Dirichlet rows are the
+        # identity.  A structure placed in the corner of the fluid box
+        # couples to Dirichlet velocity dofs, which Cf must not see.
+        exact = copy.copy(manufactured_solution())
+        exact.xbar = AffineMap(2.0 * np.eye(2), offset)
+        sys_ = level_setup(exact, params)
+        A = sys_.matrix
+        ref = coo_reference(sys_.blocks, sys_.dirichlet_mask)
+        assert A.shape == ref.shape
+        fixed = sys_.dirichlet_mask
+        for x in np.random.default_rng(2).standard_normal((3, A.shape[0])):
+            want = ref @ x
+            got = A @ x
+            assert (np.linalg.norm(got - want)
+                    <= 1e-13 * np.linalg.norm(want))
+            np.testing.assert_array_equal(got[fixed], x[fixed])
+            np.testing.assert_array_equal(A.dot(x), got)
+
+    @pytest.mark.parametrize("system,nnz", [("manufactured_system", 36_938),
+                                            ("level2_system", 595_770)])
+    def test_nnz_equals_reference(self, request, system, nnz):
+        sys_ = request.getfixturevalue(system)
+        ref = coo_reference(sys_.blocks, sys_.dirichlet_mask)
+        assert sys_.matrix.nnz == ref.nnz == nnz
 
     def test_no_stored_zeros(self, manufactured_system):
         sys_ = manufactured_system
         b = sys_.blocks
-        for M in (b.Af, b.As, b.B, b.Cf, b.Cs, sys_.matrix):
+        for M in (b.Af, b.As, b.B, b.Cf, b.Cs):
             assert M.nnz > 0 and np.all(M.data != 0.0)
         # On right-angled cells the P1 stiffness is the 5-point stencil:
         # the couplings across the cell diagonals are exact zeros.
         n = sys_.spaces[0].mesh.n_cells_per_side + 1
         assert b.Af.nnz == 2 * (5 * n * n - 4 * n)
 
-    def test_build_transient_bounded(self, manufactured_system):
-        # The old COO build peaked at 5.2 times its result here.
-        sys_ = manufactured_system
+    def test_build_transient_bounded(self, level2_system):
+        # The load is 0.33 MB; any stacked copy of the 595,770-entry
+        # matrix (7.3 MB in CSR) breaks the bound.
+        sys_ = level2_system
         F, G, D, _, _ = sys_.split(sys_.rhs)
         tracemalloc.start()
         try:
-            built = build_system(sys_.blocks, (F, G, D), sys_.spaces)
+            build_system(sys_.blocks, (F, G, D), sys_.spaces)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * csr_bytes(built.matrix)
+        assert peak < 2e6
 
     def test_coarsest_dimension(self, manufactured_system):
         # 2 * 33^2 velocity + 2 * 81 structure + 2 * 81 multiplier
@@ -126,18 +147,24 @@ class TestBuildSystem:
         assert manufactured_system.n_dofs == 2792
 
     def test_matrix_symmetric_after_elimination(self, manufactured_system):
-        A = manufactured_system.matrix
+        sys_ = manufactured_system
+        A = coo_reference(sys_.blocks, sys_.dirichlet_mask)
         assert abs(A - A.T).max() < 1e-12
+        x, y = np.random.default_rng(3).standard_normal((2, sys_.n_dofs))
+        Ax, Ay = sys_.matrix @ x, sys_.matrix @ y
+        assert (abs(y @ Ax - x @ Ay)
+                <= 1e-13 * np.linalg.norm(y) * np.linalg.norm(Ax))
 
     def test_dirichlet_rows(self, manufactured_system):
         sys_ = manufactured_system
+        A = coo_reference(sys_.blocks, sys_.dirichlet_mask)
         fixed = np.flatnonzero(sys_.dirichlet_mask)
         assert fixed.size == 2 * 4 * 32
-        diag = sys_.matrix.diagonal()
+        diag = A.diagonal()
         np.testing.assert_array_equal(diag[fixed], 1.0)
         np.testing.assert_array_equal(sys_.rhs[fixed], 0.0)
         # off-diagonals of a fixed row are gone
-        row = sys_.matrix.getrow(fixed[0])
+        row = A.getrow(fixed[0])
         assert row.nnz == 1
 
     def test_split_layout(self, manufactured_system):
@@ -185,7 +212,7 @@ class TestBuildSystem:
 
 class TestSolve:
     def test_zero_data_gives_zero_solution(self):
-        system = coarsest_setup(zero_solution())
+        system = level_setup(zero_solution())
         sol = solve(system)
         assert sol.iterations == 0 and sol.residual_history == []
         assert not sol.u.coefficients.any()
@@ -246,7 +273,7 @@ class TestSolve:
     def test_mass_term_solved(self, params):
         # With alpha > 0 the sine transforms solve nu K + alpha h^2 I in
         # place of Af; flexible GMRES corrects the difference.
-        sol = solve(coarsest_setup(manufactured_solution(), params))
+        sol = solve(level_setup(manufactured_solution(), params))
         assert 0 < sol.iterations <= 30
         assert sol.residual_history[-1] <= 1e-12
 
@@ -323,7 +350,7 @@ class TestFluidSolve:
         # Catches a sign slip in the Bm rows, which the outer GMRES would
         # otherwise absorb at the cost of many more iterations.
         sys_ = manufactured_system
-        A = sys_.matrix.tocsr()
+        A = coo_reference(sys_.blocks, sys_.dirichlet_mask)
         o = sys_.offsets
         fluid = np.r_[:o["x"], o["p"]:A.shape[0]]
         r = np.random.default_rng(1).standard_normal(fluid.size)
@@ -346,7 +373,7 @@ def mmd_reference(system):
     """Solution vector and LU fill of the whole shifted system factored in
     SuperLU's MMD_AT_PLUS_A order, the shift removed by iterative
     refinement."""
-    A = system.matrix.tocsr()
+    A = coo_reference(system.blocks, system.dirichlet_mask)
     b = system.rhs
     rowmax = abs(A).max(axis=1).toarray().ravel()
     sign = np.ones(A.shape[0])
