@@ -3,8 +3,18 @@
 Vector dofs are blocked by component (dof = comp * n_vertices + vertex),
 so vector mass and stiffness matrices are block diagonal copies of
 scalar ones, and the fluid-structure coupling matrix couples equal
-components only.  Every matrix is scattered by one routine (_csr) from
-per-cell dof maps and per-cell blocks of entries.
+components only.  Every matrix is written by one routine (_csr) into
+one preallocated CSR matrix, a block of rows at a time, in row order,
+each block summed from per-cell dof maps and per-cell blocks of
+entries; a vector block's second copy is written from its first.  The
+mesh matrices take their rows in the blocks of mesh._blocks, each from
+every cell with a row in it, in ascending cell order (_gathered); the
+coupling matrix takes the rows that have become final in its stream of
+cells, which comes in the order of the structure elements.  Either way
+each row is summed from the same entries in the same order as a
+whole-mesh scatter would sum it, so the matrices are bit for bit those
+of one whole-mesh COO matrix, and no whole-mesh array of entries or
+indices is built.
 
 The coupling matrix, the coupling loads and every right-hand side run
 through one quadrature core over node sets: M cells of K nodes, cell m
@@ -30,14 +40,16 @@ triangles, loaded through the same core.  The node sets of mesh
 triangles (volume loads, the exact constraint load, the error norms)
 and of supermesh subcells (exact coupling matrix and load) are streams
 built and consumed in the blocks of cells of mesh._blocks, so their
-size does not grow with the mesh; the per-cell contributions are kept
-and reduced once, in cell order, so the loads and matrices do not
-depend on the block size.  The coupling gap (coupling_gap) takes its
+size does not grow with the mesh; the loads keep the per-cell
+contributions and reduce them once, in cell order, and the matrices sum
+each row from its entries in cell order, so neither depends on the
+block size.  The coupling gap (coupling_gap) takes its
 blocks of structure elements from the supermesh, clipping the next
 block in a worker thread while it integrates the current one, and
 holds neither matrix.
 """
 
+import itertools
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,48 +106,160 @@ def _basis_table(rule):
     return np.column_stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])
 
 
-def _csr(rows, cols, vals, shape):
-    """CSR matrix of the cell blocks vals (M, R, C): entry (m, i, j) is
-    added at (rows[m, i], cols[m, j]).
+def _entries_csr(rows, cols, vals, shape):
+    """Canonical CSR matrix (sorted, summed indices) of the entries
+    rows (E,), cols (E, C), vals (E, C): value [e, j] is added at
+    (rows[e], cols[e, j]).
 
-    The COO indices are built as int32, which coo_matrix keeps without
-    a copy, and tocsr() returns canonical CSR (sorted, summed indices).
-    Entries that sum to exactly zero, such as the stiffness couplings
-    across the diagonals of right-angled cells, are not stored.
+    tocsr() files every entry under its row in the order given, and each
+    row is sorted and summed from that sequence alone, so rows that get
+    the same entries in the same order come out bit for bit the same,
+    whatever else the matrix holds.  Entries that sum to exactly zero,
+    such as the stiffness couplings across the diagonals of right-angled
+    cells, are not stored.
     """
-    r = np.repeat(rows.astype(np.int32, copy=False), cols.shape[1], axis=1)
-    c = np.tile(cols.astype(np.int32, copy=False), (1, rows.shape[1]))
-    A = sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())),
-                      shape=shape).tocsr()
+    # int32 indices, which coo_matrix keeps without a copy.
+    r = np.repeat(rows.astype(np.int32, copy=False), cols.shape[1])
+    c = cols.astype(np.int32, copy=False).ravel()
+    A = sp.coo_matrix((vals.ravel(), (r, c)), shape=shape).tocsr()
     A.eliminate_zeros()
     return A
 
 
-def _scalar_mass(mesh):
+def _csr(shape, parts, capacity, vector=False):
+    """CSR matrix of shape from parts, the canonical CSR matrices of its
+    consecutive blocks of rows, in row order; with vector, the matrix is
+    blockdiag(A, A) and parts are the row blocks of A.
+
+    Each part is written into one output as it comes, so no whole matrix
+    of entries, and no part but the current one, is held next to the
+    result.  The output's arrays are allocated once for capacity entries,
+    the number of entries the parts are scattered from, which bounds
+    their nonzeros; memory is only backed where it is written, and the
+    arrays are trimmed in place (ndarray.resize, a realloc) when the
+    parts are done.  The second copy of a vector block is written from
+    the first.
+    """
+    n_rows = shape[0] // 2 if vector else shape[0]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    indices = np.empty(capacity, dtype=np.int32)
+    data = np.empty(capacity)
+    row = nnz = 0
+    for A in parts:
+        stop, end = row + A.shape[0], nnz + A.nnz
+        indices[nnz:end] = A.indices
+        data[nnz:end] = A.data
+        indptr[row + 1:stop + 1] = A.indptr[1:] + nnz
+        row, nnz = stop, end
+    # Nothing else refers to the arrays, so they are resized in place.
+    size = 2 * nnz if vector else nnz
+    indices.resize(size, refcheck=False)
+    data.resize(size, refcheck=False)
+    if vector:
+        indices[nnz:] = indices[:nnz] + shape[1] // 2
+        data[nnz:] = data[:nnz]
+        indptr[n_rows + 1:] = indptr[1:n_rows + 1] + nnz
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _by_row_block(n_cells, rows, blocks):
+    """The pairs (cell, local row) of each of blocks, the slices of
+    mesh._blocks over the rows: pairs[offsets[k]:offsets[k + 1]] are
+    those whose row is in blocks[k], as cell * R + local row, ascending.
+    rows(c) gives the rows (k, R) of the cells c.  Built by a counting
+    sort in two passes over the blocks of cells, so nothing larger than
+    the result is held.  Returns pairs, offsets and R."""
+    starts = np.array([b.start for b in blocks])
+
+    def block_of(b):
+        # The row block of each pair of the cells b, and R.
+        r = rows(np.arange(b.start, b.stop))
+        return (np.searchsorted(starts, r.ravel(), side="right") - 1,
+                r.shape[1])
+
+    counts = np.zeros(len(blocks), dtype=np.int64)
+    for b in _blocks(n_cells):
+        counts += np.bincount(block_of(b)[0], minlength=len(blocks))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    pairs = np.empty(offsets[-1], dtype=np.int64)
+    fill = offsets[:-1].copy()
+    R = 1
+    for b in _blocks(n_cells):
+        blk, R = block_of(b)
+        order = np.argsort(blk, kind="stable")
+        blk = blk[order]
+        pairs[fill[blk] + np.arange(blk.size)
+              - np.searchsorted(blk, blk)] = order + R * b.start
+        fill += np.bincount(blk, minlength=len(blocks))
+    return pairs, offsets, R
+
+
+def _gathered(shape, n_cells, rows, entries, coefs):
+    """Row blocks, over mesh._blocks of the rows, of sum_t coefs[t] A_t,
+    A_t the matrix that adds entry (m, i, j) of the cell blocks vals_t
+    (M, R, C) at (rows[m, i], cols[m, j]).
+
+    rows(c) gives the rows (k, R) of the ascending cells c, and
+    entries(c, at, i) the columns (E, C) and the list of the rows
+    vals_t[c[at], i] (E, C) of the pairs (c[at], i).  A row block takes,
+    in ascending (cell, local row) order, every pair whose row is in it,
+    so each row sees the entries of the whole-mesh scatter in the same
+    order, and each A_t and the sum are the same bit for bit
+    (_entries_csr).
+    """
+    blocks = list(_blocks(shape[0]))
+    pairs, offsets, R = _by_row_block(n_cells, rows, blocks)
+    for k, b in enumerate(blocks):
+        c, i = np.divmod(pairs[offsets[k]:offsets[k + 1]], R)
+        # The block's cells, and the place of each pair's cell among them.
+        first = np.ones(c.size, dtype=bool)
+        first[1:] = c[1:] != c[:-1]
+        at = np.cumsum(first) - 1
+        c = c[first]
+        r = rows(c)[at, i] - b.start
+        cols, terms = entries(c, at, i)
+        A = None
+        for coef, vals in zip(coefs, terms):
+            A_t = coef * _entries_csr(r, cols, vals,
+                                      (b.stop - b.start, shape[1]))
+            A = A_t if A is None else A + A_t
+        yield A
+
+
+def _p1_matrix(mesh, stiffness=0.0, mass=0.0, vector=True):
+    """stiffness K + mass M on mesh, K and M the scalar P1 stiffness and
+    mass matrices; a zero coefficient drops its term.  With vector, the
+    matrix of the vector P1 space, blockdiag(A, A)."""
     rule = rule_for_degree(2)
     basis = _basis_table(rule)
     m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
-    tri, nv = mesh.triangles, mesh.n_vertices
-    return _csr(tri, tri, mesh.areas[:, None, None] * m_unit, (nv, nv))
+    coefs = [a for a in (stiffness, mass) if a != 0.0]
 
+    def entries(c, at, i):
+        c = c[at]
+        areas = mesh.areas[c][:, None]
+        terms = []
+        if stiffness != 0.0:
+            # grad phi_i . grad phi_j, summed in the order of
+            # einsum("mid,mjd->mij"), which is several times slower.
+            g = mesh.grads[c]
+            gi = g[np.arange(c.size), i]
+            terms.append(areas * (gi[:, None, 0] * g[..., 0]
+                                  + gi[:, None, 1] * g[..., 1]))
+        if mass != 0.0:
+            terms.append(areas * m_unit[i])
+        return mesh.triangles[c], terms
 
-def _scalar_stiffness(mesh):
-    tri, nv = mesh.triangles, mesh.n_vertices
-    vals = (mesh.areas[:, None, None]
-            * np.einsum("mid,mjd->mij", mesh.grads, mesh.grads))
-    return _csr(tri, tri, vals, (nv, nv))
-
-
-def _vector_block(A):
-    return sp.block_diag((A, A), format="csr")
+    nv, n_cells = mesh.n_vertices, mesh.n_triangles
+    parts = _gathered((nv, nv), n_cells, mesh.triangles.__getitem__,
+                      entries, coefs)
+    k = 2 if vector else 1
+    return _csr((k * nv, k * nv), parts, 9 * n_cells, vector)
 
 
 def assemble_Af(V, params):
     """Fluid matrix alpha * mass + nu * full-gradient stiffness on V."""
-    A = params.nu * _scalar_stiffness(V.mesh)
-    if params.alpha != 0.0:
-        A = A + params.alpha * _scalar_mass(V.mesh)
-    return _vector_block(A.tocsr())
+    return _p1_matrix(V.mesh, params.nu, params.alpha)
 
 
 def assemble_As(S, params):
@@ -144,10 +268,7 @@ def assemble_As(S, params):
     With beta = 0 the matrix alone is singular (constants); the full
     saddle system remains solvable through the coupling blocks.
     """
-    A = params.kappa * _scalar_stiffness(S.mesh)
-    if params.beta != 0.0:
-        A = A + params.beta * _scalar_mass(S.mesh)
-    return _vector_block(A.tocsr())
+    return _p1_matrix(S.mesh, params.kappa, params.beta)
 
 
 def assemble_B(V, Q):
@@ -164,14 +285,25 @@ def assemble_B(V, Q):
             or mesh_v.n_triangles != 4 * mesh_q.n_triangles):
         raise ValueError("velocity mesh is not the midpoint refinement "
                          "of the pressure mesh")
-    parent = np.arange(mesh_v.n_triangles) // 4
-    # Pressure basis values at child centroids.
-    psi = _hats(mesh_q, parent, mesh_v.centroids[:, None, :])[:, 0]
-    vals = np.einsum("m,mi,mjc->mijc", mesh_v.areas, psi, mesh_v.grads)
-    # Columns in (vertex, component) order, like the last two axes of vals.
-    cols = mesh_v.triangles[:, :, None] + V.n_vertices * np.arange(2)
-    return _csr(mesh_q.triangles[parent], cols.reshape(-1, 6),
-                vals.reshape(-1, 3, 6), (Q.n_dofs, V.n_dofs))
+
+    def rows(c):
+        return mesh_q.triangles[c // 4]
+
+    def entries(c, at, i):
+        # Pressure basis values at child centroids.
+        psi = _hats(mesh_q, c // 4, mesh_v.centroids[c][:, None, :])[:, 0]
+        c = c[at]
+        vals = np.einsum("m,m,mjc->mjc", mesh_v.areas[c], psi[at, i],
+                         mesh_v.grads[c])
+        # Columns in (vertex, component) order, like the last two axes
+        # of vals.
+        cols = mesh_v.triangles[c][:, :, None] + V.n_vertices * np.arange(2)
+        return cols.reshape(-1, 6), [vals.reshape(-1, 6)]
+
+    shape = (Q.n_dofs, V.n_dofs)
+    n_cells = mesh_v.n_triangles
+    return _csr(shape, _gathered(shape, n_cells, rows, entries, (1.0,)),
+                18 * n_cells)
 
 
 def assemble_Cs(L, S, coupling):
@@ -180,10 +312,7 @@ def assemble_Cs(L, S, coupling):
     if L.mesh is not S.mesh and (L.mesh.n_vertices != S.mesh.n_vertices
                                  or L.mesh.domain != S.mesh.domain):
         raise ValueError("multiplier and structure spaces must share a mesh")
-    A = _scalar_mass(S.mesh)
-    if coupling == "h1":
-        A = A + _scalar_stiffness(S.mesh)
-    return _vector_block(A.tocsr())
+    return _p1_matrix(S.mesh, 1.0 if coupling == "h1" else 0.0, 1.0)
 
 
 # -- fluid-structure coupling --------------------------------------------
@@ -330,28 +459,92 @@ def _cell_entries(L, V, n):
     return vals
 
 
+def _entries(L, V, n):
+    """Coupling entries of the cells of node set n, one per cell and
+    local multiplier row, in cell order: the rows (3M,), the velocity
+    columns (3M, 3) and the values (3M, 3) of _cell_entries."""
+    return (L.mesh.triangles[n.parent].ravel(),
+            np.repeat(V.mesh.triangles[n.owner], 3, axis=0),
+            _cell_entries(L, V, n).reshape(-1, 3))
+
+
+def _settle(L, V, pending, sets, settled):
+    """Add the entries of node sets sets, one per stream (None for none),
+    to those pending per stream, and return per stream the entries whose
+    row is settled (settled(rows) is True), in cell order; the others
+    stay pending."""
+    out = []
+    for k, n in enumerate(sets):
+        entries = pending[k]
+        if n is not None:
+            entries = [np.concatenate(f)
+                       for f in zip(entries, _entries(L, V, n))]
+        is_final = settled(entries[0])
+        out.append([np.compress(is_final, f, axis=0) for f in entries])
+        pending[k] = [np.compress(~is_final, f, axis=0) for f in entries]
+    return out
+
+
+def _no_entries(n_streams):
+    return [(np.empty(0, np.int64), np.empty((0, 3), np.int64),
+             np.empty((0, 3)))] * n_streams
+
+
+def _cells_of(n, b):
+    """The node set of the cells b (a slice) of node set n."""
+    return n._replace(parent=n.parent[b], owner=n.owner[b], s=n.s[b],
+                      x=n.x[b], w=n.w[b])
+
+
 def _coupling_matrix(L, V, nodes):
     """Coupling matrix of node sets: rows multiplier, columns velocity
-    dofs, equal components only.  Each cell's dofs and (3, 3) entries
-    are written in cell order into arrays sized from the node sets
-    before one CSR build, so the matrix does not depend on the
-    blocking."""
+    dofs, equal components only.
+
+    The cells come in the order of their structure elements: the blocks
+    of the exact stream, or the approx node sets cut at the blocks of
+    elements of mesh._blocks.  Each entry is held until its row is final,
+    that is until every element touching it or a row before it has come,
+    and the rows that became final are scattered as one row block
+    (_csr), the sets' entries in the order of the sets.  So each row
+    sees the entries of the whole-matrix scatter in the same order (all
+    cells of the first set, then of the next), and the matrix does not
+    depend on the blocking.
+    """
+    mesh = L.mesh
+    n_el = mesh.n_triangles
+    # reach[r]: the last element touching a row up to r.
+    reach = np.zeros(mesh.n_vertices, dtype=np.int64)
+    np.maximum.at(reach, mesh.triangles, np.arange(n_el)[:, None])
+    reach = np.maximum.accumulate(reach)
     if isinstance(nodes, _Blocks):
-        n_cells = nodes.n_cells
+        n_cells, n_streams = nodes.n_cells, 1
+        # The elements before the parent of a block's last cell are done.
+        groups = (([n], n.parent[-1]) for n in nodes)
     else:
         n_cells = sum(n.parent.shape[0] for n in nodes)
-    rows = np.empty((n_cells, 3), dtype=np.int32)
-    cols = np.empty((n_cells, 3), dtype=np.int32)
-    vals = np.empty((n_cells, 3, 3))
-    at = 0
-    for n in nodes:
-        cells = slice(at, at + n.parent.shape[0])
-        rows[cells] = L.mesh.triangles[n.parent]
-        cols[cells] = V.mesh.triangles[n.owner]
-        vals[cells] = _cell_entries(L, V, n)
-        at = cells.stop
-    return _vector_block(_csr(rows, cols, vals,
-                              (L.n_vertices, V.n_vertices)))
+        n_streams = len(nodes)
+
+        def cut(b):
+            # The cells of each set whose element is in b.
+            return [_cells_of(n, slice(*np.searchsorted(n.parent,
+                                                        (b.start, b.stop))))
+                    for n in nodes]
+        groups = ((cut(b), b.stop) for b in _blocks(n_el))
+    groups = itertools.chain(groups, [([None] * n_streams, n_el)])
+
+    def parts():
+        pending = _no_entries(n_streams)
+        row = 0
+        for sets, done in groups:
+            stop = int(np.searchsorted(reach, done))
+            ready = _settle(L, V, pending, sets, lambda r: r < stop)
+            if stop > row:
+                r, c, v = (np.concatenate(f) for f in zip(*ready))
+                yield _entries_csr(r - row, c, v,
+                                   (stop - row, V.n_vertices))
+                row = stop
+
+    return _csr((L.n_dofs, V.n_dofs), parts(), 9 * n_cells, vector=True)
 
 
 def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
@@ -429,8 +622,7 @@ def coupling_gap(L, V, xbar, coupling):
     rule = rule_for_degree(2)
     # Per stream (exact, midpoints, centroids): the entries (row,
     # columns, values) whose row is not final yet, in cell order.
-    carried = [(np.empty(0, np.int64), np.empty((0, 3), np.int64),
-                np.empty((0, 3)))] * 3
+    carried = _no_entries(3)
     gap = 0.0
     blocks = _supermesh(mesh.vertices, mesh.triangles, xbar, V.mesh)
     with ThreadPoolExecutor(max_workers=1) as clipper:
@@ -439,25 +631,15 @@ def coupling_gap(L, V, xbar, coupling):
             s, w = _rule_nodes(subcells, s_areas, rule)
             sets = [_placed(parent, owner, s, w, xbar, True, grad)]
             sets += _approx_sets(L, V, xbar, grad, b)
-            done = []
-            for k, n in enumerate(sets):
-                entries = (mesh.triangles[n.parent].ravel(),
-                           np.repeat(V.mesh.triangles[n.owner], 3, axis=0),
-                           _cell_entries(L, V, n).reshape(-1, 3))
-                entries = [np.concatenate(f)
-                           for f in zip(carried[k], entries)]
-                is_final = final[entries[0]] < b.stop
-                done.append([np.compress(is_final, f, axis=0)
-                             for f in entries])
-                carried[k] = [np.compress(~is_final, f, axis=0)
-                              for f in entries]
+            done = _settle(L, V, carried, sets,
+                           lambda r: final[r] < b.stop)
             ex = done[0]
             ap = [np.concatenate(f) for f in zip(*done[1:])]
             if not ex[0].size:
                 continue
             lo = min(ex[0].min(), ap[0].min())
             shape = (max(ex[0].max(), ap[0].max()) + 1 - lo, V.n_vertices)
-            C_ex, C_ap = (_csr(r[:, None] - lo, c, v[:, None], shape)
+            C_ex, C_ap = (_entries_csr(r - lo, c, v, shape)
                           for r, c, v in (ex, ap))
             gap = max(gap, float(abs(C_ex - C_ap).sum(axis=1).max()))
     return gap

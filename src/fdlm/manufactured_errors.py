@@ -19,8 +19,7 @@ conditions and taking the H1 norm of Psi.
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import (_basis_table, _load, _mesh_nodes, _scalar_mass,
-                       _scalar_stiffness)
+from .assembly import _basis_table, _load, _mesh_nodes, _p1_matrix
 from .mesh import AffineMap
 from .quadrature import rule_for_degree
 
@@ -188,8 +187,7 @@ def h1_error(space, coeff, exact_val, exact_grad):
 
 def _dual_norm_from_load(space, r):
     """Dual H1 norm of the functional with load vector r on a vector P1 space."""
-    lu = spla.splu((_scalar_mass(space.mesh)
-                    + _scalar_stiffness(space.mesh)).tocsc())
+    lu = spla.splu(_p1_matrix(space.mesh, 1.0, 1.0, vector=False).tocsc())
     val = sum(float(rc @ lu.solve(rc)) for rc in r.reshape(2, -1))
     return float(np.sqrt(max(val, 0.0)))
 
@@ -257,7 +255,7 @@ def inverse_inequality_check(spaces, vectors=None, seed=0):
             mu = rng.standard_normal(space.n_dofs)
         if not np.any(mu):
             raise ValueError("mu must be nonzero")
-        M = _scalar_mass(space.mesh)
+        M = _p1_matrix(space.mesh, mass=1.0, vector=False)
         r = np.concatenate([M @ mc for mc in mu.reshape(2, -1)])
         l2 = float(np.sqrt(mu @ r))
         dual = _dual_norm_from_load(space, r)

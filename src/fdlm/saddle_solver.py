@@ -39,7 +39,13 @@ the mesh read from its coordinates and checked when it was built.
 GMRES keeps every residual in double precision and, being flexible,
 needs no exactly linear preconditioner, so the solve still reaches a
 double-precision residual (mixed-precision GMRES refinement, Carson &
-Higham, SISC 2018).
+Higham, SISC 2018).  For the same reason it stores its preconditioned
+directions Z in single precision, half of its Krylov storage: the
+operator is applied to each direction as stored, so the directions
+that update x are those the Arnoldi relation holds for, and the
+preconditioner, a float32 factor and an inner CG stopped at 1e-2, is
+of single-precision quality anyway.  The Arnoldi basis V, the Hessenberg
+matrix H and x are double precision.
 """
 
 import itertools
@@ -405,11 +411,17 @@ def _gmres(matvec, precondition, b, tol):
     flexible inner-outer preconditioned GMRES algorithm", SISC 1993).  It
     keeps z_j = precondition(v_j) and updates x by the z_j, so the
     preconditioner need not be exactly linear, as a single-precision LU
-    or an inner iteration is not.  Stops when the true relative
-    residual, taken after each cycle, is <= tol, stalls (falls less than
-    half in a cycle) or _MAX_ITER is reached.
-    Returns (x, iterations, history of the true relative residual); x = 0
-    with no iterations when b = 0."""
+    or an inner iteration is not.  Each z_j is stored rounded to single
+    precision, and matvec is applied to that rounded z_j, so the Arnoldi
+    relation A Z = V H holds for the Z that updates x: it is flexible
+    GMRES with a preconditioner that rounds its output, which costs
+    nothing here, where the preconditioner is of single-precision
+    quality anyway.  V, H, the residuals and x are double precision.
+    Stops when the true relative residual, taken after each cycle, is
+    <= tol, stalls (falls less than half in a cycle) or _MAX_ITER is
+    reached.
+    Returns (x, iterations, history of the true relative residual, norm
+    of the last true residual); x = 0 with no iterations when b = 0."""
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     history = []
@@ -423,8 +435,8 @@ def _gmres(matvec, precondition, b, tol):
         e1 = np.zeros(_RESTART + 1)
         e1[0] = beta
         for j in range(min(_RESTART, _MAX_ITER - iterations)):
-            Z.append(precondition(V[j]))
-            w = matvec(Z[j])
+            Z.append(precondition(V[j]).astype(np.float32))
+            w = matvec(Z[j].astype(np.float64))
             for i, v in enumerate(V):
                 H[i, j] = v @ w
                 w -= H[i, j] * v
@@ -437,13 +449,14 @@ def _gmres(matvec, precondition, b, tol):
             if est <= tol * bnorm or H[j + 1, j] == 0.0:
                 break
             V.append(w / H[j + 1, j])
+        # y is float64, so each y_i z_i is formed in double precision.
         x = x + sum(yi * z for yi, z in zip(y, Z))
         r = b - matvec(x)
         history.append(np.linalg.norm(r) / bnorm)
         if history[-1] <= tol or (len(history) > 1
                                   and history[-1] > 0.5 * history[-2]):
             break
-    return x, iterations, history
+    return x, iterations, history, float(np.linalg.norm(r))
 
 
 def solve(system):
@@ -481,12 +494,11 @@ def solve(system):
         z[lam] = cs_solve(A.As @ z[xs] - r[xs])
         return z
 
-    x, iterations, history = _gmres(A.dot, precondition, b, 1e-12)
+    x, iterations, history, res_norm = _gmres(A.dot, precondition, b, 1e-12)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solver produced non-finite values")
-    res = A @ x - b
     bnorm = np.linalg.norm(b)
-    if bnorm > 0.0 and np.linalg.norm(res) / bnorm > 1e-9:
+    if bnorm > 0.0 and res_norm / bnorm > 1e-9:
         raise SingularSystemError("GMRES stalled above tolerance")
     uvec, xvec, lvec, pvec, sigma = system.split(x)
     return DiscreteSolution(
@@ -495,7 +507,7 @@ def solve(system):
         X=FEFunction(S, xvec),
         lam=FEFunction(L, lvec),
         sigma=sigma,
-        residual_norm=float(np.linalg.norm(res)),
+        residual_norm=res_norm,
         rhs_norm=float(bnorm),
         iterations=iterations,
         residual_history=history,

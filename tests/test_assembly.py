@@ -19,6 +19,7 @@ from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
                            assemble_rhs, coupling_nodes, matrix_1norm_diff,
                            pressure_mean_row)
+import fdlm.experiments_cli as xcli
 from fdlm.fespace import (FEFunction, interpolate, multiplier_space,
                           pressure_space, solid_space, velocity_space)
 from fdlm.geom_intersect import build_all_schemes
@@ -93,6 +94,137 @@ def coupling_oracle(L, V, xbar, mu_c, v_c, coupling):
                     dot += gmu @ (xbar.matrix.T @ gvx)
                 total += area * dot
     return total
+
+
+# -- whole-mesh oracle ---------------------------------------------------
+# The scatter the assembly used before it took its rows in blocks: the
+# (R, C) blocks of every cell of the whole mesh in one COO matrix, summed
+# by one tocsr(), with vector blocks copied by block_diag.
+
+
+def coo_scatter(rows, cols, vals, shape):
+    r = np.repeat(rows, cols.shape[1], axis=1)
+    c = np.tile(cols, (1, rows.shape[1]))
+    A = sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())),
+                      shape=shape).tocsr()
+    A.eliminate_zeros()
+    return A
+
+
+def whole_mass(mesh):
+    rule = rule_for_degree(2)
+    basis = assembly._basis_table(rule)
+    m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
+    tri, nv = mesh.triangles, mesh.n_vertices
+    return coo_scatter(tri, tri, mesh.areas[:, None, None] * m_unit, (nv, nv))
+
+
+def whole_stiffness(mesh):
+    tri, nv = mesh.triangles, mesh.n_vertices
+    vals = (mesh.areas[:, None, None]
+            * np.einsum("mid,mjd->mij", mesh.grads, mesh.grads))
+    return coo_scatter(tri, tri, vals, (nv, nv))
+
+
+def vector_block(A):
+    return sp.block_diag((A, A), format="csr")
+
+
+def whole_form(mesh, grad_coef, mass_coef):
+    A = grad_coef * whole_stiffness(mesh)
+    if mass_coef != 0.0:
+        A = A + mass_coef * whole_mass(mesh)
+    return vector_block(A.tocsr())
+
+
+def whole_B(V, Q):
+    mesh_v, mesh_q = V.mesh, Q.mesh
+    parent = np.arange(mesh_v.n_triangles) // 4
+    psi = assembly._hats(mesh_q, parent, mesh_v.centroids[:, None, :])[:, 0]
+    vals = np.einsum("m,mi,mjc->mijc", mesh_v.areas, psi, mesh_v.grads)
+    cols = mesh_v.triangles[:, :, None] + V.n_vertices * np.arange(2)
+    return coo_scatter(mesh_q.triangles[parent], cols.reshape(-1, 6),
+                       vals.reshape(-1, 3, 6), (Q.n_dofs, V.n_dofs))
+
+
+def whole_Cs(L, S, coupling):
+    A = whole_mass(S.mesh)
+    if coupling == "h1":
+        A = A + whole_stiffness(S.mesh)
+    return vector_block(A.tocsr())
+
+
+def whole_coupling(L, V, nodes):
+    """Cf of node sets, every cell of every set (in order) at once."""
+    sets = list(nodes)
+    rows = np.concatenate([L.mesh.triangles[n.parent] for n in sets])
+    cols = np.concatenate([V.mesh.triangles[n.owner] for n in sets])
+    vals = np.concatenate([assembly._cell_entries(L, V, n) for n in sets])
+    return vector_block(coo_scatter(rows, cols, vals,
+                                    (L.n_vertices, V.n_vertices)))
+
+
+# Levels 0-3 of both schedules, each with the small block size it is
+# checked with again: 7 leaves a short last block everywhere, but level
+# 3 takes tens of thousands of such blocks, so it is checked with 300,
+# the size CI runs the gap study with.
+SCATTER_LEVELS = {level: 7 if k < 3 else 300
+                  for sched in (xcli.test1_schedule, xcli.test2_schedule)
+                  for k, level in enumerate(sched(4))}
+# The form coefficients: the experiments' and a set with both mass terms.
+SCATTER_PARAMS = {"default": FormParams(),
+                  "mass": FormParams(alpha=0.7, nu=1.3, beta=1.9, kappa=0.6)}
+
+
+def level_matrices(V, Q, S, L, xbar, schemes, approx, whole):
+    """Every block matrix of one level, by the assembly or, with whole,
+    by the whole-mesh oracle; the coupling geometry is given."""
+    out = {}
+    for name, p in SCATTER_PARAMS.items():
+        if whole:
+            out["Af", name] = whole_form(V.mesh, p.nu, p.alpha)
+            out["As", name] = whole_form(S.mesh, p.kappa, p.beta)
+        else:
+            out["Af", name] = assemble_Af(V, p)
+            out["As", name] = assemble_As(S, p)
+    out["B"] = whole_B(V, Q) if whole else assemble_B(V, Q)
+    for c in ("l2", "h1"):
+        exact_nodes = coupling_nodes(L, V, xbar, c, "exact",
+                                     rule_for_degree(2), schemes)
+        if whole:
+            out["Cs", c] = whole_Cs(L, S, c)
+            out["Cf exact", c] = whole_coupling(L, V, exact_nodes)
+            out["Cf approx", c] = whole_coupling(L, V, approx[c])
+        else:
+            out["Cs", c] = assemble_Cs(L, S, c)
+            out["Cf exact", c] = assemble_Cf_exact(L, V, xbar, c, schemes)
+            out["Cf approx", c] = assemble_Cf_approx(L, V, xbar, c,
+                                                     approx[c])
+    return out
+
+
+@pytest.mark.parametrize("n_fluid,n_solid", sorted(SCATTER_LEVELS))
+def test_matrices_equal_whole_mesh_scatter(monkeypatch, n_fluid, n_solid):
+    # Bit for bit, with the default blocks and with small blocks of rows,
+    # cells and elements.
+    V, Q, S, L = xcli.build_level_spaces(n_fluid, n_solid)
+    xbar = manufactured_solution().xbar
+    schemes = build_all_schemes(L.mesh, xbar, V.mesh)
+    approx = {c: coupling_nodes(L, V, xbar, c, "approx")
+              for c in ("l2", "h1")}
+    geometry = (V, Q, S, L, xbar, schemes, approx)
+    want = level_matrices(*geometry, whole=True)
+    for block in (None, SCATTER_LEVELS[n_fluid, n_solid]):
+        if block:
+            monkeypatch.setattr(fdlm.mesh, "_BLOCK", block)
+        got = level_matrices(*geometry, whole=False)
+        assert got.keys() == want.keys()
+        for name, A in want.items():
+            assert got[name].shape == A.shape
+            assert got[name].indices.dtype == A.indices.dtype
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got[name], attr),
+                                      getattr(A, attr)), (name, attr, block)
 
 
 class TestFormParams:

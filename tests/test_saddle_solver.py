@@ -224,6 +224,44 @@ class TestSolve:
     def test_residual_small(self, manufactured_sol):
         assert manufactured_sol.relative_residual < 1e-10
 
+    def test_residual_norm_is_that_of_the_solution(self, manufactured_system,
+                                                   manufactured_sol):
+        # solve() takes it from GMRES's last cycle; it is the norm of
+        # A x - b, bit for bit.
+        sol = manufactured_sol
+        x = np.concatenate([sol.u.coefficients, sol.X.coefficients,
+                            sol.lam.coefficients, sol.p.coefficients,
+                            [sol.sigma]])
+        res = manufactured_system.matrix @ x - manufactured_system.rhs
+        assert sol.residual_norm == np.linalg.norm(res)
+
+    def test_gmres_stores_single_precision_directions(self):
+        # Every direction A is applied to is a float32 value, and x is
+        # combined from those same directions, so the true residual still
+        # reaches double precision.
+        rng = np.random.default_rng(0)
+        n = 40
+        A = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n)
+        applied = []
+
+        def matvec(x):
+            applied.append(x.copy())
+            return A @ x
+
+        x, iterations, history, res_norm = saddle._gmres(
+            matvec, lambda r: r / np.diag(A), b, 1e-12)
+        directions = applied[:iterations]
+        assert len(history) == 1 and len(applied) == iterations + 1
+        for z in directions:
+            assert z.dtype == np.float64
+            assert np.array_equal(z, z.astype(np.float32))
+        assert not all(np.array_equal(r / np.diag(A),
+                                      (r / np.diag(A)).astype(np.float32))
+                       for r in directions)
+        assert history[-1] <= 1e-12
+        assert res_norm == np.linalg.norm(b - A @ x)
+
     def test_velocity_discretely_divergence_free(self, manufactured_system,
                                                  manufactured_sol):
         B = manufactured_system.blocks.B
@@ -552,12 +590,18 @@ class TestNestedDissection:
 # Two levels of each schedule: Test 1 l2 exact, Test 2 h1 approx.
 GMRES_LEVELS = [(16, 8, "l2", "exact"), (32, 16, "l2", "exact"),
                 (16, 23, "h1", "approx"), (32, 64, "h1", "approx")]
+# GMRES iterations when the directions Z were kept in double precision;
+# single-precision directions may take one more.
+DOUBLE_Z_ITERATIONS = {(16, 8): 19, (32, 16): 19, (16, 23): 19, (32, 64): 18,
+                       (64, 32): 19}
 
 
-@pytest.mark.parametrize("n_fluid,n_solid,coupling,mode", GMRES_LEVELS)
+@pytest.mark.parametrize("n_fluid,n_solid,coupling,mode",
+                         GMRES_LEVELS + [(64, 32, "l2", "exact")])
 def test_gmres_iterations_bounded(n_fluid, n_solid, coupling, mode):
     _, sol, _ = solve_level(n_fluid, n_solid, coupling, mode)
     assert 0 < sol.iterations <= 30
+    assert sol.iterations <= DOUBLE_Z_ITERATIONS[n_fluid, n_solid] + 1
     assert sol.residual_history[-1] <= 1e-12
     assert sol.residual_history[-1] == pytest.approx(sol.relative_residual,
                                                      rel=1e-6)
