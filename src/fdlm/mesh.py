@@ -18,8 +18,8 @@ reads its grid, diagonal, cell-to-triangle lookup and boundary from the
 coordinates once, at construction, checks that the mesh is the uniform
 grid of its own vertices, and computes its areas, hat gradients and
 centroids; it is immutable after it.  Point location, the supermesh, the
-velocity solves and the order of the structure coupling block all rely
-on that grid and take it from here.  Every blocked loop of the package,
+velocity solves and the structure solves all rely on that grid and take
+it from here.  Every blocked loop of the package,
 here and in the supermesh and the node-set streams, takes its blocks
 from _blocks.
 """

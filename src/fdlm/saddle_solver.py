@@ -25,32 +25,21 @@ because L and S share the structure mesh:
 
     w = S_f^-1 r_w,  X = -Cs^-1 (r_l - Cf u),  lambda = Cs^-1 (As X - r_X).
 
-S_f^-1 uses no factor.  Its velocity solves are sine transforms, which
-diagonalise the P1 stiffness on the uniform velocity grid (Buzbee,
-Golub & Nielson, SIAM J. Numer. Anal. 1970), and its pressure is a CG
-on the Schur complement preconditioned by the lumped pressure mass
-(Elman, Silvester & Wathen, OUP 2014, ch. 9), stopped at a loose
-tolerance.  Only c is factored, in single precision, in the nested
-dissection of the structure mesh's grid into boxes (George, "Nested
-dissection of a regular finite element mesh", SIAM J. Numer. Anal.
-1973), which does not depend on the placement map.  The velocity solves
-and this order take the vertex at each grid point from mesh.grid, which
-the mesh read from its coordinates and checked when it was built.
-GMRES keeps every residual in double precision and, being flexible,
-needs no exactly linear preconditioner, so the solve still reaches a
-double-precision residual (mixed-precision GMRES refinement, Carson &
-Higham, SISC 2018).  For the same reason it stores its preconditioned
-directions Z in single precision, half of its Krylov storage: the
-operator is applied to each direction as stored, so the directions
-that update x are those the Arnoldi relation holds for, and the
-preconditioner, a float32 factor and an inner CG stopped at 1e-2, is
-of single-precision quality anyway.  The Arnoldi basis V, the Hessenberg
-matrix H and x are double precision.
+Nothing is factored.  The velocity solves of S_f^-1, and the
+preconditioner of a CG on c, are exact grid solves by type-I sine and
+cosine transforms; the pressure of S_f^-1 is a CG on its Schur
+complement, stopped at a loose tolerance.  The inner CGs make the
+preconditioner inexact and not linear, which flexible GMRES allows.  It
+keeps x, V, H and every residual in double precision, so the solve
+still reaches a double-precision residual (Carson & Higham, SISC 2018),
+and stores its preconditioned directions Z, half of its Krylov storage,
+in single precision, applying the operator to each as stored.
 """
 
 import itertools
 
 import numpy as np
+# Unused here; perfbench/tracing.py wraps it in this module's namespace.
 from scipy.sparse.linalg import splu
 
 from .fespace import FEFunction
@@ -61,7 +50,7 @@ __all__ = ["Blocks", "BlockSystem", "DiscreteSolution",
 
 
 class SingularSystemError(RuntimeError):
-    """The assembled system could not be factored or solved."""
+    """The assembled system could not be solved."""
 
 
 class Blocks:
@@ -192,17 +181,19 @@ class SaddleOperator:
         return self.free(-(self.BT @ p))
 
     def dot(self, x):
+        y = np.empty(self.shape[0])
         u, X, lam, p = np.split(x[:-1], self._cuts[:-1])
+        y_u, y_X, y_lam, y_p = np.split(y[:-1], self._cuts[:-1])
         uf = self.free(u)
-        y_u = self.Af @ uf
+        y_u[:] = self.Af @ uf
         y_u += self.CfT @ lam
         y_u -= self.BT @ p
-        return np.concatenate([
-            np.where(self.fixed, u, y_u),
-            self.As @ X - self.CsT @ lam,
-            self.Cf @ uf - self.Cs @ X,
-            self.m * x[-1] - self.B @ uf,
-            [self.m @ p]])
+        y_u[self.fixed] = u[self.fixed]
+        np.subtract(self.As @ X, self.CsT @ lam, out=y_X)
+        np.subtract(self.Cf @ uf, self.Cs @ X, out=y_lam)
+        np.subtract(self.m * x[-1], self.B @ uf, out=y_p)
+        y[-1] = self.m @ p
+        return y
 
     __matmul__ = dot
 
@@ -246,27 +237,6 @@ def build_system(blocks, rhs, spaces):
                        blocks, mask)
 
 
-# Boxes of at most this many vertices are not cut further.
-_LEAF_SIZE = 64
-
-
-def _dissection(grid):
-    """Nested-dissection order of the vertices of a grid box (George,
-    "Nested dissection of a regular finite element mesh", SIAM J. Numer.
-    Anal. 1973).  A box of at most _LEAF_SIZE vertices is emitted row by
-    row.  Otherwise its middle grid line across the longer side (a column
-    on a tie) cuts it, and it is emitted as the halves before the line,
-    then after it, then the line.  Every P1 edge joins grid points at
-    most one step apart in each index, so the line separates the halves.
-    Returns perm: perm[k] is the vertex eliminated k-th."""
-    if grid.size <= _LEAF_SIZE:
-        return grid.ravel()
-    axis = int(grid.shape[1] >= grid.shape[0])
-    mid = grid.shape[axis] // 2
-    lo, line, hi = np.split(grid, [mid, mid + 1], axis=axis)
-    return np.concatenate([_dissection(lo), _dissection(hi), line.ravel()])
-
-
 # GMRES restart length, and the cap on its iterations over all cycles.
 _RESTART = 50
 _MAX_ITER = 200
@@ -274,79 +244,128 @@ _MAX_ITER = 200
 # Flexible GMRES corrects what the inner solve leaves.
 _INNER_TOL = 1e-2
 _INNER_MAX_ITER = 100
+# Relative tolerance of the structure CG: the loosest that kept GMRES at
+# levels 0-4 of both schedules within an iteration of solving c exactly.
+_STRUCTURE_TOL = 1e-7
 
 
-def _lu(M, perm):
-    """Single-precision LU of M in the symmetric order perm with diagonal
-    pivoting; returns a function solving with it in the original dof
-    order, taking and giving float64."""
-    try:
-        lu = splu(M.astype(np.float32).tocsr()[perm][:, perm].tocsc(),
-                  permc_spec="NATURAL",
-                  options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
-    except (RuntimeError, ValueError) as exc:
-        raise SingularSystemError(str(exc)) from exc
+def _transform(shape, odd):
+    """Type-I sine (odd) or cosine transform T over the last two axes of
+    (..., m, m) arrays, scaled by 2 / n: along each axis a_k is the sum of
+    a_j sin(j k pi / n), j, k = 1..m, n = m + 1, or a_j cos(j k pi / n),
+    j, k = 0..m-1, n = m - 1, the imaginary or real part of a real FFT of
+    length 2n of the data placed from index 1 or 0 in a zero buffer.
+    T(T(a)) = a for the sine, T(T(a) w) = a / w for the cosine, w the
+    outer product of (1/2, 1, ..., 1, 1/2) with itself.  The buffers are
+    allocated once; each call overwrites the output of the last."""
+    m = shape[-1]
+    n, lo = (m + 1, 1) if odd else (m - 1, 0)
+    ext = np.zeros(shape[:-1] + (2 * n,))
+    spec = np.empty(shape[:-1] + (n + 1,), dtype=complex)
+    out = np.empty(shape)
+    data = ext[..., lo:lo + m]
+    part = (spec.imag if odd else spec.real)[..., lo:lo + m].swapaxes(-1, -2)
 
-    def lu_solve(b):
-        x = np.empty(b.shape)
-        x[perm] = lu.solve(b[perm].astype(np.float32))
-        return x
-    return lu_solve
+    def transform(a):
+        data[...] = a
+        np.fft.rfft(ext, out=spec)
+        data[...] = part
+        np.fft.rfft(ext, out=spec)
+        return np.multiply(part, 2.0 / n, out=out)
+    return transform
 
 
-def _sine_transform(a):
-    """Orthonormal type-I sine transform of a (..., M, M) over its last two
-    axes; it is its own inverse.  Along each axis it is the imaginary part
-    of a real FFT of length 2(M + 1) of the data placed at 1..M, with a
-    sign that the two axes cancel.  a is square, so both axes share one
-    zero-padded buffer."""
-    n = a.shape[-1] + 1
-    ext = np.zeros(a.shape[:-1] + (2 * n,))
-    for _ in range(2):
-        ext[..., 1:n] = a
-        a = np.fft.rfft(ext)[..., 1:n].imag.swapaxes(-1, -2)
-    return a * (2.0 / n)
+def _grid_solver(mesh, dofs, nu, a, odd):
+    """f -> z with z[dofs] = P^-1 f[dofs] and z = f elsewhere, for
+    P = nu (K1 x W + W x K1) + a W x W on the grid points dofs (..., m, m)
+    of mesh, of n x n square cells: with odd, the interior points, with
+    K1 = tridiag(-1, 2, -1) and W = I; otherwise all points, with K1 the
+    Neumann stiffness and W = diag(1/2, 1, ..., 1, 1/2).  That is the P1
+    form nu K + alpha M, a = alpha h^2, with the mass lumped onto the
+    grid.  The type-I sine or cosine transform diagonalises K1 against W,
+    with eigenvalues 4 sin^2(j pi / 2n), j = 1..n-1 or 0..n (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 1970), so two solve P exactly.
+    """
+    if abs(mesh.hy - mesh.hx) > 1e-12 * mesh.hx:
+        raise ValueError("the mesh cells are not square")
+    n = mesh.n_cells_per_side
+    j = np.arange(odd, n + 1 - odd)
+    lam = 4.0 * np.sin(j * np.pi / (2 * n)) ** 2
+    w = np.where((j == 0) | (j == n), 0.5, 1.0)
+    eig = (nu * (lam[:, None] + lam) + a) / (w[:, None] * w)
+    if not eig.min() > 0.0:
+        raise SingularSystemError("block is not positive definite")
+    transform = _transform(dofs.shape, odd)
+
+    def grid_solve(f):
+        z = f.copy()
+        t = transform(f[dofs])
+        t /= eig
+        z[dofs] = transform(t)
+        return z
+    return grid_solve
 
 
 def _velocity_solver(Af, V):
-    """Solve with Af after Dirichlet elimination by sine transforms.
-
-    V lives on a uniform mesh of N x N square cells, where the P1
-    stiffness K at the interior vertices is the 5-point Laplacian, with
-    eigenvalues 4 sin^2(j pi / 2N) + 4 sin^2(k pi / 2N), j, k = 1..N-1,
-    and sine-transform eigenvectors (Buzbee, Golub & Nielson, SIAM J.
-    Numer. Anal. 1970).  nu and the mass term are read from the interior
-    rows of Af = nu K + alpha M: a row sums to alpha h^2, the lumped mass,
-    and its diagonal is 4 nu + alpha h^2 / 2.  The solve divides by
-    nu (eigenvalue of K) + alpha h^2, which inverts Af exactly for
-    alpha = 0 and is spectrally equivalent to it otherwise.  The
-    eliminated Dirichlet dofs of V, which must be the grid's outer ring,
-    are solved by the identity.
-    Returns a function mapping a velocity vector to the solution.
+    """Solve with Af = nu K + alpha M after Dirichlet elimination by sine
+    transforms: exactly for alpha = 0, and otherwise with nu K +
+    alpha h^2 I, which is spectrally equivalent.  An interior row of Af
+    sums to alpha h^2, and its diagonal is 4 nu + alpha h^2 / 2.  The
+    Dirichlet dofs must be the grid's outer ring; they are left as given.
     """
     mesh = V.mesh
-    N = mesh.n_cells_per_side
-    if abs(mesh.hy - mesh.hx) > 1e-12 * mesh.hx:
-        raise ValueError("the velocity mesh cells are not square")
-    slots = mesh.grid[1:-1, 1:-1]
     if not np.array_equal(V.dirichlet_mask,
                           np.tile(mesh.boundary_vertex_flags, 2)):
         raise ValueError("the Dirichlet velocity dofs are not the outer "
                          "ring of the uniform grid")
-    dofs = slots + V.n_vertices * np.arange(2)[:, None, None]
+    dofs = mesh.grid[1:-1, 1:-1] + V.n_vertices * np.arange(2)[:, None, None]
     rows = dofs.ravel()
     lumped = float(np.mean((Af @ np.ones(Af.shape[1]))[rows]))
     nu = (float(np.mean(Af.diagonal()[rows])) - 0.5 * lumped) / 4.0
-    lam = 4.0 * np.sin(np.arange(1, N) * np.pi / (2 * N)) ** 2
-    eig = nu * (lam[:, None] + lam) + lumped
-    if not eig.min() > 0.0:
-        raise SingularSystemError("fluid block is not positive definite")
+    return _grid_solver(mesh, dofs, nu, lumped, odd=True)
 
-    def velocity_solve(f):
-        z = f.copy()
-        z[dofs] = _sine_transform(_sine_transform(f[dofs]) / eig)
-        return z
-    return velocity_solve
+
+def _structure_solver(c, mesh, tol=_STRUCTURE_TOL):
+    """Solve with Cs = blockdiag(c, c), c = gamma K + M on mesh, by CG
+    preconditioned by P = gamma K + h^2 D x D, D = diag(1/2, 1, ..., 1,
+    1/2), which _grid_solver solves exactly: on the grid,
+    K = K1 x D + D x K1.  M sums to n^2 h^2 and its trace is half that; K
+    sums to 0 and its trace is 4 n^2.  M is spectrally equivalent to
+    h^2 D x D (Wathen, IMA J. Numer. Anal. 1987): at n = 8, eig(P^-1 c)
+    lies in [0.236, 1.010] for the l2 coupling (gamma = 0) and in
+    [0.994, 1.003] for h1 (gamma = 1), tightening like h^2 there.  CG
+    stops at a relative residual 2-norm of tol, which needs no P-solve of
+    the last residual; non-positive curvature, or no convergence in fewer
+    than _INNER_MAX_ITER steps, raises SingularSystemError.  The returned
+    function maps vectors of length 2k, k = c.shape[0].
+    """
+    n2 = mesh.n_cells_per_side ** 2
+    k = c.shape[0]
+    total = float(c.sum())
+    gamma = (float(c.diagonal().sum()) - 0.5 * total) / (4.0 * n2)
+    dofs = mesh.grid + k * np.arange(2)[:, None, None]
+    precondition = _grid_solver(mesh, dofs, gamma, total / n2, odd=False)
+
+    def structure_solve(b):
+        x = np.zeros_like(b)
+        d = np.zeros_like(b)
+        r = b.copy()
+        rz = np.inf
+        stop = tol ** 2 * (b @ b)
+        for _ in range(_INNER_MAX_ITER):
+            if r @ r <= stop:
+                return x
+            z = precondition(r)
+            rz, rz_old = r @ z, rz
+            d = z + (rz / rz_old) * d
+            q = (c @ d.reshape(2, k).T).T.ravel()
+            dq = d @ q
+            if not dq > 0.0:
+                break
+            x += (rz / dq) * d
+            r -= (rz / dq) * q
+        raise SingularSystemError("structure block solve failed")
+    return structure_solve
 
 
 def _stokes_solver(system):
@@ -410,13 +429,10 @@ def _gmres(matvec, precondition, b, tol):
     by precondition, so that it minimises the true residual (Saad, "A
     flexible inner-outer preconditioned GMRES algorithm", SISC 1993).  It
     keeps z_j = precondition(v_j) and updates x by the z_j, so the
-    preconditioner need not be exactly linear, as a single-precision LU
-    or an inner iteration is not.  Each z_j is stored rounded to single
-    precision, and matvec is applied to that rounded z_j, so the Arnoldi
-    relation A Z = V H holds for the Z that updates x: it is flexible
-    GMRES with a preconditioner that rounds its output, which costs
-    nothing here, where the preconditioner is of single-precision
-    quality anyway.  V, H, the residuals and x are double precision.
+    preconditioner need not be linear.  Each z_j is stored rounded to
+    single precision and matvec is applied to it as stored, so A Z = V H
+    holds for the Z that updates x.  V, H, the residuals and x are double
+    precision.
     Stops when the true relative residual, taken after each cycle, is
     <= tol, stalls (falls less than half in a cycle) or _MAX_ITER is
     reached.
@@ -463,35 +479,24 @@ def solve(system):
     """Solve by block-preconditioned GMRES; returns a DiscreteSolution with
     residual data and the solver's iterations and residual history.
 
-    The fluid rows are solved by sine transforms inside a pressure CG
-    (_stokes_solver), and the scalar block c of Cs is factored once in
-    single precision, in the nested dissection of the structure mesh's
-    grid (_dissection); flexible GMRES stops at a true relative residual
-    of 1e-12.  A factorization failure, and a relative residual left above
-    1e-9, are reported as a singular system.
+    It solves the fluid rows by _stokes_solver and the structure rows by
+    _structure_solver, and stops at a true relative residual of 1e-12; a
+    residual left above 1e-9 raises SingularSystemError.
     """
     V, S, L, Q = system.spaces
     A = system.matrix
     b = system.rhs
-    o = system.offsets
-    n = A.shape[0]
-    u = slice(0, o["x"])
-    xs = slice(o["x"], o["lambda"])
-    lam = slice(o["lambda"], o["p"])
-    p = slice(o["p"], o["sigma"])
     stokes_solve = _stokes_solver(system)
     k = S.n_vertices
-    c = system.blocks.Cs[:k, :k]
-    c_solve = _lu(c, _dissection(S.mesh.grid))
-
-    def cs_solve(v):
-        return c_solve(v.reshape(2, k).T).T.ravel()
+    cs_solve = _structure_solver(system.blocks.Cs[:k, :k], S.mesh)
 
     def precondition(r):
-        z = np.empty(n)
-        z[u], z[p], z[-1] = stokes_solve(r[u], r[p], r[-1])
-        z[xs] = -cs_solve(r[lam] - A.Cf @ A.free(z[u]))
-        z[lam] = cs_solve(A.As @ z[xs] - r[xs])
+        z = np.empty_like(r)
+        (ru, rX, rl, rp, rs), (zu, zX, zl, zp, _) = (system.split(r),
+                                                     system.split(z))
+        zu[:], zp[:], z[-1] = stokes_solve(ru, rp, rs)
+        zX[:] = -cs_solve(rl - A.Cf @ A.free(zu))
+        zl[:] = cs_solve(A.As @ zX - rX)
         return z
 
     x, iterations, history, res_norm = _gmres(A.dot, precondition, b, 1e-12)

@@ -11,7 +11,7 @@ checklist of the reproduced results:
   05  approximate mass pairing keeps the optimal rates
   06  approximate gradient pairing is suboptimal (~1/3) under test 2
   07  exact and approximate assembly coincide on nested elements
-  08  every solve factorizes, small residual, discretely divergence free
+  08  every solve converges, small residual, discretely divergence free
   09  matrix pairings and the strong-form load match independent oracles
   10  clipping conserves area; quadrature rules integrate monomials
   11  dual norm of zero and of a unit constant field

@@ -2,12 +2,12 @@
 GMRES solve."""
 
 import copy
-import hashlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
@@ -283,7 +283,7 @@ class TestSolve:
 
     def test_zero_structure_coupling_reported(self, manufactured_system):
         # Cs = 0 leaves the multiplier rows without a structure part; the
-        # Cs factorization must fail loudly instead of solving wrongly.
+        # structure solver must refuse it instead of solving wrongly.
         sys_ = manufactured_system
         b = sys_.blocks
         broken = Blocks(b.Af, b.As, b.B, b.Cf, 0.0 * b.Cs, b.mean_row)
@@ -335,19 +335,19 @@ class TestFluidSolve:
     @pytest.mark.parametrize("m", [1, 7, 30])
     def test_sine_transform_is_own_inverse(self, m):
         a = np.random.default_rng(m).standard_normal((2, m, m))
-        t = saddle._sine_transform(a)
+        transform = saddle._transform(a.shape, odd=True)
+        t = transform(a).copy()
         assert np.linalg.norm(t) == pytest.approx(np.linalg.norm(a),
                                                   rel=1e-13)
-        np.testing.assert_allclose(saddle._sine_transform(t), a,
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(transform(t), a, rtol=0, atol=1e-13)
 
     def test_sine_transform_is_type_one(self):
         m = 5
         j = np.arange(1, m + 1)
         S = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(j, j) / (m + 1))
         a = np.random.default_rng(0).standard_normal((m, m))
-        np.testing.assert_allclose(saddle._sine_transform(a), S @ a @ S,
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(saddle._transform(a.shape, True)(a),
+                                   S @ a @ S, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n_fluid", [8, 32])
     @pytest.mark.parametrize("nu", [1.0, 0.7])
@@ -408,9 +408,8 @@ MMD_SHIFT = 1e-8
 
 
 def mmd_reference(system):
-    """Solution vector and LU fill of the whole shifted system factored in
-    SuperLU's MMD_AT_PLUS_A order, the shift removed by iterative
-    refinement."""
+    """Solution vector of the whole shifted system factored in SuperLU's
+    MMD_AT_PLUS_A order, the shift removed by iterative refinement."""
     A = coo_reference(system.blocks, system.dirichlet_mask)
     b = system.rhs
     rowmax = abs(A).max(axis=1).toarray().ravel()
@@ -428,94 +427,25 @@ def mmd_reference(system):
             break
         prev = rel
         x = x + lu.solve(res)
-    return x, lu.L.nnz + lu.U.nnz
-
-
-def recorded_solve(n_fluid, n_solid, coupling, mode, exact=None):
-    """solve_level run recording the order solve passes to _lu, that of c
-    alone, and the fill and the dtype of the matrix of each
-    factorization."""
-    perms, fills, dtypes = [], [], []
-    real_lu, real_splu = saddle._lu, saddle.splu
-
-    def recording_lu(M, perm):
-        perms.append(perm)
-        return real_lu(M, perm)
-
-    def counting_splu(A, *args, **kwargs):
-        dtypes.append(A.dtype)
-        lu = real_splu(A, *args, **kwargs)
-        fills.append(lu.L.nnz + lu.U.nnz)
-        return lu
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(saddle, "_lu", recording_lu)
-        mp.setattr(saddle, "splu", counting_splu)
-        _, sol, system = solve_level(n_fluid, n_solid, coupling, mode, exact)
-    return sol, system, perms, fills, dtypes
+    return x
 
 
 # Coarsest Test 1 level, and Test 2 level 2.
 ORDERED_LEVELS = {"t1_level0_l2": (16, 8, "l2"), "t2_level2_h1": (32, 64, "h1")}
-# First 16 hex digits of the sha256 of each level's c permutation as
-# little-endian int64, which pins the order bit for bit.
-PERM_SHA256 = {"t1_level0_l2": ("3b3d00e173cf0d58",),
-               "t2_level2_h1": ("fbf96d5b0f38c5bd",)}
 
 
 @pytest.fixture(scope="module")
 def ordered_solves():
-    """Per level: a recorded solve_level run, and the MMD-ordered
-    reference solve of the same system."""
+    """Per level: a solve_level run, and the MMD-ordered reference solve
+    of the same system."""
     out = {}
     for name, (nf, ns, coupling) in ORDERED_LEVELS.items():
-        sol, system, perms, fills, dtypes = recorded_solve(nf, ns, coupling,
-                                                           "exact")
-        x_ref, fill_ref = mmd_reference(system)
-        out[name] = (sol, system, perms, fills, dtypes, x_ref, fill_ref)
+        _, sol, system = solve_level(nf, ns, coupling, "exact")
+        out[name] = (sol, system, mmd_reference(system))
     return out
 
 
 class TestNestedDissection:
-    @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
-    def test_permutation_covers_every_dof_once(self, ordered_solves, level):
-        _, system, (perm_c,), _, _, _, _ = ordered_solves[level]
-        S = system.spaces[1]
-        np.testing.assert_array_equal(np.sort(perm_c),
-                                      np.arange(S.n_vertices))
-
-    @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
-    def test_permutation_fingerprint(self, ordered_solves, level):
-        _, _, perms, _, _, _, _ = ordered_solves[level]
-        digests = tuple(hashlib.sha256(p.astype("<i8").tobytes())
-                        .hexdigest()[:16] for p in perms)
-        assert digests == PERM_SHA256[level]
-
-    def test_orders_independent_of_placement_map(self):
-        # Test 2 level 1 under the experiment's map and under a pure
-        # offset of it that stays inside the fluid box.
-        shifted = copy.copy(manufactured_solution())
-        shifted.xbar = AffineMap(2.0 * np.eye(2), (-1.3, -0.9))
-        _, _, perms, _, _ = recorded_solve(16, 23, "h1", "approx")
-        _, _, moved, _, _ = recorded_solve(16, 23, "h1", "approx", shifted)
-        assert len(perms) == len(moved) == 1
-        for p, q in zip(perms, moved):
-            np.testing.assert_array_equal(p, q)
-
-    def test_separator_is_middle_column(self):
-        # The 17 x 17 grid is cut by its middle column, x = 8, which is
-        # eliminated last, after every vertex of both halves.
-        mesh = uniform_mesh((0, 0), (1, 1), 16)
-        perm = saddle._dissection(mesh.grid)
-        np.testing.assert_array_equal(np.sort(perm),
-                                      np.arange(mesh.n_vertices))
-        x = np.rint(16 * mesh.vertices[:, 0]).astype(int)
-        np.testing.assert_array_equal(perm[-17:], np.flatnonzero(x == 8))
-        np.testing.assert_array_equal(np.sort(perm[:136]),
-                                      np.flatnonzero(x < 8))
-        np.testing.assert_array_equal(np.sort(perm[136:-17]),
-                                      np.flatnonzero(x > 8))
-
     def test_grid_of_refined_mesh(self):
         # Midpoint refinement numbers its new vertices after the old
         # ones, not row by row.
@@ -531,40 +461,19 @@ class TestNestedDissection:
 
     def test_off_grid_structure_vertex_rejected(self):
         # One structure vertex a tenth of a cell off its grid point: the
-        # mesh is refused where it is built, before anything is factored.
+        # mesh is refused where it is built, before any grid solver is
+        # set up on it.
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(saddle, "splu", lambda *a, **k: calls.append(a))
+            mp.setattr(saddle, "_grid_solver",
+                       lambda *a, **k: calls.append(a))
             with pytest.raises(ValueError, match="not the points"):
                 off_grid(uniform_mesh((0, 0), (1, 1), 8, orientation="left"))
         assert calls == []
 
-    def test_fill_not_above_mmd_of_c(self):
-        # At n_solid = 256, h1, the grid order fills c less than
-        # SuperLU's own MMD_AT_PLUS_A order of c does (5,743,912 against
-        # 6,122,094).
-        mesh = uniform_mesh((0, 0), (1, 1), 256, orientation="left")
-        k = mesh.n_vertices
-        c = assemble_Cs(multiplier_space(mesh), solid_space(mesh),
-                        "h1")[:k, :k]
-        fills = []
-        real_splu = saddle.splu
-
-        def counting_splu(A, *args, **kwargs):
-            lu = real_splu(A, *args, **kwargs)
-            fills.append(lu.L.nnz + lu.U.nnz)
-            return lu
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(saddle, "splu", counting_splu)
-            saddle._lu(c, saddle._dissection(mesh.grid))
-        mmd = splu(c.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
-        assert fills[0] <= mmd.L.nnz + mmd.U.nnz
-
     @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
     def test_agrees_with_mmd_reference(self, ordered_solves, level):
-        sol, system, _, _, _, x_ref, _ = ordered_solves[level]
+        sol, system, x_ref = ordered_solves[level]
         u, X, lam, p, _ = system.split(x_ref)
         for got, want, rel in ((sol.u, u, 1e-10), (sol.X, X, 1e-10),
                                (sol.p, p, 1e-10), (sol.lam, lam, 1e-8)):
@@ -572,19 +481,131 @@ class TestNestedDissection:
             assert np.abs(got.coefficients - want).max() <= rel * scale
         assert sol.relative_residual <= 1e-10
 
-    def test_fill_not_above_mmd(self, ordered_solves):
-        # The one factorization, of the scalar Cs block, fills less than
-        # the whole system in MMD order.
-        _, _, _, fills, _, _, fill_ref = ordered_solves["t2_level2_h1"]
-        assert len(fills) == 1
-        assert fills[0] <= fill_ref
 
-    @pytest.mark.parametrize("level", sorted(ORDERED_LEVELS))
-    def test_factors_single_precision(self, ordered_solves, level):
-        # c is factored in float32; flexible GMRES in float64 restores
-        # the accuracy that test_agrees_with_mmd_reference pins.
-        _, _, _, _, dtypes, _, _ = ordered_solves[level]
-        assert dtypes == [np.float32]
+def structure_block(n, coupling, orientation="left"):
+    """The structure mesh of n x n cells and its scalar block c."""
+    mesh = uniform_mesh((0, 0), (1, 1), n, orientation=orientation)
+    k = mesh.n_vertices
+    c = assemble_Cs(multiplier_space(mesh), solid_space(mesh),
+                    coupling)[:k, :k]
+    return mesh, c
+
+
+def grid_preconditioner(mesh, gamma, h2):
+    """P = gamma (K1 x D + D x K1) + h2 D x D in the mesh's vertex order,
+    K1 the 1-D Neumann stiffness and D = diag(1/2, 1, ..., 1, 1/2)."""
+    n = mesh.n_cells_per_side
+    e = np.ones(n + 1)
+    K1 = sp.diags([-e[1:], np.r_[1.0, 2.0 * e[2:], 1.0], -e[1:]], [-1, 0, 1])
+    D = sp.diags(np.r_[0.5, e[2:], 0.5])
+    P = (gamma * (sp.kron(K1, D) + sp.kron(D, K1))
+         + h2 * sp.kron(D, D)).tocsr()
+    at = np.argsort(mesh.grid.ravel())
+    return P[at][:, at]
+
+
+# eig(P^-1 c) of the structure block: measured ranges, rounded outwards.
+EIG_BOUNDS = {(8, "l2"): (0.2358, 1.0091), (16, "l2"): (0.2359, 1.0052),
+              (8, "h1"): (0.9946, 1.0028), (16, "h1"): (0.9984, 1.0009)}
+
+
+class TestStructureSolve:
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_cosine_transform_is_type_one(self, m):
+        n = m - 1
+        j = np.arange(m)
+        C = np.cos(np.pi * np.outer(j, j) / n)
+        a = np.random.default_rng(m).standard_normal((2, m, m))
+        transform = saddle._transform(a.shape, odd=False)
+        t = transform(a).copy()
+        np.testing.assert_allclose(t, (2.0 / n) * C @ a @ C, rtol=0,
+                                   atol=1e-13 * m)
+        w = np.ones(m)
+        w[[0, -1]] = 0.5
+        w = np.outer(w, w)
+        np.testing.assert_allclose(transform(t * w), a / w, rtol=0,
+                                   atol=1e-13 * m)
+
+    @pytest.mark.parametrize("orientation", ["left", "right"])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_preconditioner_equals_spsolve(self, gamma, orientation):
+        mesh = uniform_mesh((0, 0), (1, 1), 8, orientation=orientation)
+        P = grid_preconditioner(mesh, gamma, mesh.h ** 2)
+        k = mesh.n_vertices
+        b = np.random.default_rng(3).standard_normal(2 * k)
+        dofs = mesh.grid + k * np.arange(2)[:, None, None]
+        got = saddle._grid_solver(mesh, dofs, gamma, mesh.h ** 2,
+                                  odd=False)(b)
+        want = np.concatenate([spsolve(P.tocsc(), b[:k]),
+                               spsolve(P.tocsc(), b[k:])])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_stiffness_is_kronecker_sum(self):
+        # c - M is exactly K1 x D + D x K1 on either diagonal.
+        for orientation in ("left", "right"):
+            mesh, c = structure_block(8, "h1", orientation)
+            _, m = structure_block(8, "l2", orientation)
+            K = grid_preconditioner(mesh, 1.0, 0.0)
+            assert abs(c - m - K).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("coupling", ["l2", "h1"])
+    def test_preconditioned_spectrum(self, n, coupling):
+        mesh, c = structure_block(n, coupling)
+        gamma = 1.0 if coupling == "h1" else 0.0
+        P = grid_preconditioner(mesh, gamma, mesh.h ** 2)
+        eig = scipy.linalg.eigh(c.toarray(), P.toarray(), eigvals_only=True)
+        lo, hi = EIG_BOUNDS[n, coupling]
+        assert lo <= eig.min() and eig.max() <= hi
+
+    @pytest.mark.parametrize("coupling", ["l2", "h1"])
+    @pytest.mark.parametrize("n", [1, 8, 33])
+    def test_solve_equals_spsolve(self, n, coupling):
+        mesh, c = structure_block(n, coupling)
+        k = mesh.n_vertices
+        b = np.random.default_rng(n).standard_normal(2 * k)
+        x = saddle._structure_solver(c, mesh, tol=1e-12)(b)
+        want = np.concatenate([spsolve(c.tocsc(), b[:k]),
+                               spsolve(c.tocsc(), b[k:])])
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+        np.testing.assert_array_equal(
+            saddle._structure_solver(c, mesh)(np.zeros(2 * k)), 0.0)
+
+    @pytest.mark.parametrize("coupling,steps", [("l2", 17), ("h1", 3)])
+    def test_steps_bounded(self, coupling, steps, monkeypatch):
+        # gamma and h^2 are read from c: misread, CG would still
+        # converge, but in many more steps.  Measured: 16 and 2.
+        calls = []
+        real = saddle._grid_solver
+
+        def counting(*args, **kwargs):
+            grid_solve = real(*args, **kwargs)
+            return lambda f: calls.append(f) or grid_solve(f)
+        monkeypatch.setattr(saddle, "_grid_solver", counting)
+        mesh, c = structure_block(33, coupling)
+        b = np.random.default_rng(0).standard_normal(2 * mesh.n_vertices)
+        saddle._structure_solver(c, mesh)(b)
+        assert 0 < len(calls) <= steps
+
+    def test_needs_square_cells(self):
+        mesh = uniform_mesh((0, 0), (2, 1), 4, orientation="left")
+        c = assemble_Cs(multiplier_space(mesh), solid_space(mesh),
+                        "l2")[:mesh.n_vertices, :mesh.n_vertices]
+        with pytest.raises(ValueError, match="not square"):
+            saddle._structure_solver(c, mesh)
+
+    def test_unconverged_solve_reported(self):
+        mesh, c = structure_block(8, "l2")
+        with pytest.raises(SingularSystemError):
+            saddle._structure_solver(c, mesh, tol=0.0)(
+                np.ones(2 * mesh.n_vertices))
+
+    def test_solve_factors_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called")
+        monkeypatch.setattr(saddle, "splu", refuse)
+        _, sol, _ = solve_level(16, 8, "l2", "exact")
+        assert sol.relative_residual <= 1e-12
 
 
 # Two levels of each schedule: Test 1 l2 exact, Test 2 h1 approx.
