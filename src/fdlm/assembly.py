@@ -9,12 +9,11 @@ each block summed from per-cell dof maps and per-cell blocks of
 entries; a vector block's second copy is written from its first.  The
 mesh matrices take their rows in the blocks of mesh._blocks, each from
 every cell with a row in it, in ascending cell order (_gathered); the
-coupling matrix takes the rows that have become final in its stream of
-cells, which comes in the order of the structure elements.  Either way
-each row is summed from the same entries in the same order as a
-whole-mesh scatter would sum it, so the matrices are bit for bit those
-of one whole-mesh COO matrix, and no whole-mesh array of entries or
-indices is built.
+coupling matrix takes them as they become final in its groups (below).
+Either way each row is summed from the same entries in the same order
+as a whole-mesh scatter would sum it, so the matrices are bit for bit
+those of one whole-mesh COO matrix, and no whole-mesh array of entries
+or indices is built.
 
 The coupling matrix, the coupling loads and every right-hand side run
 through one quadrature core over node sets: M cells of K nodes, cell m
@@ -29,24 +28,28 @@ that weigh it.  Hat gradients are constant on a cell, so the gradient
 feature enters through the sum of its weights per cell.  Exact
 coupling is one stream of supermesh subcells under one rule (for the
 matrix the degree-2 rule, exact on every subcell), weighing values
-and, for h1, gradients; approx coupling is two sets on whole structure
-elements, the edge midpoints weighing values and (h1 only) the
-centroids weighing gradients, every node located in the fluid mesh.
+and, for h1, gradients; approx coupling is two streams on whole
+structure elements, the edge midpoints weighing values and (h1 only)
+the centroids weighing gradients, every node located in the fluid mesh.
+
+Every node set comes in groups (sets, done), in cell order: sets has
+one node set per stream, and every cell or element before done has all
+of its cells in this group or an earlier one.  The mesh triangles
+(volume loads, the exact constraint load, the error norms), the
+supermesh subcells and the approx elements all come in the blocks of
+mesh._blocks, so no group grows with the mesh.  The coupling matrix
+and the streamed coupling gap read the multiplier rows as they become
+final (_final_rows), each from its entries stream by stream in cell
+order, as the whole matrix would; the loads keep the per-cell
+contributions and reduce them once, stream by stream in cell order.
+So neither depends on the block size.  The coupling gap takes its
+groups from the supermesh, clipping the next block in a worker thread
+while it integrates the current one, and holds neither matrix.
 
 Right-hand sides are produced by inserting the analytic solution into
 the left-hand side forms, so the discrete problem is consistent by
 construction; smooth volume terms use the degree-6 rule on the mesh
-triangles, loaded through the same core.  The node sets of mesh
-triangles (volume loads, the exact constraint load, the error norms)
-and of supermesh subcells (exact coupling matrix and load) are streams
-built and consumed in the blocks of cells of mesh._blocks, so their
-size does not grow with the mesh; the loads keep the per-cell
-contributions and reduce them once, in cell order, and the matrices sum
-each row from its entries in cell order, so neither depends on the
-block size.  The coupling gap (coupling_gap) takes its
-blocks of structure elements from the supermesh, clipping the next
-block in a worker thread while it integrates the current one, and
-holds neither matrix.
+triangles, loaded through the same core.
 """
 
 import itertools
@@ -321,8 +324,8 @@ _Nodes = namedtuple("_Nodes", "parent owner s x w jac value grad")
 
 
 class _Blocks:
-    """Node sets make(b) over the blocks b (mesh._blocks) of n cells, in
-    order, built anew on every pass, so a stream can be consumed more
+    """Groups make(b) over the blocks b (mesh._blocks) of n_cells cells,
+    in order, built anew on every pass, so a stream can be consumed more
     than once."""
 
     def __init__(self, make, n_cells):
@@ -339,7 +342,7 @@ def _hats(mesh, tris, pts):
     return 1.0 / 3.0 + d @ mesh.grads[tris].swapaxes(1, 2)
 
 
-def _load(mesh, nodes, field, fluid=False):
+def _load(mesh, groups, field, fluid=False):
     """Load of a vector field against the vector P1 hats phi of mesh:
     sum_nodes w (value . phi + grad : grad phi), per dof.
 
@@ -348,23 +351,25 @@ def _load(mesh, nodes, field, fluid=False):
     does not weigh.  The nodes lie at s in the triangles parent of mesh,
     or, with fluid, at x in the fluid triangles owner, where the hat
     gradients are pulled back through jac.  The per-cell contributions
-    are summed once, in cell order, so the load does not depend on the
-    blocking.
+    of the groups are summed once, stream by stream, each stream in cell
+    order, so the load does not depend on the blocking.
     """
-    tris, cells = [], []
-    for n in nodes:
-        t, pts = (n.owner, n.x) if fluid else (n.parent, n.s)
-        value, grad = field(n)
-        vals = 0.0
-        if value is not None:
-            vals = ((n.w[..., None] * value).swapaxes(1, 2)
-                    @ _hats(mesh, t, pts))
-        if grad is not None:
-            g = mesh.grads[t] @ n.jac if fluid else mesh.grads[t]
-            vals = vals + np.einsum("mk,mkcd->mcd", n.w, grad) \
-                @ g.swapaxes(1, 2)
-        tris.append(t)
-        cells.append(vals)
+    parts = []
+    for sets, _ in groups:
+        for k, n in enumerate(sets):
+            t, pts = (n.owner, n.x) if fluid else (n.parent, n.s)
+            value, grad = field(n)
+            vals = 0.0
+            if value is not None:
+                vals = ((n.w[..., None] * value).swapaxes(1, 2)
+                        @ _hats(mesh, t, pts))
+            if grad is not None:
+                g = mesh.grads[t] @ n.jac if fluid else mesh.grads[t]
+                vals = vals + np.einsum("mk,mkcd->mcd", n.w, grad) \
+                    @ g.swapaxes(1, 2)
+            parts.append((k, t, vals))
+    # A stable sort: stream by stream, each in the order it came.
+    _, tris, cells = zip(*sorted(parts, key=lambda p: p[0]))
     dofs = (np.arange(2)[:, None] * mesh.n_vertices
             + mesh.triangles[np.concatenate(tris)][:, None, :])
     return np.bincount(dofs.ravel(), weights=np.concatenate(cells).ravel(),
@@ -378,13 +383,14 @@ def _rule_nodes(tris, areas, rule):
 
 
 def _mesh_nodes(mesh, rule, grad=True):
-    """Node sets of rule on the triangles of mesh, weighing values and,
-    with grad, gradients, in the blocks of triangles of mesh._blocks."""
+    """Groups of one node set of rule on the triangles of mesh, weighing
+    values and, with grad, gradients, in the blocks of triangles of
+    mesh._blocks."""
     def block(b):
         s, w = _rule_nodes(mesh.vertices[mesh.triangles[b]], mesh.areas[b],
                            rule)
-        return _Nodes(np.arange(b.start, b.stop), None, s, None, w, None,
-                      True, grad)
+        return [_Nodes(np.arange(b.start, b.stop), None, s, None, w, None,
+                       True, grad)], b.stop
     return _Blocks(block, mesh.n_triangles)
 
 
@@ -396,31 +402,38 @@ def _placed(parent, owner, s, w, xbar, value, grad):
 
 
 def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
-    """Node sets of the exact or approx coupling, in cell order.
+    """Node sets of the exact or approx coupling, as a re-iterable
+    sequence of groups (sets, done): sets holds one node set per stream,
+    and every structure element before done has all of its cells in
+    this group or an earlier one.
 
-    Exact: the supermesh subcells under rule, built anew in the blocks
-    of subcells of mesh._blocks on every pass.  Approx: one node per
-    cell, the edge midpoints (degree-2 rule) and, for h1, the centroids,
-    located in the fluid mesh; they do not depend on rule, so build them
-    once and pass them to assemble_Cf_approx and assemble_rhs to locate
-    their nodes once.
+    Exact: one stream, the supermesh subcells under rule, built anew in
+    the blocks of subcells of mesh._blocks on every pass; done is the
+    parent of a block's last subcell.  Approx: one group per block of
+    structure elements of mesh._blocks, with one node per cell, the edge
+    midpoints (degree-2 rule) and, for h1, the centroids as a second
+    stream, located in the fluid mesh.  They do not depend on rule, so
+    build them once and pass them to assemble_Cf_approx and
+    assemble_rhs to locate their nodes once.
     """
     _check_coupling(coupling)
     if mode not in ("exact", "approx"):
         raise ValueError("mode must be 'exact' or 'approx'")
     grad = coupling == "h1"
-    if mode == "exact":
-        if rule is None:
-            raise ValueError("exact coupling nodes need a quadrature rule")
-        if schemes is None:
-            schemes = build_all_schemes(L.mesh, xbar, V.mesh)
+    if mode == "approx":
+        return [(_approx_sets(L, V, xbar, grad, b), b.stop)
+                for b in _blocks(L.mesh.n_triangles)]
+    if rule is None:
+        raise ValueError("exact coupling nodes need a quadrature rule")
+    if schemes is None:
+        schemes = build_all_schemes(L.mesh, xbar, V.mesh)
 
-        def block(b):
-            s, w = _rule_nodes(schemes.subcells[b], schemes.s_areas[b], rule)
-            return _placed(schemes.parent[b], schemes.owner[b], s, w, xbar,
-                           True, grad)
-        return _Blocks(block, schemes.parent.shape[0])
-    return _approx_sets(L, V, xbar, grad, slice(0, L.mesh.n_triangles))
+    def block(b):
+        s, w = _rule_nodes(schemes.subcells[b], schemes.s_areas[b], rule)
+        parent = schemes.parent[b]
+        return [_placed(parent, schemes.owner[b], s, w, xbar, True,
+                        grad)], parent[-1]
+    return _Blocks(block, schemes.parent.shape[0])
 
 
 def _approx_sets(L, V, xbar, grad, b):
@@ -459,56 +472,19 @@ def _cell_entries(L, V, n):
     return vals
 
 
-def _entries(L, V, n):
-    """Coupling entries of the cells of node set n, one per cell and
-    local multiplier row, in cell order: the rows (3M,), the velocity
-    columns (3M, 3) and the values (3M, 3) of _cell_entries."""
-    return (L.mesh.triangles[n.parent].ravel(),
-            np.repeat(V.mesh.triangles[n.owner], 3, axis=0),
-            _cell_entries(L, V, n).reshape(-1, 3))
+def _final_rows(L, V, groups, n_streams):
+    """The multiplier rows of the coupling of groups, in prefixes, each
+    as soon as it is final: every element touching it or a row before it
+    has come.
 
-
-def _settle(L, V, pending, sets, settled):
-    """Add the entries of node sets sets, one per stream (None for none),
-    to those pending per stream, and return per stream the entries whose
-    row is settled (settled(rows) is True), in cell order; the others
-    stay pending."""
-    out = []
-    for k, n in enumerate(sets):
-        entries = pending[k]
-        if n is not None:
-            entries = [np.concatenate(f)
-                       for f in zip(entries, _entries(L, V, n))]
-        is_final = settled(entries[0])
-        out.append([np.compress(is_final, f, axis=0) for f in entries])
-        pending[k] = [np.compress(~is_final, f, axis=0) for f in entries]
-    return out
-
-
-def _no_entries(n_streams):
-    return [(np.empty(0, np.int64), np.empty((0, 3), np.int64),
-             np.empty((0, 3)))] * n_streams
-
-
-def _cells_of(n, b):
-    """The node set of the cells b (a slice) of node set n."""
-    return n._replace(parent=n.parent[b], owner=n.owner[b], s=n.s[b],
-                      x=n.x[b], w=n.w[b])
-
-
-def _coupling_matrix(L, V, nodes):
-    """Coupling matrix of node sets: rows multiplier, columns velocity
-    dofs, equal components only.
-
-    The cells come in the order of their structure elements: the blocks
-    of the exact stream, or the approx node sets cut at the blocks of
-    elements of mesh._blocks.  Each entry is held until its row is final,
-    that is until every element touching it or a row before it has come,
-    and the rows that became final are scattered as one row block
-    (_csr), the sets' entries in the order of the sets.  So each row
-    sees the entries of the whole-matrix scatter in the same order (all
-    cells of the first set, then of the next), and the matrix does not
-    depend on the blocking.
+    Yields (n_rows, streams): the number of rows of the prefix since the
+    last, and per stream the entries of the cells of those rows, one per
+    cell and local multiplier row, in cell order: the rows counted from
+    the prefix's first (E,), the velocity columns (E, 3) and the values
+    (E, 3) of _cell_entries.  The other entries are held per stream until
+    their rows are final; a closing group settles every row.  So each
+    row sees its entries in the order of the whole stream, whatever the
+    groups.
     """
     mesh = L.mesh
     n_el = mesh.n_triangles
@@ -516,35 +492,47 @@ def _coupling_matrix(L, V, nodes):
     reach = np.zeros(mesh.n_vertices, dtype=np.int64)
     np.maximum.at(reach, mesh.triangles, np.arange(n_el)[:, None])
     reach = np.maximum.accumulate(reach)
-    if isinstance(nodes, _Blocks):
-        n_cells, n_streams = nodes.n_cells, 1
-        # The elements before the parent of a block's last cell are done.
-        groups = (([n], n.parent[-1]) for n in nodes)
-    else:
-        n_cells = sum(n.parent.shape[0] for n in nodes)
-        n_streams = len(nodes)
+    pending = [[] for _ in range(n_streams)]
+    row = 0
+    for sets, done in itertools.chain(groups, [([], n_el)]):
+        for entries, n in zip(pending, sets):
+            entries.append((mesh.triangles[n.parent].ravel(),
+                            np.repeat(V.mesh.triangles[n.owner], 3, axis=0),
+                            _cell_entries(L, V, n).reshape(-1, 3)))
+        stop = int(np.searchsorted(reach, done))
+        if stop == row:
+            continue
+        streams = []
+        for entries in pending:
+            r, c, v = (np.concatenate(f) for f in zip(*entries))
+            now = r < stop
+            streams.append((r[now] - row, c[now], v[now]))
+            entries[:] = [(r[~now], c[~now], v[~now])]
+        yield stop - row, streams
+        row = stop
 
-        def cut(b):
-            # The cells of each set whose element is in b.
-            return [_cells_of(n, slice(*np.searchsorted(n.parent,
-                                                        (b.start, b.stop))))
-                    for n in nodes]
-        groups = ((cut(b), b.stop) for b in _blocks(n_el))
-    groups = itertools.chain(groups, [([None] * n_streams, n_el)])
 
-    def parts():
-        pending = _no_entries(n_streams)
-        row = 0
-        for sets, done in groups:
-            stop = int(np.searchsorted(reach, done))
-            ready = _settle(L, V, pending, sets, lambda r: r < stop)
-            if stop > row:
-                r, c, v = (np.concatenate(f) for f in zip(*ready))
-                yield _entries_csr(r - row, c, v,
-                                   (stop - row, V.n_vertices))
-                row = stop
+def _rows_csr(V, n_rows, streams):
+    """Canonical CSR rows (n_rows, velocity vertices) of the entries of
+    streams, taken stream by stream."""
+    r, c, v = (np.concatenate(f) for f in zip(*streams))
+    return _entries_csr(r, c, v, (n_rows, V.n_vertices))
 
-    return _csr((L.n_dofs, V.n_dofs), parts(), 9 * n_cells, vector=True)
+
+def _coupling_matrix(L, V, groups, n_streams, n_cells):
+    """Coupling matrix of the groups of n_streams node sets of n_cells
+    cells in all: rows multiplier, columns velocity dofs, equal
+    components only.
+
+    The rows final after each group are scattered as one row block
+    (_csr), the entries of the streams in stream order.  So each row sees
+    the entries of the whole-matrix scatter in the same order (all cells
+    of the first stream, then of the next), and the matrix does not
+    depend on the blocking.
+    """
+    parts = (_rows_csr(V, n_rows, streams)
+             for n_rows, streams in _final_rows(L, V, groups, n_streams))
+    return _csr((L.n_dofs, V.n_dofs), parts, 9 * n_cells, vector=True)
 
 
 def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
@@ -554,16 +542,17 @@ def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
     degree-2 rule is exact.  A precomputed IntersectionTable
     (build_all_schemes) can be passed to amortize the clipping cost.
     """
-    return _coupling_matrix(L, V, coupling_nodes(
-        L, V, xbar, coupling, "exact", rule_for_degree(2), schemes))
+    groups = coupling_nodes(L, V, xbar, coupling, "exact",
+                            rule_for_degree(2), schemes)
+    return _coupling_matrix(L, V, groups, 1, groups.n_cells)
 
 
 def _approx_nodes(L, V, xbar, coupling, nodes):
-    """The approx node sets nodes, checked against coupling, or built."""
+    """The approx node groups nodes, checked against coupling, or built."""
     _check_coupling(coupling)
     if nodes is None:
         return coupling_nodes(L, V, xbar, coupling, "approx")
-    if any(n.grad for n in nodes) != (coupling == "h1"):
+    if any(n.grad for sets, _ in nodes for n in sets) != (coupling == "h1"):
         raise ValueError("approx nodes were built for the other coupling")
     return nodes
 
@@ -573,10 +562,13 @@ def assemble_Cf_approx(L, V, xbar, coupling="l2", nodes=None):
 
     Mass part: degree-2 edge-midpoint rule; gradient part (h1 only):
     one-point centroid rule.  Each quadrature node is located in the
-    fluid mesh independently.  The approx node sets (coupling_nodes)
+    fluid mesh independently.  The approx node groups (coupling_nodes)
     can be passed to reuse the point location.
     """
-    return _coupling_matrix(L, V, _approx_nodes(L, V, xbar, coupling, nodes))
+    groups = _approx_nodes(L, V, xbar, coupling, nodes)
+    return _coupling_matrix(L, V, groups, 2 if coupling == "h1" else 1,
+                            sum(n.parent.size for sets, _ in groups
+                                for n in sets))
 
 
 def matrix_1norm_diff(Aex, Aap):
@@ -595,15 +587,13 @@ def coupling_gap(L, V, xbar, coupling):
     either matrix.
 
     The structure elements come in the blocks of the supermesh
-    (geom_intersect._supermesh), with their subcells.  Each block forms
-    the (3, 3) entries of its exact cells (the degree-2 rule on its
-    subcells) and approx cells (edge midpoints and, for h1, centroids,
-    located in the fluid mesh); an entry whose row is not final, that is
-    touched by an element of a later block, is carried to the next.  A
-    row reaches its entries in the order of the whole matrix (approx:
-    all midpoint cells, then all centroid cells), so the CSR rows built
-    for the rows final in a block, their difference and its row sums
-    are those of the whole matrices.
+    (geom_intersect._supermesh), with their subcells, as groups of the
+    streams of both matrices: the exact cells (the degree-2 rule on the
+    block's subcells) and the approx cells (edge midpoints and, for h1,
+    centroids, located in the fluid mesh), every element of the block
+    done.  Each prefix of rows that is final (_final_rows) has the rows
+    of both whole matrices, so the row sums of their difference are
+    those of the whole matrices.
 
     The clipping runs one block ahead in one worker thread: while this
     thread locates the approx nodes, forms the entries and reduces the
@@ -616,31 +606,19 @@ def coupling_gap(L, V, xbar, coupling):
     """
     _check_coupling(coupling)
     grad = coupling == "h1"
-    mesh, n_el = L.mesh, L.mesh.n_triangles
-    final = np.zeros(mesh.n_vertices, dtype=np.int64)
-    np.maximum.at(final, mesh.triangles, np.arange(n_el)[:, None])
     rule = rule_for_degree(2)
-    # Per stream (exact, midpoints, centroids): the entries (row,
-    # columns, values) whose row is not final yet, in cell order.
-    carried = _no_entries(3)
+    blocks = _supermesh(L.mesh.vertices, L.mesh.triangles, xbar, V.mesh)
     gap = 0.0
-    blocks = _supermesh(mesh.vertices, mesh.triangles, xbar, V.mesh)
     with ThreadPoolExecutor(max_workers=1) as clipper:
-        for b, parent, owner, subcells, s_areas in _one_ahead(clipper,
-                                                              blocks):
-            s, w = _rule_nodes(subcells, s_areas, rule)
-            sets = [_placed(parent, owner, s, w, xbar, True, grad)]
-            sets += _approx_sets(L, V, xbar, grad, b)
-            done = _settle(L, V, carried, sets,
-                           lambda r: final[r] < b.stop)
-            ex = done[0]
-            ap = [np.concatenate(f) for f in zip(*done[1:])]
-            if not ex[0].size:
-                continue
-            lo = min(ex[0].min(), ap[0].min())
-            shape = (max(ex[0].max(), ap[0].max()) + 1 - lo, V.n_vertices)
-            C_ex, C_ap = (_entries_csr(r - lo, c, v, shape)
-                          for r, c, v in (ex, ap))
+        groups = (([_placed(parent, owner,
+                            *_rule_nodes(subcells, s_areas, rule), xbar,
+                            True, grad)]
+                   + _approx_sets(L, V, xbar, grad, b), b.stop)
+                  for b, parent, owner, subcells, s_areas
+                  in _one_ahead(clipper, blocks))
+        for n_rows, streams in _final_rows(L, V, groups, 2 + grad):
+            C_ex = _rows_csr(V, n_rows, streams[:1])
+            C_ap = _rows_csr(V, n_rows, streams[1:])
             gap = max(gap, float(abs(C_ex - C_ap).sum(axis=1).max()))
     return gap
 
@@ -718,7 +696,7 @@ def assemble_rhs(V, S, L, exact, coupling, mode, params=None, nodes=None):
     supermesh subcells under the degree-6 rule, with D on the degree-6
     structure nodes, "approx" the single-element rules for both.  nodes,
     if given, is mode's geometry built with xbar, reused instead of built:
-    the IntersectionTable (build_all_schemes) or the approx node sets.
+    the IntersectionTable (build_all_schemes) or the approx node groups.
     """
     _check_coupling(coupling)
     if nodes is not None and (isinstance(nodes, IntersectionTable)

@@ -21,12 +21,14 @@ over masked polygon arrays (a triangle clipped by three half-planes
 keeps at most six vertices), fanned, pulled back through the map's
 inverse and measured before the next block, so only the table grows
 with the mesh.  The blocks come from one generator (``_supermesh``),
-which yields each block's element slice with its subcells;
-``build_all_schemes`` joins the subcells into the table, and the
-streamed coupling gap (``assembly.coupling_gap``) advances it in a
-worker thread, one block ahead of the block it integrates, so
-``_supermesh`` calls nothing that the benchmark tracer wraps (point
-location, ``rule_for_degree``).
+which yields each block's element slice with its subcells.
+``build_all_schemes`` joins the subcells into the table, which
+``assembly.coupling_nodes`` reads back as a stream of groups of
+subcells.  The streamed coupling gap (``assembly.coupling_gap``) makes
+each block one group of its own, every element of the block done, and
+advances the generator in a worker thread, one block ahead of the
+group it integrates; so ``_supermesh`` calls nothing that the
+benchmark tracer wraps (point location, ``rule_for_degree``).
 
 Clipping runs in physical coordinates; tolerance-based predicates are
 sufficient because acceptance of the downstream studies is rate-based,

@@ -153,15 +153,15 @@ def _vertex_values(space, coeff, tris):
 def _field_sq_errors(space, coeff, exact_val, exact_grad):
     """Per-element squared L2 and H1-seminorm errors of coeff vs an analytic field.
 
-    The degree-6 node sets are built and evaluated in the element blocks
-    of mesh._blocks; the per-element errors are returned whole, in
-    element order.
+    The degree-6 node groups are built and evaluated in the element
+    blocks of mesh._blocks; the per-element errors are returned whole,
+    in element order.
     """
     mesh = space.mesh
     rule = rule_for_degree(6)
     basis = _basis_table(rule)
     l2, h1 = [], []
-    for n in _mesh_nodes(mesh, rule):
+    for (n,), _ in _mesh_nodes(mesh, rule):
         comp = _vertex_values(space, coeff, n.parent)
         vh = basis @ comp
         dv = np.asarray(exact_val(n.s)).reshape(vh.shape) - vh

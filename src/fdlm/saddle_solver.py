@@ -223,9 +223,9 @@ def build_system(blocks, rhs, spaces):
     if blocks.mean_row.shape != (npre,):
         raise ValueError("mean row length mismatch")
     F, G, D = rhs
-    b = np.concatenate([F, G, D, np.zeros(npre), [0.0]])
-    if b.shape[0] != nu + ns + nl + npre + 1:
+    if (np.shape(F), np.shape(G), np.shape(D)) != ((nu,), (ns,), (nl,)):
         raise ValueError("right-hand side length mismatch")
+    b = np.concatenate([F, G, D, np.zeros(npre), [0.0]])
 
     fixed = V.dirichlet_mask
     b[:nu][fixed] = 0.0

@@ -155,8 +155,9 @@ def whole_Cs(L, S, coupling):
 
 
 def whole_coupling(L, V, nodes):
-    """Cf of node sets, every cell of every set (in order) at once."""
-    sets = list(nodes)
+    """Cf of node groups, every cell of every stream at once: stream by
+    stream, each in cell order."""
+    sets = [n for stream in zip(*(sets for sets, _ in nodes)) for n in stream]
     rows = np.concatenate([L.mesh.triangles[n.parent] for n in sets])
     cols = np.concatenate([V.mesh.triangles[n.owner] for n in sets])
     vals = np.concatenate([assembly._cell_entries(L, V, n) for n in sets])
@@ -525,31 +526,49 @@ class TestCouplingNodes:
     def nodes(self, coupling, mode, rule=rule_for_degree(2)):
         return coupling_nodes(self.L, self.V, self.xbar, coupling, mode, rule)
 
-    def test_approx_sets_weigh_one_feature_each(self):
+    @staticmethod
+    def stream(groups, k, field):
+        """Field of the node sets of stream k, joined over the groups."""
+        return np.concatenate([getattr(sets[k], field)
+                               for sets, _ in groups])
+
+    def test_approx_sets_weigh_one_feature_each(self, monkeypatch):
+        monkeypatch.setattr(fdlm.mesh, "_BLOCK", 7)
         l2, h1 = self.nodes("l2", "approx"), self.nodes("h1", "approx")
-        assert [(n.value, n.grad) for n in l2] == [(True, False)]
-        assert [(n.value, n.grad) for n in h1] == [(True, False),
-                                                   (False, True)]
+        assert len(l2) == len(h1) > 1
+        for sets, _ in l2:
+            assert [(n.value, n.grad) for n in sets] == [(True, False)]
+        for sets, _ in h1:
+            assert [(n.value, n.grad) for n in sets] == [(True, False),
+                                                         (False, True)]
         # three edge midpoints per structure element, then the centroids
         n = self.L.mesh.n_triangles
-        assert [m.parent.shape[0] for m in h1] == [3 * n, n]
-        np.testing.assert_array_equal(h1[1].s[:, 0], self.L.mesh.centroids)
-        np.testing.assert_array_equal(h1[1].w[:, 0], self.L.mesh.areas)
-        for a, b in zip(l2[0], h1[0]):
-            np.testing.assert_array_equal(a, b)
+        assert [self.stream(h1, k, "parent").shape[0]
+                for k in (0, 1)] == [3 * n, n]
+        np.testing.assert_array_equal(self.stream(h1, 1, "s")[:, 0],
+                                      self.L.mesh.centroids)
+        np.testing.assert_array_equal(self.stream(h1, 1, "w")[:, 0],
+                                      self.L.mesh.areas)
+        for (a, _), (b, _) in zip(l2, h1):
+            for fa, fb in zip(a[0], b[0]):
+                np.testing.assert_array_equal(fa, fb)
 
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_exact_stream_weighs_values_and_h1_gradients(self, coupling,
                                                          monkeypatch):
         monkeypatch.setattr(fdlm.mesh, "_BLOCK", 7)
-        sets = list(self.nodes(coupling, "exact"))
-        assert len(sets) > 1
-        assert all(n.value and n.grad == (coupling == "h1") for n in sets)
+        groups = list(self.nodes(coupling, "exact"))
+        assert len(groups) > 1
+        assert all(len(sets) == 1 for sets, _ in groups)
+        assert all(n.value and n.grad == (coupling == "h1")
+                   for sets, _ in groups for n in sets)
 
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     @pytest.mark.parametrize("mode", ["exact", "approx"])
     def test_one_weight_per_node(self, coupling, mode):
-        for n in self.nodes(coupling, mode, rule_for_degree(6)):
+        for n in (n for sets, _ in self.nodes(coupling, mode,
+                                              rule_for_degree(6))
+                  for n in sets):
             assert n.w.shape == n.s.shape[:2] == n.x.shape[:2]
             assert n.owner.shape == n.parent.shape == n.w.shape[:1]
 
@@ -558,8 +577,9 @@ class TestCouplingNodes:
         stream = self.nodes("h1", "exact")
         first, second = list(stream), list(stream)
         assert len(first) == len(second) > 1
-        for a, b in zip(first, second):
-            for fa, fb in zip(a, b):
+        for (a, done_a), (b, done_b) in zip(first, second):
+            assert done_a == done_b and len(a) == len(b) == 1
+            for fa, fb in zip(a[0], b[0]):
                 np.testing.assert_array_equal(fa, fb)
 
     def test_approx_nodes_checked_against_coupling(self):

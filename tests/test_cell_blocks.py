@@ -87,6 +87,92 @@ def test_rhs_does_not_depend_on_block_size(monkeypatch, n_fluid, n_solid,
         assert np.array_equal(g, w)
 
 
+def check_groups(groups, n_streams):
+    """Check the contract of a stream of groups (sets, done): every group
+    has one node set per stream; within each stream the parents are
+    non-decreasing, and so is done; no cell of a later group has a parent
+    before an earlier group's done.  Returns the parents of each stream,
+    joined over the groups."""
+    parents = [[] for _ in range(n_streams)]
+    last_done = 0
+    for sets, done in groups:
+        assert len(sets) == n_streams
+        assert done >= last_done
+        for joined, n in zip(parents, sets):
+            p = n.parent
+            assert p.size and np.all(np.diff(p) >= 0)
+            assert p[0] >= last_done
+            if joined:
+                assert p[0] >= joined[-1][-1]
+            joined.append(p)
+        last_done = done
+    return [np.concatenate(p) for p in parents]
+
+
+@pytest.mark.parametrize("coupling", ["l2", "h1"])
+def test_every_node_stream_keeps_the_group_contract(monkeypatch, coupling):
+    small_blocks(monkeypatch)
+    V, _, S, L = build_level_spaces(16, 23)
+    xbar = MAPS["manufactured"]
+    n_el = L.mesh.n_triangles
+    elements = np.arange(n_el)
+    # Edge midpoints and, for h1, centroids.
+    approx_parents = [np.repeat(elements, 3)]
+    if coupling == "h1":
+        approx_parents.append(elements)
+
+    mesh_groups = assembly._mesh_nodes(S.mesh, assembly.rule_for_degree(6))
+    assert np.array_equal(check_groups(mesh_groups, 1)[0], elements)
+
+    schemes = build_all_schemes(L.mesh, xbar, V.mesh)
+    exact = coupling_nodes(L, V, xbar, coupling, "exact",
+                           assembly.rule_for_degree(2), schemes)
+    assert np.array_equal(check_groups(exact, 1)[0], schemes.parent)
+
+    approx = coupling_nodes(L, V, xbar, coupling, "approx")
+    assert len(approx) > 1
+    for got, want in zip(check_groups(approx, len(approx_parents)),
+                         approx_parents):
+        assert np.array_equal(got, want)
+
+    # The gap's groups: the exact stream, then the approx streams.
+    seen = []
+    final_rows = assembly._final_rows
+
+    def recorded(groups):
+        for group in groups:
+            seen.append(group)
+            yield group
+
+    monkeypatch.setattr(assembly, "_final_rows",
+                        lambda L, V, groups, n: final_rows(L, V,
+                                                           recorded(groups),
+                                                           n))
+    coupling_gap(L, V, xbar, coupling)
+    assert len(seen) > 1
+    got = check_groups(seen, 1 + len(approx_parents))
+    for g, w in zip(got, [schemes.parent] + approx_parents):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("coupling", ["l2", "h1"])
+def test_approx_solve_locates_each_node_once(monkeypatch, coupling):
+    # In blocks of 7 elements: one call per block, no node twice.
+    small_blocks(monkeypatch)
+    calls = []
+    locate = mesh.Triangulation.locate_points
+
+    def counting(fluid, pts):
+        calls.append(len(pts))
+        return locate(fluid, pts)
+
+    monkeypatch.setattr(mesh.Triangulation, "locate_points", counting)
+    _, _, system = solve_level(16, 8, coupling, "approx")
+    n_el = system.spaces[2].mesh.n_triangles
+    assert len(calls) == -(-n_el // SMALL_BLOCK)
+    assert sum(calls) == (4 if coupling == "h1" else 3) * n_el
+
+
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_supermesh_blocks_tile_the_elements(monkeypatch, name):
     # The streamed gap takes its element blocks from these slices.

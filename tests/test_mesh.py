@@ -309,8 +309,10 @@ class TestLocatePoint:
         on_diagonal = 0
         for n_fluid, n_solid in experiments_cli.test2_schedule(4):
             V, _, _, L = experiments_cli.build_level_spaces(n_fluid, n_solid)
-            x = np.concatenate([n.x.reshape(-1, 2) for n in coupling_nodes(
-                L, V, exact.xbar, "h1", "approx")])
+            x = np.concatenate([n.x.reshape(-1, 2)
+                                for sets, _ in coupling_nodes(
+                                    L, V, exact.xbar, "h1", "approx")
+                                for n in sets])
             fluid = V.mesh
             np.testing.assert_array_equal(fluid.locate_points(x),
                                           self.scan_all(fluid, x))

@@ -209,6 +209,20 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(bad, rhs, (V, S, L, Q))
 
+    def test_misaligned_loads_rejected(self, manufactured_system):
+        # The total length is right in every case: a load one entry short
+        # next to one an entry long would shift every later row.
+        sys_ = manufactured_system
+        V, S, L, _ = sys_.spaces
+        F, G, D = np.zeros(V.n_dofs), np.zeros(S.n_dofs), np.zeros(L.n_dofs)
+        for rhs in ((F[:-1], np.zeros(S.n_dofs + 1), D),
+                    (F, G[:-1], np.zeros(L.n_dofs + 1)),
+                    (np.zeros(V.n_dofs + 1), G, D[:-1]),
+                    (F, G, D[:, None])):
+            with pytest.raises(ValueError, match="right-hand side"):
+                build_system(sys_.blocks, rhs, sys_.spaces)
+        build_system(sys_.blocks, (F, G, D), sys_.spaces)
+
 
 class TestSolve:
     def test_zero_data_gives_zero_solution(self):
