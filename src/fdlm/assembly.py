@@ -7,13 +7,14 @@ components only.  Every matrix is written by one routine (_csr) into
 one preallocated CSR matrix, a block of rows at a time, in row order,
 each block summed from per-cell dof maps and per-cell blocks of
 entries; a vector block's second copy is written from its first.  The
-mesh matrices take their rows in the blocks of mesh._blocks, each from
-every cell with a row in it, in ascending cell order (_gathered); the
-coupling matrix takes them as they become final in its groups (below).
-Either way each row is summed from the same entries in the same order
-as a whole-mesh scatter would sum it, so the matrices are bit for bit
-those of one whole-mesh COO matrix, and no whole-mesh array of entries
-or indices is built.
+mesh matrices take their rows in the blocks of mesh._blocks: one stable
+sort of the (cell, local row) pairs by row block gives each block its
+pairs in ascending (cell, local row) order (_gathered); the coupling
+matrix takes them as they become final in its groups (below).  Either
+way each row is summed from the same entries in the same order as a
+whole-mesh scatter would sum it, so the matrices are bit for bit those
+of one whole-mesh COO matrix, and no whole-mesh array of entries or
+COO indices is built.
 
 The coupling matrix, the coupling loads and every right-hand side run
 through one quadrature core over node sets: M cells of K nodes, cell m
@@ -165,62 +166,35 @@ def _csr(shape, parts, capacity, vector=False):
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def _by_row_block(n_cells, rows, blocks):
-    """The pairs (cell, local row) of each of blocks, the slices of
-    mesh._blocks over the rows: pairs[offsets[k]:offsets[k + 1]] are
-    those whose row is in blocks[k], as cell * R + local row, ascending.
-    rows(c) gives the rows (k, R) of the cells c.  Built by a counting
-    sort in two passes over the blocks of cells, so nothing larger than
-    the result is held.  Returns pairs, offsets and R."""
-    starts = np.array([b.start for b in blocks])
-
-    def block_of(b):
-        # The row block of each pair of the cells b, and R.
-        r = rows(np.arange(b.start, b.stop))
-        return (np.searchsorted(starts, r.ravel(), side="right") - 1,
-                r.shape[1])
-
-    counts = np.zeros(len(blocks), dtype=np.int64)
-    for b in _blocks(n_cells):
-        counts += np.bincount(block_of(b)[0], minlength=len(blocks))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    pairs = np.empty(offsets[-1], dtype=np.int64)
-    fill = offsets[:-1].copy()
-    R = 1
-    for b in _blocks(n_cells):
-        blk, R = block_of(b)
-        order = np.argsort(blk, kind="stable")
-        blk = blk[order]
-        pairs[fill[blk] + np.arange(blk.size)
-              - np.searchsorted(blk, blk)] = order + R * b.start
-        fill += np.bincount(blk, minlength=len(blocks))
-    return pairs, offsets, R
-
-
 def _gathered(shape, n_cells, rows, entries, coefs):
     """Row blocks, over mesh._blocks of the rows, of sum_t coefs[t] A_t,
     A_t the matrix that adds entry (m, i, j) of the cell blocks vals_t
     (M, R, C) at (rows[m, i], cols[m, j]).
 
-    rows(c) gives the rows (k, R) of the ascending cells c, and
-    entries(c, at, i) the columns (E, C) and the list of the rows
-    vals_t[c[at], i] (E, C) of the pairs (c[at], i).  A row block takes,
-    in ascending (cell, local row) order, every pair whose row is in it,
-    so each row sees the entries of the whole-mesh scatter in the same
-    order, and each A_t and the sum are the same bit for bit
-    (_entries_csr).
+    rows(c) gives the rows (k, R) of the cells c, and entries(c, i) the
+    columns (E, C) and the list of the rows vals_t[c, i] (E, C) of the
+    pairs (c, i).  One stable sort of the pairs by row block hands each
+    block, in ascending (cell, local row) order, every pair whose row is
+    in it, so each row sees the entries of the whole-mesh scatter in the
+    same order, and each A_t and the sum are the same bit for bit
+    (_entries_csr).  Only the sorted pairs are held across the blocks.
     """
     blocks = list(_blocks(shape[0]))
-    pairs, offsets, R = _by_row_block(n_cells, rows, blocks)
+    ends = np.array([b.stop for b in blocks])
+    r = rows(np.arange(n_cells))
+    R = r.shape[1]
+    blk = np.searchsorted(ends, r.ravel(), side="right")
+    del r
+    # Pair (cell, i) is at flat index cell * R + i of blk, so the sort's
+    # indices are the pairs, as divmod reads them.
+    pairs = np.argsort(blk, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(
+        blk, minlength=len(blocks)))])
+    del blk
     for k, b in enumerate(blocks):
         c, i = np.divmod(pairs[offsets[k]:offsets[k + 1]], R)
-        # The block's cells, and the place of each pair's cell among them.
-        first = np.ones(c.size, dtype=bool)
-        first[1:] = c[1:] != c[:-1]
-        at = np.cumsum(first) - 1
-        c = c[first]
-        r = rows(c)[at, i] - b.start
-        cols, terms = entries(c, at, i)
+        r = rows(c)[np.arange(c.size), i] - b.start
+        cols, terms = entries(c, i)
         A = None
         for coef, vals in zip(coefs, terms):
             A_t = coef * _entries_csr(r, cols, vals,
@@ -238,8 +212,7 @@ def _p1_matrix(mesh, stiffness=0.0, mass=0.0, vector=True):
     m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
     coefs = [a for a in (stiffness, mass) if a != 0.0]
 
-    def entries(c, at, i):
-        c = c[at]
+    def entries(c, i):
         areas = mesh.areas[c][:, None]
         terms = []
         if stiffness != 0.0:
@@ -292,12 +265,11 @@ def assemble_B(V, Q):
     def rows(c):
         return mesh_q.triangles[c // 4]
 
-    def entries(c, at, i):
+    def entries(c, i):
         # Pressure basis values at child centroids.
         psi = _hats(mesh_q, c // 4, mesh_v.centroids[c][:, None, :])[:, 0]
-        c = c[at]
-        vals = np.einsum("m,m,mjc->mjc", mesh_v.areas[c], psi[at, i],
-                         mesh_v.grads[c])
+        vals = np.einsum("m,m,mjc->mjc", mesh_v.areas[c],
+                         psi[np.arange(c.size), i], mesh_v.grads[c])
         # Columns in (vertex, component) order, like the last two axes
         # of vals.
         cols = mesh_v.triangles[c][:, :, None] + V.n_vertices * np.arange(2)

@@ -19,6 +19,7 @@ significant digits and no timestamps, so repeated runs are byte-identical.
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -259,23 +260,21 @@ def _fmt(value):
     return "%.17g" % value
 
 
-def write_convergence_csv(records, path):
-    lines = [CONVERGENCE_HEADER]
-    for rec in records:
-        lines.append(",".join(_fmt(rec[key])
-                              for key in CONVERGENCE_HEADER.split(",")))
+def _write_csv(records, path, header, keys):
+    lines = [header] + [",".join(_fmt(rec[key]) for key in keys)
+                        for rec in records]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_convergence_csv(records, path):
+    _write_csv(records, path, CONVERGENCE_HEADER,
+               CONVERGENCE_HEADER.split(","))
 
 
 def write_quaderr_csv(records, path):
-    lines = [QUADERR_HEADER]
-    for rec in records:
-        row = [rec["level"], rec["h_solid"], rec["h_omega"],
-               rec["cf_diff_1norm"], rec["rate_cf"]]
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(records, path, QUADERR_HEADER,
+               ("level", "h_solid", "h_omega", "cf_diff_1norm", "rate_cf"))
 
 
 # -- command line ---------------------------------------------------------
@@ -326,6 +325,12 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
+    # Refused before any level is built, rather than after the study.
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        print("fdlm: error: --out directory %s does not exist" % out_dir,
+              file=sys.stderr)
+        return 2
     if args.command in ("run", "quaderr") and args.levels < 2:
         print("fdlm: error: %s requires --levels >= 2" % args.command,
               file=sys.stderr)
@@ -354,7 +359,7 @@ def cli_main(argv=None):
                 print("%s = %.17g" % (key, record[key]))
             print("relative_residual = %.17g" % sol.relative_residual)
     except (DomainViolationError, SingularSystemError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, OSError) as exc:
         print("fdlm: error: %s" % exc, file=sys.stderr)
         return 1
     return 0

@@ -277,6 +277,28 @@ class TestCli:
                          "--out", out]) == 1
         assert "fdlm: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--test", "1", "--levels", "2"],
+        ["quaderr", "--test", "1", "--levels", "2"],
+        ["solve", "--n-fluid", "8", "--n-solid", "4"]])
+    def test_out_in_missing_directory_refused(self, argv, tmp_path,
+                                              monkeypatch, capsys):
+        def boom(*args):
+            raise AssertionError("a level was built")
+        monkeypatch.setattr(xcli, "build_level_spaces", boom)
+        out = str(tmp_path / "missing" / "x.csv")
+        assert cli_main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fdlm: error:")
+
+    def test_unwritable_out_reported(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(xcli, "quadrature_error_study", lambda plan: [])
+        # A directory passes the check on its parent but cannot be opened.
+        assert cli_main(["quaderr", "--test", "1", "--levels", "2",
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fdlm: error:")
+
     def test_quaderr_writes_csv(self, tmp_path):
         out = tmp_path / "q.csv"
         assert cli_main(["quaderr", "--test", "1", "--levels", "2",
