@@ -14,7 +14,9 @@ matrix takes them as they become final in its groups (below).  Either
 way each row is summed from the same entries in the same order as a
 whole-mesh scatter would sum it, so the matrices are bit for bit those
 of one whole-mesh COO matrix, and no whole-mesh array of entries or
-COO indices is built.
+COO indices is built.  The hat gradients and centroids are computed
+(mesh.grads, mesh.centroids) for the cells at hand: a row block's
+cells once each, a node set's cells with the set.
 
 The coupling matrix, the coupling loads and every right-hand side run
 through one quadrature core over node sets: M cells of K nodes, cell m
@@ -169,34 +171,48 @@ def _csr(shape, parts, capacity, vector=False):
 def _gathered(shape, n_cells, rows, entries, coefs):
     """Row blocks, over mesh._blocks of the rows, of sum_t coefs[t] A_t,
     A_t the matrix that adds entry (m, i, j) of the cell blocks vals_t
-    (M, R, C) at (rows[m, i], cols[m, j]).
+    (M, 3, C) at (rows[m, i], cols[m, j]).
 
-    rows(c) gives the rows (k, R) of the cells c, and entries(c, i) the
-    columns (E, C) and the list of the rows vals_t[c, i] (E, C) of the
-    pairs (c, i).  One stable sort of the pairs by row block hands each
-    block, in ascending (cell, local row) order, every pair whose row is
-    in it, so each row sees the entries of the whole-mesh scatter in the
-    same order, and each A_t and the sum are the same bit for bit
-    (_entries_csr).  Only the sorted pairs are held across the blocks.
+    rows(c) gives the rows (k, 3) of the cells c, and entries(c) the
+    columns (k, C) and the list of the blocks vals_t[c] (k, 3, C) of the
+    distinct cells c.  One stable sort of the (cell, local row) pairs by
+    row block hands each block, in ascending (cell, local row) order,
+    every pair whose row is in it, so each row sees the entries of the
+    whole-mesh scatter in the same order, and each A_t and the sum are
+    the same bit for bit (_entries_csr).  A block computes the entries of
+    each of its cells once, however many of the cell's rows it holds.
+    The pairs' row blocks are found a block of cells at a time, in the
+    smallest unsigned type that holds them, and only the sorted pairs
+    are held across the blocks.
     """
     blocks = list(_blocks(shape[0]))
     ends = np.array([b.stop for b in blocks])
-    r = rows(np.arange(n_cells))
-    R = r.shape[1]
-    blk = np.searchsorted(ends, r.ravel(), side="right")
-    del r
-    # Pair (cell, i) is at flat index cell * R + i of blk, so the sort's
+    blk = np.empty(3 * n_cells, dtype=np.min_scalar_type(len(blocks) - 1))
+    counts = np.zeros(len(blocks), dtype=np.int64)
+    for b in _blocks(n_cells):
+        k = np.searchsorted(ends, rows(np.arange(b.start, b.stop)).ravel(),
+                            side="right")
+        blk[3 * b.start:3 * b.stop] = k
+        counts += np.bincount(k, minlength=len(blocks))
+    # Pair (cell, i) is at flat index 3 * cell + i of blk, so the sort's
     # indices are the pairs, as divmod reads them.
     pairs = np.argsort(blk, kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(
-        blk, minlength=len(blocks)))])
     del blk
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     for k, b in enumerate(blocks):
-        c, i = np.divmod(pairs[offsets[k]:offsets[k + 1]], R)
-        r = rows(c)[np.arange(c.size), i] - b.start
-        cols, terms = entries(c, i)
+        c, i = np.divmod(pairs[offsets[k]:offsets[k + 1]], 3)
+        # c ascends, so a cell's pairs are adjacent: pair e is local row
+        # i[e] of cell at[e] of the distinct cells, row e of their blocks
+        # with the cell axis flattened.
+        new = np.diff(c, prepend=-1) != 0
+        cells, at = c[new], np.cumsum(new) - 1
+        e = 3 * at + i
+        r = rows(cells).ravel()[e] - b.start
+        cols, terms = entries(cells)
+        cols = np.take(cols, at, axis=0)
         A = None
         for coef, vals in zip(coefs, terms):
+            vals = np.take(vals.reshape(-1, vals.shape[2]), e, axis=0)
             A_t = coef * _entries_csr(r, cols, vals,
                                       (b.stop - b.start, shape[1]))
             A = A_t if A is None else A + A_t
@@ -212,18 +228,21 @@ def _p1_matrix(mesh, stiffness=0.0, mass=0.0, vector=True):
     m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
     coefs = [a for a in (stiffness, mass) if a != 0.0]
 
-    def entries(c, i):
-        areas = mesh.areas[c][:, None]
+    def entries(c):
+        areas = mesh.areas[c][:, None, None]
         terms = []
         if stiffness != 0.0:
             # grad phi_i . grad phi_j, summed in the order of
-            # einsum("mid,mjd->mij"), which is several times slower.
-            g = mesh.grads[c]
-            gi = g[np.arange(c.size), i]
-            terms.append(areas * (gi[:, None, 0] * g[..., 0]
-                                  + gi[:, None, 1] * g[..., 1]))
+            # einsum("mid,mjd->mij"), which is several times slower; a
+            # row of the cell blocks at a time.
+            gx, gy = mesh.grads(c).transpose(2, 0, 1)
+            K = np.empty((c.size, 3, 3))
+            for i in range(3):
+                np.add(gx[:, i, None] * gx, gy[:, i, None] * gy, out=K[:, i])
+            K *= areas
+            terms.append(K)
         if mass != 0.0:
-            terms.append(areas * m_unit[i])
+            terms.append(areas * m_unit)
         return mesh.triangles[c], terms
 
     nv, n_cells = mesh.n_vertices, mesh.n_triangles
@@ -265,15 +284,17 @@ def assemble_B(V, Q):
     def rows(c):
         return mesh_q.triangles[c // 4]
 
-    def entries(c, i):
+    def entries(c):
         # Pressure basis values at child centroids.
-        psi = _hats(mesh_q, c // 4, mesh_v.centroids[c][:, None, :])[:, 0]
-        vals = np.einsum("m,m,mjc->mjc", mesh_v.areas[c],
-                         psi[np.arange(c.size), i], mesh_v.grads[c])
+        q = c // 4
+        psi = _hats(mesh_q, q, mesh_v.centroids(c)[:, None, :],
+                    mesh_q.grads(q))[:, 0]
+        vals = np.einsum("m,mi,mjc->mijc", mesh_v.areas[c], psi,
+                         mesh_v.grads(c))
         # Columns in (vertex, component) order, like the last two axes
         # of vals.
         cols = mesh_v.triangles[c][:, :, None] + V.n_vertices * np.arange(2)
-        return cols.reshape(-1, 6), [vals.reshape(-1, 6)]
+        return cols.reshape(-1, 6), [vals.reshape(-1, 3, 6)]
 
     shape = (Q.n_dofs, V.n_dofs)
     n_cells = mesh_v.n_triangles
@@ -307,11 +328,11 @@ class _Blocks:
         return map(self._make, _blocks(self.n_cells))
 
 
-def _hats(mesh, tris, pts):
+def _hats(mesh, tris, pts, grads):
     """Values (M, K, 3) of the P1 hats of triangles tris (M,) at pts
-    (M, K, 2); their gradients are mesh.grads[tris]."""
-    d = pts - mesh.centroids[tris][:, None, :]
-    return 1.0 / 3.0 + d @ mesh.grads[tris].swapaxes(1, 2)
+    (M, K, 2), grads their gradients (mesh.grads(tris))."""
+    d = pts - mesh.centroids(tris)[:, None, :]
+    return 1.0 / 3.0 + d @ grads.swapaxes(1, 2)
 
 
 def _load(mesh, groups, field, fluid=False):
@@ -331,12 +352,14 @@ def _load(mesh, groups, field, fluid=False):
         for k, n in enumerate(sets):
             t, pts = (n.owner, n.x) if fluid else (n.parent, n.s)
             value, grad = field(n)
+            g = mesh.grads(t)
             vals = 0.0
             if value is not None:
                 vals = ((n.w[..., None] * value).swapaxes(1, 2)
-                        @ _hats(mesh, t, pts))
+                        @ _hats(mesh, t, pts, g))
             if grad is not None:
-                g = mesh.grads[t] @ n.jac if fluid else mesh.grads[t]
+                if fluid:
+                    g = g @ n.jac
                 vals = vals + np.einsum("mk,mkcd->mcd", n.w, grad) \
                     @ g.swapaxes(1, 2)
             parts.append((k, t, vals))
@@ -359,8 +382,7 @@ def _mesh_nodes(mesh, rule, grad=True):
     values and, with grad, gradients, in the blocks of triangles of
     mesh._blocks."""
     def block(b):
-        s, w = _rule_nodes(mesh.vertices[mesh.triangles[b]], mesh.areas[b],
-                           rule)
+        s, w = _rule_nodes(mesh.triangle_vertices(b), mesh.areas[b], rule)
         return [_Nodes(np.arange(b.start, b.stop), None, s, None, w, None,
                        True, grad)], b.stop
     return _Blocks(block, mesh.n_triangles)
@@ -413,12 +435,12 @@ def _approx_sets(L, V, xbar, grad, b):
     midpoints and, with grad, the centroids, located in the fluid mesh."""
     mesh = L.mesh
     cells = np.arange(b.start, b.stop)
-    s, w = _rule_nodes(mesh.vertices[mesh.triangles[b]], mesh.areas[b],
+    s, w = _rule_nodes(mesh.triangle_vertices(b), mesh.areas[b],
                        rule_for_degree(2))
     sets = [_placed(np.repeat(cells, 3), None, s.reshape(-1, 1, 2),
                     w.reshape(-1, 1), xbar, True, False)]
     if grad:
-        sets.append(_placed(cells, None, mesh.centroids[b][:, None, :],
+        sets.append(_placed(cells, None, mesh.centroids(b)[:, None, :],
                             mesh.areas[b][:, None], xbar, False, True))
     owner = V.mesh.locate_points(
         np.concatenate([n.x.reshape(-1, 2) for n in sets]))
@@ -433,14 +455,14 @@ def _cell_entries(L, V, n):
     """Coupling entries (M, 3, 3) of the cells of node set n: rows the
     multiplier hats of structure triangle parent, columns the velocity
     hats of fluid triangle owner, one component."""
+    g_L, g_V = L.mesh.grads(n.parent), V.mesh.grads(n.owner)
     vals = 0.0
     if n.value:
-        vals = ((n.w[..., None] * _hats(L.mesh, n.parent, n.s))
-                .swapaxes(1, 2) @ _hats(V.mesh, n.owner, n.x))
+        vals = ((n.w[..., None] * _hats(L.mesh, n.parent, n.s, g_L))
+                .swapaxes(1, 2) @ _hats(V.mesh, n.owner, n.x, g_V))
     if n.grad:
         vals = vals + n.w.sum(axis=1)[:, None, None] * (
-            L.mesh.grads[n.parent]
-            @ (V.mesh.grads[n.owner] @ n.jac).swapaxes(1, 2))
+            g_L @ (g_V @ n.jac).swapaxes(1, 2))
     return vals
 
 

@@ -331,6 +331,10 @@ def cli_main(argv=None):
         print("fdlm: error: --out directory %s does not exist" % out_dir,
               file=sys.stderr)
         return 2
+    if os.path.isdir(args.out):
+        print("fdlm: error: --out %s is a directory" % args.out,
+              file=sys.stderr)
+        return 2
     if args.command in ("run", "quaderr") and args.levels < 2:
         print("fdlm: error: %s requires --levels >= 2" % args.command,
               file=sys.stderr)

@@ -108,7 +108,7 @@ class FEFunction:
         """
         if not 0 <= t < self.space.mesh.n_triangles:
             raise IndexError("triangle index out of range")
-        g = self.space.mesh.grads[t]
+        g = self.space.mesh.grads(t)
         verts = self.space.mesh.triangles[t]
         if self.space.value_dim == 1:
             return self.coefficients[verts] @ g

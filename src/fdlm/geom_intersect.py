@@ -298,15 +298,14 @@ def _supermesh(vertices, triangles, xbar, fluid_mesh):
 
     Yields, per block in order, its element slice and its subcells as
     the IntersectionTable fields (parent, owner, subcells, s_areas),
-    with parent counted over all elements.  Each block's elements are
-    gathered, clipped, fanned and pulled back before the next.
+    with parent counted over all elements.  Each block's elements and
+    their candidate fluid triangles are gathered, clipped, fanned and
+    pulled back before the next.
     """
     xmin, ymin, xmax, ymax = fluid_mesh.domain
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
     n = fluid_mesh.n_cells_per_side
     origin, h = (xmin, ymin), (fluid_mesh.hx, fluid_mesh.hy)
-    fluid_tris = fluid_mesh.vertices[fluid_mesh.triangles]
-    fluid_diam = _diameters(fluid_tris)
     for b in _blocks(triangles.shape[0]):
         mapped = xbar.apply(vertices[triangles[b]])
         lo, hi = mapped.min(axis=1), mapped.max(axis=1)
@@ -332,8 +331,10 @@ def _supermesh(vertices, triangles, xbar, fluid_mesh):
         signed = _signed_areas(mapped)
         subject = np.where((signed < 0)[:, None, None], mapped[:, ::-1],
                            mapped)
-        diam = np.maximum(_diameters(mapped)[el], fluid_diam[tri])
-        lane, poly, count = _clip_pairs(subject[el], fluid_tris[tri], diam)
+        clip = fluid_mesh.triangle_vertices(tri)
+        diam = np.maximum(_diameters(mapped)[el], _diameters(clip))
+        lane, poly, count = _clip_pairs(subject[el], clip, diam)
+        del clip
         el, tri, diam = el[lane], tri[lane], diam[lane]
         poly, count = _cleanup_pairs(poly, count, diam)
         q, sub = _fan_pairs(poly, count, _SLIVER_REL * np.abs(signed)[el])

@@ -167,7 +167,7 @@ def _field_sq_errors(space, coeff, exact_val, exact_grad):
         dv = np.asarray(exact_val(n.s)).reshape(vh.shape) - vh
         l2.append(np.einsum("mkc,mkc,mk->m", dv, dv, n.w))
         if exact_grad is not None:
-            gh = comp.swapaxes(1, 2) @ mesh.grads[n.parent]
+            gh = comp.swapaxes(1, 2) @ mesh.grads(n.parent)
             dg = (np.asarray(exact_grad(n.s)).reshape(vh.shape + (2,))
                   - gh[:, None])
             h1.append(np.einsum("mkcd,mkcd,mk->m", dg, dg, n.w))

@@ -16,12 +16,14 @@ after the parent vertices, so it numbers neither row by row.
 A Triangulation is built from its vertices and triangles alone.  It
 reads its grid, diagonal, cell-to-triangle lookup and boundary from the
 coordinates once, at construction, checks that the mesh is the uniform
-grid of its own vertices, and computes its areas, hat gradients and
-centroids; it is immutable after it.  Point location, the supermesh, the
+grid of its own vertices, and stores its triangle areas; it is immutable
+after it.  Hat gradients and centroids are computed at construction to
+check the mesh, and afterwards only for the triangles a caller asks
+about (grads, centroids), by the same arithmetic, so no per-triangle
+float array but the areas is kept.  Point location, the supermesh, the
 velocity solves and the structure solves all rely on that grid and take
-it from here.  Every blocked loop of the package,
-here and in the supermesh and the node-set streams, takes its blocks
-from _blocks.
+it from here.  Every blocked loop of the package, here and in the
+supermesh and the node-set streams, takes its blocks from _blocks.
 """
 
 import math
@@ -53,6 +55,26 @@ def _blocks(n):
     """Slices of at most _BLOCK items that cover range(n) in order."""
     for start in range(0, n, _BLOCK):
         yield slice(start, min(start + _BLOCK, n))
+
+
+def _normals(p):
+    """(..., 3, 2): row i is the edge of the triangles p (..., 3, 2)
+    opposite corner i turned by a right angle, (dy, -dx); divided by
+    twice the area it is the gradient of the hat of corner i."""
+    a, b, c = p[..., 0, :], p[..., 1, :], p[..., 2, :]
+    g = np.empty(p.shape)
+    g[..., 0, 0] = b[..., 1] - c[..., 1]
+    g[..., 0, 1] = c[..., 0] - b[..., 0]
+    g[..., 1, 0] = c[..., 1] - a[..., 1]
+    g[..., 1, 1] = a[..., 0] - c[..., 0]
+    g[..., 2, 0] = a[..., 1] - b[..., 1]
+    g[..., 2, 1] = b[..., 0] - a[..., 0]
+    return g
+
+
+def _centroids(p):
+    """Centroids (..., 2) of the triangles p (..., 3, 2)."""
+    return (p[..., 0, :] + p[..., 1, :] + p[..., 2, :]) / 3.0
 
 
 class DomainViolationError(RuntimeError):
@@ -113,10 +135,9 @@ class Triangulation:
         the half with two corners on the cell's lower grid row (below
         the right diagonal, or below-left of the left diagonal).
     areas : (n_triangles,) read-only float array of triangle areas
-    grads : (n_triangles, 3, 2) read-only float array; row i holds the
-        gradient of the hat function of local vertex i, constant on the
-        element
-    centroids : (n_triangles, 2) read-only float array
+
+    grads(t) and centroids(t) compute the hat gradients and centroids of
+    the triangles t on every call; they are not stored.
 
     The grid is read in blocks of vertices and the geometry in blocks of
     triangles, so no (n_triangles, 3, 2) gather is made.  vertices and
@@ -153,25 +174,15 @@ class Triangulation:
         self.boundary_vertex_flags[self.grid[1:-1, 1:-1]] = False
 
         nt = self.n_triangles
-        self.areas, self.grads, self.centroids = (
-            np.empty(nt), np.empty((nt, 3, 2)), np.empty((nt, 2)))
+        self.areas = np.empty(nt)
         self.cell_tris = np.full((n * n, 2), -1, dtype=np.int64)
         span = 1.5 * h[::-1]
         n_right = 0
         for t in _blocks(nt):
-            # np.take gathers rows several times faster than indexing.
-            p = np.take(self.vertices, self.triangles[t], axis=0)
-            a, b, c = p[:, 0], p[:, 1], p[:, 2]
-            g = self.grads[t]
-            g[:, 0, 0] = b[:, 1] - c[:, 1]
-            g[:, 0, 1] = c[:, 0] - b[:, 0]
-            g[:, 1, 0] = c[:, 1] - a[:, 1]
-            g[:, 1, 1] = a[:, 0] - c[:, 0]
-            g[:, 2, 0] = a[:, 1] - b[:, 1]
-            g[:, 2, 1] = b[:, 0] - a[:, 0]
-            # Row i of g is now the edge opposite corner i turned by a
-            # right angle, (dy, -dx); the area is
-            # ((b - a) x (c - a)) / 2, with b - a and c - a read from it.
+            p = self.triangle_vertices(t)
+            g = _normals(p)
+            # The area is ((b - a) x (c - a)) / 2, with b - a and c - a
+            # read from the normals.
             area = self.areas[t]
             np.multiply(g[:, 2, 1], g[:, 1, 0], out=area)
             area -= g[:, 1, 1] * g[:, 2, 0]
@@ -182,8 +193,7 @@ class Triangulation:
             # and not in a line, are three corners of one cell.
             if np.any(np.abs(g) > span):
                 raise ValueError("a triangle is not half of one grid cell")
-            g /= 2.0 * area[:, None, None]
-            cent = np.divide(a + b + c, 3.0, out=self.centroids[t])
+            cent = _centroids(p)
             # A half's centroid is a third or two thirds of the way across
             # its cell along each axis: (2/3, 1/3) or (1/3, 2/3) for the
             # halves along the right diagonal, (1/3, 1/3) or (2/3, 2/3)
@@ -202,8 +212,7 @@ class Triangulation:
             raise ValueError("a grid cell lacks a half")
         self.orientation = "right" if n_right else "left"
         for arr in (self.vertices, self.triangles, self.grid,
-                    self.boundary_vertex_flags, self.cell_tris,
-                    self.areas, self.grads, self.centroids):
+                    self.boundary_vertex_flags, self.cell_tris, self.areas):
             arr.setflags(write=False)
 
     # -- basic queries ---------------------------------------------------
@@ -232,7 +241,26 @@ class Triangulation:
         return max(self.hx, self.hy)
 
     def triangle_vertices(self, t):
-        return self.vertices[self.triangles[t]]
+        """Corners (..., 3, 2) of the triangles t: an int, a slice or an
+        index array."""
+        # np.take gathers rows several times faster than indexing.
+        tris = (self.triangles[t] if isinstance(t, slice)
+                else np.take(self.triangles, t, axis=0))
+        return np.take(self.vertices, tris, axis=0)
+
+    def grads(self, t=slice(None)):
+        """Hat gradients (..., 3, 2) of the triangles t, all by default:
+        row i is the gradient of the hat of local vertex i, constant on
+        the triangle.  Computed on every call: the normals of the
+        construction's check over twice the stored areas."""
+        g = _normals(self.triangle_vertices(t))
+        g /= 2.0 * self.areas[t][..., None, None]
+        return g
+
+    def centroids(self, t=slice(None)):
+        """Centroids (..., 2) of the triangles t, all by default, computed
+        on every call."""
+        return _centroids(self.triangle_vertices(t))
 
     # -- point location --------------------------------------------------
 

@@ -122,7 +122,7 @@ def whole_mass(mesh):
 def whole_stiffness(mesh):
     tri, nv = mesh.triangles, mesh.n_vertices
     vals = (mesh.areas[:, None, None]
-            * np.einsum("mid,mjd->mij", mesh.grads, mesh.grads))
+            * np.einsum("mid,mjd->mij", mesh.grads(), mesh.grads()))
     return coo_scatter(tri, tri, vals, (nv, nv))
 
 
@@ -140,8 +140,9 @@ def whole_form(mesh, grad_coef, mass_coef):
 def whole_B(V, Q):
     mesh_v, mesh_q = V.mesh, Q.mesh
     parent = np.arange(mesh_v.n_triangles) // 4
-    psi = assembly._hats(mesh_q, parent, mesh_v.centroids[:, None, :])[:, 0]
-    vals = np.einsum("m,mi,mjc->mijc", mesh_v.areas, psi, mesh_v.grads)
+    psi = assembly._hats(mesh_q, parent, mesh_v.centroids()[:, None, :],
+                         mesh_q.grads(parent))[:, 0]
+    vals = np.einsum("m,mi,mjc->mijc", mesh_v.areas, psi, mesh_v.grads())
     cols = mesh_v.triangles[:, :, None] + V.n_vertices * np.arange(2)
     return coo_scatter(mesh_q.triangles[parent], cols.reshape(-1, 6),
                        vals.reshape(-1, 3, 6), (Q.n_dofs, V.n_dofs))
@@ -321,7 +322,7 @@ class TestDivergenceMatrix:
         mesh_v, mesh_q = V.mesh, Q.mesh
         want = 0.0
         for t in range(mesh_v.n_triangles):
-            cent = mesh_v.centroids[t]
+            cent = mesh_v.centroids(t)
             parent = mesh_q.locate_point(cent)
             div = sum(secant_grad(mesh_v, t,
                                   vec_comp(V, vc, c)[mesh_v.triangles[t]])[c]
@@ -468,7 +469,7 @@ class TestFluidCoupling:
                     acc += w * float(mu_f.eval(t, s) @ v_f.eval(owner, x))
                 want += mesh.areas[t] * acc
                 if coupling == "h1":
-                    xc = xbar.apply(mesh.centroids[t])
+                    xc = xbar.apply(mesh.centroids(t))
                     owner = self.V.mesh.locate_point(xc)
                     gs = v_f.eval_grad(owner) @ xbar.matrix
                     want += mesh.areas[t] * np.sum(mu_f.eval_grad(t) * gs)
@@ -546,7 +547,7 @@ class TestCouplingNodes:
         assert [self.stream(h1, k, "parent").shape[0]
                 for k in (0, 1)] == [3 * n, n]
         np.testing.assert_array_equal(self.stream(h1, 1, "s")[:, 0],
-                                      self.L.mesh.centroids)
+                                      self.L.mesh.centroids())
         np.testing.assert_array_equal(self.stream(h1, 1, "w")[:, 0],
                                       self.L.mesh.areas)
         for (a, _), (b, _) in zip(l2, h1):

@@ -291,11 +291,25 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fdlm: error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--test", "1", "--levels", "2"],
+        ["quaderr", "--test", "1", "--levels", "2"],
+        ["solve", "--n-fluid", "8", "--n-solid", "4"]])
+    def test_out_that_is_a_directory_refused(self, argv, tmp_path,
+                                             monkeypatch, capsys):
+        def boom(*args):
+            raise AssertionError("a level was built")
+        monkeypatch.setattr(xcli, "build_level_spaces", boom)
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fdlm: error:")
+
     def test_unwritable_out_reported(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(xcli, "quadrature_error_study", lambda plan: [])
-        # A directory passes the check on its parent but cannot be opened.
+        # A name too long for the file system passes both checks on the
+        # path but cannot be opened.
         assert cli_main(["quaderr", "--test", "1", "--levels", "2",
-                         "--out", str(tmp_path)]) == 1
+                         "--out", str(tmp_path / ("x" * 300))]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fdlm: error:")
 

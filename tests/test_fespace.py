@@ -81,12 +81,12 @@ class TestEval:
         coeff = np.zeros(Q.n_dofs)
         coeff[mesh.triangles[0][0]] = 1.0
         f = FEFunction(Q, coeff)
-        assert f.eval(0, mesh.centroids[0]) == pytest.approx(1.0 / 3.0)
+        assert f.eval(0, mesh.centroids(0)) == pytest.approx(1.0 / 3.0)
 
     def test_point_outside_element_rejected(self):
         mesh = uniform_mesh((0, 0), (1, 1), 2)
         f = FEFunction(pressure_space(mesh))
-        outside = mesh.centroids[3]
+        outside = mesh.centroids(3)
         with pytest.raises(ValueError):
             f.eval(0, outside)
 
@@ -95,9 +95,9 @@ class TestEval:
         S = solid_space(mesh)
         f = interpolate(S, lambda p: np.stack([p[..., 0], -p[..., 1]],
                                               axis=-1))
-        val = f.eval(0, mesh.centroids[0])
-        np.testing.assert_allclose(val, [mesh.centroids[0][0],
-                                         -mesh.centroids[0][1]], atol=1e-14)
+        val = f.eval(0, mesh.centroids(0))
+        np.testing.assert_allclose(val, [mesh.centroids(0)[0],
+                                         -mesh.centroids(0)[1]], atol=1e-14)
 
 
 class TestEvalGrad:

@@ -420,12 +420,12 @@ def test_gap_norm_stable_under_tiny_map_perturbation(amap, coupling):
     V, _, _, L = build_level_spaces(16, 23)
     v = L.mesh.vertices[L.mesh.triangles]
     nodes = np.concatenate([(v + np.roll(v, -1, axis=1)).reshape(-1, 2) / 2,
-                            L.mesh.centroids])
+                            L.mesh.centroids()])
     x = amap.apply(nodes)
     owner = V.mesh.locate_points(x)
     bary = 1.0 / 3.0 + np.einsum("nd,nid->ni",
-                                 x - V.mesh.centroids[owner],
-                                 V.mesh.grads[owner])
+                                 x - V.mesh.centroids(owner),
+                                 V.mesh.grads(owner))
     assert bary.min() > 1e-8, "a single-element rule node is tied"
     gaps = []
     for shift in (0.0, 1e-12):

@@ -1,6 +1,7 @@
 """Structured mesh construction, refinement, and point location."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ class TestMidpointRefine:
             parent = mesh.vertices[mesh.triangles[t]]
             mat = np.column_stack([parent[1] - parent[0], parent[2] - parent[0]])
             for c in range(4):
-                cen = refined.centroids[4 * t + c]
+                cen = refined.centroids(4 * t + c)
                 bary = np.linalg.solve(mat, cen - parent[0])
                 assert bary.min() > -1e-12 and bary.sum() < 1 + 1e-12
 
@@ -129,16 +130,29 @@ class TestMidpointRefine:
         assert got == want
 
 
-GEOMETRY = ("areas", "grads", "centroids")
 MESHES = {"right": lambda: uniform_mesh((-2, -2), (2, 2), 5, "right"),
           "left": lambda: uniform_mesh((0, 0), (1, 1), 6, "left"),
           "refined": lambda: midpoint_refine(uniform_mesh((-2, -2), (2, 2),
                                                           3, "right"))}
 
 
+def per_triangle_geometry(mesh):
+    """Areas, hat gradients and centroids of every triangle of mesh, by
+    the formulas written out per triangle."""
+    p = mesh.vertices[mesh.triangles]
+    (ax, ay), (bx, by), (cx, cy) = p[:, 0].T, p[:, 1].T, p[:, 2].T
+    area = 0.5 * ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
+    grads = np.stack([np.stack([by - cy, cx - bx], axis=1),
+                      np.stack([cy - ay, ax - cx], axis=1),
+                      np.stack([ay - by, bx - ax], axis=1)], axis=1)
+    grads /= 2.0 * area[:, None, None]
+    centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+    return area, grads, centroids
+
+
 class TestGeometry:
-    """Areas, hat gradients and centroids are computed once, in blocks,
-    at construction."""
+    """Areas are computed once, in blocks, at construction; hat gradients
+    and centroids on every call, for the triangles asked about."""
 
     @pytest.fixture(params=[None, 7], ids=["default-block", "block-7"])
     def blocks(self, request, monkeypatch):
@@ -149,31 +163,47 @@ class TestGeometry:
     def test_read_only_attributes_set_at_construction(self, blocks, name):
         mesh = MESHES[name]()
         before = dict(vars(mesh))
-        for field in GEOMETRY:
-            assert field in before
-            arr = getattr(mesh, field)
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1.0
-        mesh.locate_points(mesh.centroids)
+        assert not mesh.areas.flags.writeable
+        with pytest.raises(ValueError):
+            mesh.areas.flat[0] = 1.0
+        assert "grads" not in before and "centroids" not in before
+        # A written result is the caller's: the next call is unchanged.
+        grads, centroids = mesh.grads(), mesh.centroids()
+        mesh.grads().flat[0] = mesh.centroids().flat[0] = 1e300
+        assert np.array_equal(mesh.grads(), grads)
+        assert np.array_equal(mesh.centroids(), centroids)
+        mesh.locate_points(centroids)
         assert vars(mesh).keys() == before.keys()
         assert all(vars(mesh)[k] is v for k, v in before.items())
 
     @pytest.mark.parametrize("name", sorted(MESHES))
     def test_bit_equal_to_per_triangle_formulas(self, blocks, name):
         mesh = MESHES[name]()
-        p = mesh.vertices[mesh.triangles]
-        (ax, ay), (bx, by), (cx, cy) = p[:, 0].T, p[:, 1].T, p[:, 2].T
-        area = 0.5 * ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
-        grads = np.stack([np.stack([by - cy, cx - bx], axis=1),
-                          np.stack([cy - ay, ax - cx], axis=1),
-                          np.stack([ay - by, bx - ax], axis=1)], axis=1)
-        grads /= 2.0 * area[:, None, None]
-        centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-        for got, want in zip((mesh.areas, mesh.grads, mesh.centroids),
-                             (area, grads, centroids)):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+        area, grads, centroids = per_triangle_geometry(mesh)
+        assert mesh.areas.shape == area.shape
+        assert np.array_equal(mesh.areas, area)
+        nt = mesh.n_triangles
+        picks = [slice(None), nt // 2, slice(3, nt - 2, 5),
+                 np.random.default_rng(5).integers(0, nt, 40)]
+        for t in picks:
+            for got, want in ((mesh.grads(t), grads[t]),
+                              (mesh.centroids(t), centroids[t])):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_keeps_no_per_triangle_geometry_but_areas(self):
+        """At n = 256 a mesh holds its vertices, triangles, areas, grid,
+        cell lookup and boundary flags, 52.6 bytes per triangle, and no
+        hat gradients (48 bytes) or centroids (16 bytes)."""
+        n = 256
+        tracemalloc.start()
+        try:
+            mesh = uniform_mesh((0, 0), (1, 1), n)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_triangles == 2 * n * n
+        assert kept / mesh.n_triangles < 60
 
     def test_zero_area_triangle_raises_before_dividing(self, blocks):
         # The first triangle runs along the bottom row of the 3 x 3 grid.
@@ -227,7 +257,7 @@ class TestLocatePoint:
             for orientation in ("right", "left"):
                 mesh = uniform_mesh((-2, -2), (2, 2), n, orientation=orientation)
                 for t in range(mesh.n_triangles):
-                    assert mesh.locate_point(mesh.centroids[t]) == t
+                    assert mesh.locate_point(mesh.centroids(t)) == t
 
     def test_outside(self):
         mesh = uniform_mesh((-2, -2), (2, 2), 4)
@@ -283,7 +313,7 @@ class TestLocatePoint:
             s = np.concatenate([
                 np.einsum("ki,mid->mkd", basis,
                           solid.vertices[solid.triangles]).reshape(-1, 2),
-                solid.centroids])
+                solid.centroids()])
             x = exact.xbar.apply(s)
             bulk = fluid.locate_points(x)
             for p, t in zip(x, bulk):
