@@ -27,8 +27,11 @@ because L and S share the structure mesh:
 
 Nothing is factored.  The velocity solves of S_f^-1, and the
 preconditioner of a CG on c, are exact grid solves by type-I sine and
-cosine transforms; the pressure of S_f^-1 is a CG on its Schur
-complement, stopped at a loose tolerance.  The inner CGs make the
+cosine transforms, each applied as two dense matrix products or as
+FFTs, whichever the grid's size and the prime factors of its FFT length
+favour; for the l2 coupling that preconditioner is diagonal and needs
+no transform.  The pressure of S_f^-1 is a CG on its Schur complement,
+stopped at a loose tolerance.  The inner CGs make the
 preconditioner inexact and not linear, which flexible GMRES allows.  It
 keeps x, V, H and every residual in double precision, so the solve
 still reaches a double-precision residual (Carson & Higham, SISC 2018),
@@ -247,22 +250,54 @@ _INNER_MAX_ITER = 100
 # Relative tolerance of the structure CG: the loosest that kept GMRES at
 # levels 0-4 of both schedules within an iteration of solving c exactly.
 _STRUCTURE_TOL = 1e-7
+# A grid transform of m points a side is two dense products when
+# m < _DENSE_PER_PRIME p, p the largest prime factor of its FFT length 2n,
+# and two FFT passes otherwise: the FFT's work per entry grows with p, the
+# product's with m.  In solve() the products won at m = 31 and 63 (p = 2)
+# and at m = 182 (p = 181); from m = 127 at p = 2 they gained little, and
+# on two BLAS threads they lost badly while another process held a core.
+_DENSE_PER_PRIME = 48
+
+
+def _largest_prime_factor(k):
+    """The largest prime factor of the integer k >= 2."""
+    p = 2
+    while p * p <= k:
+        if k % p:
+            p += 1
+        else:
+            k //= p
+    return k
 
 
 def _transform(shape, odd):
     """Type-I sine (odd) or cosine transform T over the last two axes of
     (..., m, m) arrays, scaled by 2 / n: along each axis a_k is the sum of
     a_j sin(j k pi / n), j, k = 1..m, n = m + 1, or a_j cos(j k pi / n),
-    j, k = 0..m-1, n = m - 1, the imaginary or real part of a real FFT of
-    length 2n of the data placed from index 1 or 0 in a zero buffer.
-    T(T(a)) = a for the sine, T(T(a) w) = a / w for the cosine, w the
-    outer product of (1/2, 1, ..., 1, 1/2) with itself.  The buffers are
+    j, k = 0..m-1, n = m - 1.  T(T(a)) = a for the sine, T(T(a) w) = a / w
+    for the cosine, w the outer product of (1/2, 1, ..., 1, 1/2) with
+    itself.  For m < _DENSE_PER_PRIME p, p the largest prime factor of
+    2n, T(a) = M a M, two products with the symmetric matrix M of
+    sqrt(2 / n) sin(j k pi / n) or cos(j k pi / n); otherwise each axis is
+    the imaginary or real part of a real FFT of length 2n of the data
+    placed from index 1 or 0 in a zero buffer.  M and the buffers are
     allocated once; each call overwrites the output of the last."""
     m = shape[-1]
     n, lo = (m + 1, 1) if odd else (m - 1, 0)
+    out = np.empty(shape)
+    if m < _DENSE_PER_PRIME * _largest_prime_factor(2 * n):
+        j = np.arange(lo, lo + m)
+        # j k is reduced mod 2n, so every angle is below 2 pi.
+        angle = (np.outer(j, j) % (2 * n)) * (np.pi / n)
+        M = np.sqrt(2.0 / n) * (np.sin(angle) if odd else np.cos(angle))
+        half = np.empty(shape)
+
+        def dense(a):
+            np.matmul(a, M, out=half)
+            return np.matmul(M, half, out=out)
+        return dense
     ext = np.zeros(shape[:-1] + (2 * n,))
     spec = np.empty(shape[:-1] + (n + 1,), dtype=complex)
-    out = np.empty(shape)
     data = ext[..., lo:lo + m]
     part = (spec.imag if odd else spec.real)[..., lo:lo + m].swapaxes(-1, -2)
 
@@ -277,14 +312,16 @@ def _transform(shape, odd):
 
 def _grid_solver(mesh, dofs, nu, a, odd):
     """f -> z with z[dofs] = P^-1 f[dofs] and z = f elsewhere, for
-    P = nu (K1 x W + W x K1) + a W x W on the grid points dofs (..., m, m)
-    of mesh, of n x n square cells: with odd, the interior points, with
-    K1 = tridiag(-1, 2, -1) and W = I; otherwise all points, with K1 the
-    Neumann stiffness and W = diag(1/2, 1, ..., 1, 1/2).  That is the P1
-    form nu K + alpha M, a = alpha h^2, with the mass lumped onto the
-    grid.  The type-I sine or cosine transform diagonalises K1 against W,
-    with eigenvalues 4 sin^2(j pi / 2n), j = 1..n-1 or 0..n (Buzbee,
-    Golub & Nielson, SIAM J. Numer. Anal. 1970), so two solve P exactly.
+    P = nu (K1 x W + W x K1) + a W x W on the grid points dofs (2, m, m)
+    of mesh, of n x n square cells, f of two blocks of mesh.n_vertices:
+    with odd, the interior points, with K1 = tridiag(-1, 2, -1) and W = I;
+    otherwise all points, with K1 the Neumann stiffness and
+    W = diag(1/2, 1, ..., 1, 1/2).  That is the P1 form nu K + alpha M,
+    a = alpha h^2, with the mass lumped onto the grid.  The type-I sine or
+    cosine transform diagonalises K1 against W, with eigenvalues
+    4 sin^2(j pi / 2n), j = 1..n-1 or 0..n (Buzbee, Golub & Nielson,
+    SIAM J. Numer. Anal. 1970), so two solve P exactly.  With nu = 0, P
+    is diagonal, and z is f times its precomputed reciprocal.
     """
     if abs(mesh.hy - mesh.hx) > 1e-12 * mesh.hx:
         raise ValueError("the mesh cells are not square")
@@ -295,6 +332,10 @@ def _grid_solver(mesh, dofs, nu, a, odd):
     eig = (nu * (lam[:, None] + lam) + a) / (w[:, None] * w)
     if not eig.min() > 0.0:
         raise SingularSystemError("block is not positive definite")
+    if nu == 0.0:
+        recip = np.ones(len(dofs) * mesh.n_vertices)
+        recip[dofs] = 1.0 / (a * w[:, None] * w)
+        return lambda f: f * recip
     transform = _transform(dofs.shape, odd)
 
     def grid_solve(f):
@@ -333,7 +374,10 @@ def _structure_solver(c, mesh, tol=_STRUCTURE_TOL):
     sums to 0 and its trace is 4 n^2.  M is spectrally equivalent to
     h^2 D x D (Wathen, IMA J. Numer. Anal. 1987): at n = 8, eig(P^-1 c)
     lies in [0.236, 1.010] for the l2 coupling (gamma = 0) and in
-    [0.994, 1.003] for h1 (gamma = 1), tightening like h^2 there.  CG
+    [0.994, 1.003] for h1 (gamma = 1), tightening like h^2 there.  Read
+    from an l2 block, gamma is round-off (about 1e-20).  A gamma with
+    8 |gamma| <= 1e-12 h^2 moves no eigenvalue of P by more than 1e-12
+    relative; it is taken as 0, which makes P diagonal.  CG
     stops at a relative residual 2-norm of tol, which needs no P-solve of
     the last residual; non-positive curvature, or no convergence in fewer
     than _INNER_MAX_ITER steps, raises SingularSystemError.  The returned
@@ -343,6 +387,8 @@ def _structure_solver(c, mesh, tol=_STRUCTURE_TOL):
     k = c.shape[0]
     total = float(c.sum())
     gamma = (float(c.diagonal().sum()) - 0.5 * total) / (4.0 * n2)
+    if 8.0 * abs(gamma) * n2 <= 1e-12 * total:
+        gamma = 0.0
     dofs = mesh.grid + k * np.arange(2)[:, None, None]
     precondition = _grid_solver(mesh, dofs, gamma, total / n2, odd=False)
 

@@ -614,12 +614,90 @@ class TestStructureSolve:
             saddle._structure_solver(c, mesh, tol=0.0)(
                 np.ones(2 * mesh.n_vertices))
 
+    def test_l2_preconditioner_is_diagonal(self, monkeypatch):
+        # P = h^2 D x D for l2: each P-solve is a division by it, and no
+        # transform is built or applied.
+        def refuse(*args, **kwargs):
+            raise AssertionError("_transform called")
+        monkeypatch.setattr(saddle, "_transform", refuse)
+        solves = []
+        real = saddle._grid_solver
+        monkeypatch.setattr(saddle, "_grid_solver", lambda *a, **k:
+                            solves.append(real(*a, **k)) or solves[-1])
+        mesh, c = structure_block(16, "l2")
+        k = mesh.n_vertices
+        b = np.random.default_rng(4).standard_normal(2 * k)
+        x = saddle._structure_solver(c, mesh, tol=1e-12)(b)
+        want = np.concatenate([spsolve(c.tocsc(), b[:k]),
+                               spsolve(c.tocsc(), b[k:])])
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+        w = np.ones(17)
+        w[[0, -1]] = 0.5
+        DD = np.empty(k)
+        DD[mesh.grid] = np.outer(w, w)
+        a = float(c.sum()) / 16 ** 2
+        np.testing.assert_allclose(solves[0](b), b / (a * np.tile(DD, 2)),
+                                   rtol=1e-15, atol=0)
+
     def test_solve_factors_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("splu called")
         monkeypatch.setattr(saddle, "splu", refuse)
         _, sol, _ = solve_level(16, 8, "l2", "exact")
         assert sol.relative_residual <= 1e-12
+
+
+def transform_paths(shape, odd, monkeypatch):
+    """The dense and the FFT transform of the given shape, each forced by
+    _DENSE_PER_PRIME."""
+    with monkeypatch.context() as mp:
+        mp.setattr(saddle, "_DENSE_PER_PRIME", shape[-1] + 1)
+        dense = saddle._transform(shape, odd)
+        mp.setattr(saddle, "_DENSE_PER_PRIME", 0)
+        fft = saddle._transform(shape, odd)
+    return dense, fft
+
+
+class TestTransformPaths:
+    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("m", [2, 9, 63, 65, 127, 129, 182])
+    def test_dense_equals_fft(self, m, odd, monkeypatch):
+        # On both sides of the crossover at FFT lengths 128 and 256, and
+        # at the cosine size whose FFT length is 362 = 2 x 181.
+        a = np.random.default_rng(m).standard_normal((2, m, m))
+        dense, fft = transform_paths(a.shape, odd, monkeypatch)
+        np.testing.assert_allclose(dense(a), fft(a), rtol=0, atol=1e-13 * m)
+
+    @pytest.mark.parametrize("m,odd,ffts", [
+        (1023, True, 2), (511, True, 2), (127, True, 2), (63, True, 0),
+        (129, False, 2), (182, False, 0), (33, False, 0), (24, False, 0)])
+    def test_path_at_schedule_sizes(self, m, odd, ffts, monkeypatch):
+        # Velocity grids (sine, m = 2 n_fluid - 1) take the FFT from
+        # n_fluid = 64 up; structure grids (cosine, m = n_solid + 1) take
+        # the dense product up to n_solid = 64 and wherever 2 n_solid
+        # has a large prime factor, as 2 x 181 at Test 2 level 3 does.
+        calls = []
+        real = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        saddle._transform((2, m, m), odd)(np.zeros((2, m, m)))
+        assert len(calls) == ffts
+
+    @pytest.mark.parametrize("k,p", [(2, 2), (4, 2), (9, 3), (46, 23),
+                                     (362, 181), (766, 383), (1024, 2),
+                                     (2896, 181)])
+    def test_largest_prime_factor(self, k, p):
+        assert saddle._largest_prime_factor(k) == p
+
+    def test_dense_output_reused(self, monkeypatch):
+        # Like the FFT's, the dense output buffer is overwritten by the
+        # next call, and a call on it is correct: the grid solver
+        # transforms the last output again.
+        a = np.random.default_rng(5).standard_normal((2, 9, 9))
+        dense, fft = transform_paths(a.shape, False, monkeypatch)
+        t = dense(a)
+        np.testing.assert_allclose(dense(t), fft(fft(a)), rtol=0, atol=1e-13)
+        assert dense(a) is t
 
 
 # Two levels of each schedule: Test 1 l2 exact, Test 2 h1 approx.
