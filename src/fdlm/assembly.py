@@ -40,12 +40,12 @@ one node set per stream, and every cell or element before done has all
 of its cells in this group or an earlier one.  The mesh triangles
 (volume loads, the exact constraint load, the error norms), the
 supermesh subcells and the approx elements all come in the blocks of
-mesh._blocks, so no group grows with the mesh.  The coupling matrix
-and the streamed coupling gap read the multiplier rows as they become
-final (_final_rows), each from its entries stream by stream in cell
-order, as the whole matrix would; the loads keep the per-cell
-contributions and reduce them once, stream by stream in cell order.
-So neither depends on the block size.  The coupling gap takes its
+mesh._blocks, so no group grows with the mesh.  Matrices and loads
+alike are summed stream by stream, each stream in cell order, as the
+node sets come: the coupling matrix and the streamed coupling gap
+settle the multiplier rows as they become final (_final_rows), and a
+load adds each node set into its vector as the set comes (_load).  So
+neither depends on the block size.  The coupling gap takes its
 groups from the supermesh, clipping the next block in a worker thread
 while it integrates the current one, and holds neither matrix.
 
@@ -343,13 +343,16 @@ def _load(mesh, groups, field, fluid=False):
     features at the nodes of node set n, None for a feature the load
     does not weigh.  The nodes lie at s in the triangles parent of mesh,
     or, with fluid, at x in the fluid triangles owner, where the hat
-    gradients are pulled back through jac.  The per-cell contributions
-    of the groups are summed once, stream by stream, each stream in cell
-    order, so the load does not depend on the blocking.
+    gradients are pulled back through jac.  The groups are walked once
+    per stream, and each node set's per-cell contributions are added
+    into the load as they come (np.add.at, one entry at a time in array
+    order), so the load does not depend on the blocking.
     """
-    parts = []
-    for sets, _ in groups:
-        for k, n in enumerate(sets):
+    out = np.zeros(2 * mesh.n_vertices)
+    # Every group holds one node set per stream.
+    for k in range(len(next(iter(groups))[0])):
+        for sets, _ in groups:
+            n = sets[k]
             t, pts = (n.owner, n.x) if fluid else (n.parent, n.s)
             value, grad = field(n)
             g = mesh.grads(t)
@@ -362,13 +365,11 @@ def _load(mesh, groups, field, fluid=False):
                     g = g @ n.jac
                 vals = vals + np.einsum("mk,mkcd->mcd", n.w, grad) \
                     @ g.swapaxes(1, 2)
-            parts.append((k, t, vals))
-    # A stable sort: stream by stream, each in the order it came.
-    _, tris, cells = zip(*sorted(parts, key=lambda p: p[0]))
-    dofs = (np.arange(2)[:, None] * mesh.n_vertices
-            + mesh.triangles[np.concatenate(tris)][:, None, :])
-    return np.bincount(dofs.ravel(), weights=np.concatenate(cells).ravel(),
-                       minlength=2 * mesh.n_vertices)
+            dofs = (np.arange(2)[:, None] * mesh.n_vertices
+                    + mesh.triangles[t][:, None, :])
+            # Flat, for numpy's fast path.
+            np.add.at(out, dofs.ravel(), vals.ravel())
+    return out
 
 
 def _rule_nodes(tris, areas, rule):
@@ -393,6 +394,14 @@ def _placed(parent, owner, s, w, xbar, value, grad):
     parent, placed by the affine map xbar."""
     return _Nodes(parent, owner, s, xbar.apply(s), w, xbar.matrix, value,
                   grad)
+
+
+def _subcell_set(xbar, grad, rule, parent, owner, subcells, s_areas):
+    """Exact node set of the supermesh subcells (M, 3, 2) of structure
+    elements parent and fluid triangles owner under rule, weighing
+    values and, with grad (h1), gradients."""
+    return _placed(parent, owner, *_rule_nodes(subcells, s_areas, rule),
+                   xbar, True, grad)
 
 
 def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
@@ -423,10 +432,10 @@ def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
         schemes = build_all_schemes(L.mesh, xbar, V.mesh)
 
     def block(b):
-        s, w = _rule_nodes(schemes.subcells[b], schemes.s_areas[b], rule)
         parent = schemes.parent[b]
-        return [_placed(parent, schemes.owner[b], s, w, xbar, True,
-                        grad)], parent[-1]
+        cells = _subcell_set(xbar, grad, rule, parent, schemes.owner[b],
+                             schemes.subcells[b], schemes.s_areas[b])
+        return [cells], parent[-1]
     return _Blocks(block, schemes.parent.shape[0])
 
 
@@ -601,15 +610,12 @@ def coupling_gap(L, V, xbar, coupling):
     _check_coupling(coupling)
     grad = coupling == "h1"
     rule = rule_for_degree(2)
-    blocks = _supermesh(L.mesh.vertices, L.mesh.triangles, xbar, V.mesh)
+    blocks = _supermesh(L.mesh, xbar, V.mesh)
     gap = 0.0
     with ThreadPoolExecutor(max_workers=1) as clipper:
-        groups = (([_placed(parent, owner,
-                            *_rule_nodes(subcells, s_areas, rule), xbar,
-                            True, grad)]
+        groups = (([_subcell_set(xbar, grad, rule, *cells)]
                    + _approx_sets(L, V, xbar, grad, b), b.stop)
-                  for b, parent, owner, subcells, s_areas
-                  in _one_ahead(clipper, blocks))
+                  for b, *cells in _one_ahead(clipper, blocks))
         for n_rows, streams in _final_rows(L, V, groups, 2 + grad):
             C_ex = _rows_csr(V, n_rows, streams[:1])
             C_ap = _rows_csr(V, n_rows, streams[1:])

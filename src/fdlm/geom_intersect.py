@@ -48,7 +48,6 @@ __all__ = [
     "fan_triangulate",
     "CompositeQuadScheme",
     "IntersectionTable",
-    "build_composite_scheme",
     "build_all_schemes",
 ]
 
@@ -291,10 +290,9 @@ def _fan_pairs(poly, count, sliver):
     return q, fans[q, i]
 
 
-def _supermesh(vertices, triangles, xbar, fluid_mesh):
-    """Supermesh of the structure elements vertices[triangles] placed by
-    the affine map xbar against the fluid mesh, in the element blocks of
-    mesh._blocks.
+def _supermesh(solid_mesh, xbar, fluid_mesh):
+    """Supermesh of the elements of solid_mesh placed by the affine map
+    xbar against the fluid mesh, in the element blocks of mesh._blocks.
 
     Yields, per block in order, its element slice and its subcells as
     the IntersectionTable fields (parent, owner, subcells, s_areas),
@@ -306,8 +304,8 @@ def _supermesh(vertices, triangles, xbar, fluid_mesh):
     tol = 1e-12 * max(xmax - xmin, ymax - ymin)
     n = fluid_mesh.n_cells_per_side
     origin, h = (xmin, ymin), (fluid_mesh.hx, fluid_mesh.hy)
-    for b in _blocks(triangles.shape[0]):
-        mapped = xbar.apply(vertices[triangles[b]])
+    for b in _blocks(solid_mesh.n_triangles):
+        mapped = xbar.apply(solid_mesh.triangle_vertices(b))
         lo, hi = mapped.min(axis=1), mapped.max(axis=1)
         if (np.any(lo < (xmin - tol, ymin - tol))
                 or np.any(hi > (xmax + tol, ymax + tol))):
@@ -357,19 +355,6 @@ def _table(blocks, n_el):
     return IntersectionTable(*table, n_el)
 
 
-def build_composite_scheme(solid_tri, xbar_map, fluid_mesh):
-    """Subcells of one structure element clipped against the fluid mesh.
-
-    solid_tri is the (3, 2) element in structure coordinates, xbar_map
-    the affine placement map (mesh.AffineMap).  Raises
-    DomainViolationError if the mapped element leaves the fluid
-    rectangle.
-    """
-    solid_tri = np.asarray(solid_tri, dtype=float).reshape(3, 2)
-    one = np.arange(3).reshape(1, 3)
-    return _table(_supermesh(solid_tri, one, xbar_map, fluid_mesh), 1)[0]
-
-
 def build_all_schemes(solid_mesh, xbar, fluid_mesh):
     """IntersectionTable of every structure element against the fluid mesh.
 
@@ -380,5 +365,5 @@ def build_all_schemes(solid_mesh, xbar, fluid_mesh):
     (assembly.coupling_nodes).  Raises DomainViolationError if any
     mapped element leaves the fluid rectangle.
     """
-    return _table(_supermesh(solid_mesh.vertices, solid_mesh.triangles,
-                             xbar, fluid_mesh), solid_mesh.n_triangles)
+    return _table(_supermesh(solid_mesh, xbar, fluid_mesh),
+                  solid_mesh.n_triangles)

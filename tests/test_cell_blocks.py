@@ -178,10 +178,9 @@ def test_supermesh_blocks_tile_the_elements(monkeypatch, name):
     # The streamed gap takes its element blocks from these slices.
     small_blocks(monkeypatch)
     V, _, _, L = build_level_spaces(16, 23)
-    vertices, triangles = L.mesh.vertices, L.mesh.triangles
     stop = 0
-    for b, parent, *_ in geom_intersect._supermesh(vertices, triangles,
-                                                    MAPS[name], V.mesh):
+    for b, parent, *_ in geom_intersect._supermesh(L.mesh, MAPS[name],
+                                                    V.mesh):
         assert b.start == stop < b.stop <= stop + SMALL_BLOCK
         assert parent.size and np.all((b.start <= parent) & (parent < b.stop))
         stop = b.stop
@@ -208,11 +207,12 @@ def level_64_32():
 
 
 def test_rhs_transient_bounded(level_64_32):
-    # Whole-mesh degree-6 node sets peaked at 84 MB here.
+    # Whole-mesh degree-6 node sets peaked at 84 MB here, and every
+    # cell's contribution kept for one sort and bincount at 6.5 MB.
     exact, _, (V, _, S, L), schemes = level_64_32
     peak = traced_peak_mb(
         lambda: assemble_rhs(V, S, L, exact, "l2", "exact", nodes=schemes))
-    assert peak <= 25.0
+    assert peak <= 5.0
 
 
 def test_exact_matrix_transient_bounded(level_64_32):
@@ -249,15 +249,31 @@ def test_supermesh_transient_bounded():
         assert peak <= bound
 
 
-def test_approx_matrix_transient_bounded():
+@pytest.fixture(scope="module")
+def level_64_181():
+    """Test 2 level 3, h1 approx: its spaces and approx node groups."""
+    exact = manufactured_solution()
+    V, _, S, L = build_level_spaces(64, 181)
+    nodes = coupling_nodes(L, V, exact.xbar, "h1", "approx")
+    return exact, (V, S, L), nodes
+
+
+def test_approx_matrix_transient_bounded(level_64_181):
     # int64 COO indices, copied to int32 by coo_matrix, peaked at
     # 122.2 MB here.
-    exact = manufactured_solution()
-    V, _, _, L = build_level_spaces(64, 181)
-    nodes = coupling_nodes(L, V, exact.xbar, "h1", "approx")
+    exact, (V, _, L), nodes = level_64_181
     peak = traced_peak_mb(assemble_Cf_approx, L, V, exact.xbar, "h1",
                           nodes)
     assert peak <= 105.0
+
+
+def test_approx_rhs_transient_bounded(level_64_181):
+    # Every cell's contribution kept for one sort and bincount peaked at
+    # 37.4 MB here.
+    exact, (V, S, L), nodes = level_64_181
+    peak = traced_peak_mb(
+        lambda: assemble_rhs(V, S, L, exact, "h1", "approx", nodes=nodes))
+    assert peak <= 8.0
 
 
 @pytest.fixture(scope="module")

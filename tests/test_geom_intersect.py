@@ -20,8 +20,8 @@ from fdlm.assembly import (assemble_Cf_approx, assemble_Cf_exact,
 from fdlm.experiments_cli import build_level_spaces, coupling_gap_norm
 from fdlm.fespace import multiplier_space, velocity_space
 from fdlm.geom_intersect import (IntersectionTable, build_all_schemes,
-                                 build_composite_scheme, clip_triangle,
-                                 fan_triangulate, polygon_area)
+                                 clip_triangle, fan_triangulate,
+                                 polygon_area)
 from fdlm.mesh import (AffineMap, DomainViolationError, midpoint_refine,
                        uniform_mesh)
 from fdlm.quadrature import rule_for_degree
@@ -127,9 +127,12 @@ class TestCompositeScheme:
     def test_element_inside_one_fluid_triangle(self):
         """No subdivision when the mapped element sits inside one element."""
         fluid = midpoint_refine(uniform_mesh((-2, -2), (2, 2), 4))
-        tiny = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05]])
+        solid = uniform_mesh((0, 0), (0.05, 0.05), 1, orientation="left")
+        tiny = solid.triangle_vertices(0)
+        np.testing.assert_array_equal(
+            tiny, [[0.0, 0.0], [0.05, 0.0], [0.0, 0.05]])
         amap = AffineMap(np.eye(2), (0.2, 0.05))
-        scheme = build_composite_scheme(tiny, amap, fluid)
+        scheme = build_all_schemes(solid, amap, fluid)[0]
         assert len(scheme) == 1
         np.testing.assert_allclose(scheme.total_s_area(),
                                    abs(polygon_area(tiny)), rtol=1e-12)
@@ -137,16 +140,20 @@ class TestCompositeScheme:
                                    np.sort(tiny, axis=0), atol=1e-12)
 
     def test_identity_map_matching_grids(self):
-        """With the identity placement on a shared grid, the element is
-        its own single subcell."""
+        """With the identity placement on a shared grid, every element is
+        its own single subcell, owned by the fluid triangle it equals."""
+        solid = uniform_mesh((0, 0), (1, 1), 4)
         fluid = midpoint_refine(uniform_mesh((0, 0), (1, 1), 2))
-        tri = fluid.vertices[fluid.triangles[5]]
-        scheme = build_composite_scheme(tri, AffineMap(np.eye(2), (0, 0)),
-                                        fluid)
-        assert len(scheme) == 1
-        assert scheme.owners[0] == 5
-        np.testing.assert_allclose(scheme.total_s_area(), fluid.areas[5],
-                                   rtol=1e-12)
+        schemes = build_all_schemes(solid, AffineMap(np.eye(2), (0, 0)),
+                                    fluid)
+        for t, scheme in enumerate(schemes):
+            assert len(scheme) == 1
+            tri = solid.triangle_vertices(t)
+            owned = fluid.triangle_vertices(scheme.owners[0])
+            np.testing.assert_array_equal(
+                np.unique(owned, axis=0), np.unique(tri, axis=0))
+            np.testing.assert_allclose(scheme.total_s_area(),
+                                       solid.areas[t], rtol=1e-12)
 
     def test_area_conservation_test1_pair(self):
         solid = uniform_mesh((0, 0), (1, 1), 8, orientation="left")
@@ -192,10 +199,10 @@ class TestCompositeScheme:
 
     def test_domain_violation(self):
         fluid = midpoint_refine(uniform_mesh((-2, -2), (2, 2), 4))
-        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        solid = uniform_mesh((0, 0), (1, 1), 1)
         escape = AffineMap(np.eye(2), (1.5, 0.0))
         with pytest.raises(DomainViolationError):
-            build_composite_scheme(tri, escape, fluid)
+            build_all_schemes(solid, escape, fluid)
 
 
 def test_polygon_area_sign():
@@ -342,13 +349,7 @@ class TestBatchedSupermesh:
            n=st.integers(1, 3), orientation=st.sampled_from(["left", "right"]))
     def test_matches_scalar_reference(self, amap, n, orientation):
         solid = uniform_mesh((0, 0), (1, 1), n, orientation=orientation)
-        table = check_against_reference(solid, amap, FLUID)
-        # the one-element scheme is the same view of the table
-        t = solid.n_triangles - 1
-        single = build_composite_scheme(solid.triangle_vertices(t), amap,
-                                        FLUID)
-        np.testing.assert_array_equal(single.owners, table[t].owners)
-        np.testing.assert_allclose(single.subcells, table[t].subcells)
+        check_against_reference(solid, amap, FLUID)
 
     @PROPERTY
     @given(n_fluid=st.integers(1, 3), refine=st.integers(1, 2),
