@@ -49,16 +49,17 @@ neither depends on the block size.  The coupling gap takes its
 groups from the supermesh, clipping the next block in a worker thread
 while it integrates the current one, and holds neither matrix.
 
-Right-hand sides are produced by inserting the analytic solution into
-the left-hand side forms, so the discrete problem is consistent by
-construction; smooth volume terms use the degree-6 rule on the mesh
-triangles, loaded through the same core.
+The forms are those every experiment poses, with no mass term and no
+coefficient: (grad u, grad v) on the fluid, (grad X, grad Y) on the
+structure.  Right-hand sides insert the analytic solution into them,
+so the discrete problem is consistent by construction; smooth volume
+terms use the degree-6 rule on the mesh triangles, loaded through the
+same core.
 """
 
 import itertools
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +69,6 @@ from .mesh import DomainViolationError, _blocks
 from .quadrature import rule_for_degree
 
 __all__ = [
-    "FormParams",
     "assemble_Af",
     "assemble_As",
     "assemble_B",
@@ -81,26 +81,6 @@ __all__ = [
     "matrix_1norm_diff",
     "pressure_mean_row",
 ]
-
-@dataclass(frozen=True)
-class FormParams:
-    """Coefficients of the fluid and structure bilinear forms.
-
-    a_f(u, v) = alpha (u, v) + nu (grad u, grad v) on the fluid box and
-    a_s(X, Y) = beta (X, Y) + kappa (grad X, grad Y) on the structure.
-    """
-
-    alpha: float = 0.0
-    nu: float = 1.0
-    beta: float = 0.0
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("mass coefficients must be nonnegative")
-        if self.nu <= 0 or self.kappa <= 0:
-            raise ValueError("gradient coefficients must be positive")
-
 
 def _check_coupling(coupling):
     if coupling not in ("l2", "h1"):
@@ -252,18 +232,18 @@ def _p1_matrix(mesh, stiffness=0.0, mass=0.0, vector=True):
     return _csr((k * nv, k * nv), parts, 9 * n_cells, vector)
 
 
-def assemble_Af(V, params):
-    """Fluid matrix alpha * mass + nu * full-gradient stiffness on V."""
-    return _p1_matrix(V.mesh, params.nu, params.alpha)
+def assemble_Af(V):
+    """Fluid matrix: the full-gradient stiffness (grad u, grad v) on V."""
+    return _p1_matrix(V.mesh, 1.0)
 
 
-def assemble_As(S, params):
-    """Structure matrix beta * mass + kappa * stiffness on S.
+def assemble_As(S):
+    """Structure matrix: the stiffness (grad X, grad Y) on S.
 
-    With beta = 0 the matrix alone is singular (constants); the full
-    saddle system remains solvable through the coupling blocks.
+    The matrix alone is singular (constants); the full saddle system
+    remains solvable through the coupling blocks.
     """
-    return _p1_matrix(S.mesh, params.kappa, params.beta)
+    return _p1_matrix(S.mesh, 1.0)
 
 
 def assemble_B(V, Q):
@@ -493,7 +473,7 @@ def _final_rows(L, V, groups, n_streams):
     n_el = mesh.n_triangles
     # reach[r]: the last element touching a row up to r.
     reach = np.zeros(mesh.n_vertices, dtype=np.int64)
-    np.maximum.at(reach, mesh.triangles, np.arange(n_el)[:, None])
+    np.maximum.at(reach, mesh.triangles.ravel(), np.arange(3 * n_el) // 3)
     reach = np.maximum.accumulate(reach)
     pending = [[] for _ in range(n_streams)]
     row = 0
@@ -643,7 +623,7 @@ def pressure_mean_row(Q):
     """Vector m with m_i = int psi_i, the pressure mean constraint row."""
     mesh = Q.mesh
     m = np.zeros(Q.n_dofs)
-    np.add.at(m, mesh.triangles, (mesh.areas / 3.0)[:, None])
+    np.add.at(m, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
     return m
 
 
@@ -657,36 +637,29 @@ def _features(value, grad):
                       grad(n.s) if n.grad else None)
 
 
-def _volume_rhs_fluid(V, exact, params):
-    """alpha (u, phi) + nu (grad u, grad phi) - (p, div phi) on the fluid mesh."""
+def _volume_rhs_fluid(V, exact):
+    """(grad u, grad phi) - (p, div phi) on the fluid mesh."""
     def field(n):
         x = n.s
-        value = params.alpha * exact.u(x) if params.alpha != 0.0 else None
-        grad = (params.nu * exact.grad_u(x)
-                - exact.p(x)[..., None, None] * np.eye(2))
-        return value, grad
+        return None, exact.grad_u(x) - exact.p(x)[..., None, None] * np.eye(2)
     return _load(V.mesh, _mesh_nodes(V.mesh, rule_for_degree(6)), field)
 
 
-def _structure_rhs(S, exact, params, coupling):
-    """a_s(X, Y) - c(lambda, Y) on the structure mesh with the degree-6 rule."""
+def _structure_rhs(S, exact, coupling):
+    """(grad X, grad Y) - c(lambda, Y) on the structure, degree-6 rule."""
     def field(n):
-        s = n.s
-        value = -exact.lam(s)
-        if params.beta != 0.0:
-            value += params.beta * exact.X(s)
-        grad = params.kappa * exact.grad_X(s)
+        grad = exact.grad_X(n.s)
         if coupling == "h1":
-            grad -= exact.grad_lam(s)
-        return value, grad
+            grad = grad - exact.grad_lam(n.s)
+        return -exact.lam(n.s), grad
     return _load(S.mesh, _mesh_nodes(S.mesh, rule_for_degree(6)), field)
 
 
-def assemble_rhs(V, S, L, exact, coupling, mode, params=None, nodes=None):
+def assemble_rhs(V, S, L, exact, coupling, mode, nodes=None):
     """Right-hand side vectors (F, G, D) for the block system.
 
-    F(v) = a_f(u, v) - (div v, p) + c(lambda, v o xbar),
-    G(Y) = a_s(X, Y) - c(lambda, Y),
+    F(v) = (grad u, grad v) - (div v, p) + c(lambda, v o xbar),
+    G(Y) = (grad X, grad Y) - c(lambda, Y),
     D(mu) = c(mu, d) with d = u(xbar) - X,
 
     where xbar is the solution's placement map exact.xbar, which also
@@ -702,17 +675,16 @@ def assemble_rhs(V, S, L, exact, coupling, mode, params=None, nodes=None):
     if nodes is not None and (isinstance(nodes, IntersectionTable)
                               != (mode == "exact")):
         raise ValueError("nodes were built for the other assembly mode")
-    params = params or FormParams()
     xbar = exact.xbar
     if mode == "approx":
         nodes = _approx_nodes(L, V, xbar, coupling, nodes)
     else:
         nodes = coupling_nodes(L, V, xbar, coupling, mode,
                                rule_for_degree(6), nodes)
-    F = (_volume_rhs_fluid(V, exact, params)
+    F = (_volume_rhs_fluid(V, exact)
          + _load(V.mesh, nodes, _features(exact.lam, exact.grad_lam),
                  fluid=True))
-    G = _structure_rhs(S, exact, params, coupling)
+    G = _structure_rhs(S, exact, coupling)
     if mode == "exact":
         nodes = _mesh_nodes(L.mesh, rule_for_degree(6), coupling == "h1")
     # d = u(xbar(s)) - X(s) is smooth on the structure.

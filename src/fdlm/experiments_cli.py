@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
+from .assembly import (assemble_Af, assemble_As, assemble_B,
                        assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
                        assemble_rhs, coupling_gap, coupling_nodes,
                        matrix_1norm_diff, pressure_mean_row)
@@ -142,19 +142,17 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None):
     """Assemble and solve one level with the coupling matrix of
     assembly_mode alone; returns (record, solution, system)."""
     exact = exact or manufactured_solution()
-    params = FormParams()
     V, Q, S, L = build_level_spaces(n_fluid, n_solid)
     Cf, nodes = _coupling(L, V, exact.xbar, coupling, assembly_mode)
     blocks = Blocks(
-        Af=assemble_Af(V, params),
-        As=assemble_As(S, params),
+        Af=assemble_Af(V),
+        As=assemble_As(S),
         B=assemble_B(V, Q),
         Cf=Cf,
         Cs=assemble_Cs(L, S, coupling),
         mean_row=pressure_mean_row(Q),
     )
-    rhs = assemble_rhs(V, S, L, exact, coupling, assembly_mode, params,
-                       nodes)
+    rhs = assemble_rhs(V, S, L, exact, coupling, assembly_mode, nodes)
     del nodes
     system = build_system(blocks, rhs, (V, S, L, Q))
     sol = solve(system)
@@ -326,6 +324,9 @@ def cli_main(argv=None):
         return int(exc.code) if exc.code else 0
 
     # Refused before any level is built, rather than after the study.
+    if not args.out:
+        print("fdlm: error: --out is empty", file=sys.stderr)
+        return 2
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         print("fdlm: error: --out directory %s does not exist" % out_dir,

@@ -8,6 +8,8 @@ displacement is the analogous curl on the unit reference square, the
 multiplier is (exp(s1), exp(s2)), and the placement map is
 xbar(s) = (-0.62 + 2 s1, -0.62 + 2 s2), which puts the structure over
 the square [-0.62, 1.38]^2, cutting the fluid grid generically.
+Inserted into the fixed forms of assembly (pure stiffness, no mass
+terms), the fields give the loads; strong_form_f is their fluid equation.
 
 All derivatives are hand-coded closed forms; the tests validate them
 against central finite differences.  Multiplier errors in the weaker
@@ -264,10 +266,11 @@ def inverse_inequality_check(spaces, vectors=None, seed=0):
     return ratios
 
 
-def strong_form_f(exact, params):
+def strong_form_f(exact):
     """Strong-form fluid load for the L2 coupling, as a cross-check oracle.
 
-    f = alpha u - nu lap(u) + grad p + chi_{structure} lam(xbar^-1 x) / |det J|.
+    f = -lap(u) + grad p + chi_{structure} lam(xbar^-1 x) / |det J|, for
+    the fixed forms of assembly: unit viscosity, no mass term.
     The indicator term makes f discontinuous across the mapped-structure
     boundary, so quadrature against it must resolve that interface.
     """
@@ -275,8 +278,7 @@ def strong_form_f(exact, params):
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
-        out = (params.alpha * exact.u(pts) - params.nu * exact.lap_u(pts)
-               + exact.grad_p(pts))
+        out = -exact.lap_u(pts) + exact.grad_p(pts)
         s = exact.xbar.apply_inverse(pts)
         inside = np.all((s >= 0.0) & (s <= 1.0), axis=-1)
         out += inside[..., None] * exact.lam(s) / det

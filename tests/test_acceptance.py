@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 import fdlm.experiments_cli as xcli
-from fdlm.assembly import (FormParams, assemble_Cf_approx, assemble_Cf_exact,
+from fdlm.assembly import (assemble_Cf_approx, assemble_Cf_exact,
                            assemble_rhs, matrix_1norm_diff)
 from fdlm.experiments_cli import (build_level_spaces, compute_rates,
                                   coupling_gap_norm, fitted_slope, solve_level)
@@ -245,7 +245,7 @@ def _pairing_oracle(L, V, xbar, mus, vs, coupling, schemes):
     return total
 
 
-def _strong_load(V, exact, params):
+def _strong_load(V, exact):
     """Load vector of the strong-form fluid source.
 
     The source jumps across the mapped-structure boundary, so cut fluid
@@ -254,7 +254,7 @@ def _strong_load(V, exact, params):
     pointwise source directly.
     """
     rule = conical_product_rule(5)
-    f_pointwise = strong_form_f(exact, params)
+    f_pointwise = strong_form_f(exact)
     det = abs(exact.xbar.det)
     corners = exact.xbar.apply(np.array([[0.0, 0.0], [1.0, 0.0],
                                          [1.0, 1.0], [0.0, 1.0]]))
@@ -264,8 +264,7 @@ def _strong_load(V, exact, params):
     F = np.zeros(V.n_dofs)
 
     def smooth(pts):
-        return (params.alpha * exact.u(pts) - params.nu * exact.lap_u(pts)
-                + exact.grad_p(pts))
+        return -exact.lap_u(pts) + exact.grad_p(pts)
 
     def lam_jump(pts):
         return exact.lam(exact.xbar.apply_inverse(pts)) / det
@@ -319,12 +318,11 @@ def test_09_matrix_and_load_match_independent_oracles():
 
     # the strong-form source must reproduce the weak-form load on
     # wall-vanishing test functions up to quadrature error well under h^2
-    params = FormParams()
     worst_c = 0.0
     for n in (8, 16, 32):
         V, Q, S, L = build_level_spaces(n, n // 2)
-        F_weak = assemble_rhs(V, S, L, exact, "l2", "exact", params)[0]
-        F_strong = _strong_load(V, exact, params)
+        F_weak = assemble_rhs(V, S, L, exact, "l2", "exact")[0]
+        F_strong = _strong_load(V, exact)
         w = interpolate(V, exact.u).coefficients
         delta = abs(float((F_weak - F_strong) @ w))
         worst_c = max(worst_c, delta / Q.mesh.h ** 2)

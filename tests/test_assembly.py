@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 import fdlm.assembly as assembly
 import fdlm.mesh
-from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
+from fdlm.assembly import (assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
                            assemble_rhs, coupling_nodes, matrix_1norm_diff,
                            pressure_mean_row)
@@ -173,22 +173,24 @@ def whole_coupling(L, V, nodes):
 SCATTER_LEVELS = {level: 7 if k < 3 else 300
                   for sched in (xcli.test1_schedule, xcli.test2_schedule)
                   for k, level in enumerate(sched(4))}
-# The form coefficients: the experiments' and a set with both mass terms.
-SCATTER_PARAMS = {"default": FormParams(),
-                  "mass": FormParams(alpha=0.7, nu=1.3, beta=1.9, kappa=0.6)}
+# Fluid and structure blocks with a mass term, (stiffness, mass): no
+# command assembles them, but the solver's mass-term tests build them.
+MASSED = {"Af": (1.3, 0.7), "As": (0.6, 1.9)}
 
 
 def level_matrices(V, Q, S, L, xbar, schemes, approx, whole):
     """Every block matrix of one level, by the assembly or, with whole,
     by the whole-mesh oracle; the coupling geometry is given."""
     out = {}
-    for name, p in SCATTER_PARAMS.items():
+    for name, space, assemble in (("Af", V, assemble_Af),
+                                  ("As", S, assemble_As)):
         if whole:
-            out["Af", name] = whole_form(V.mesh, p.nu, p.alpha)
-            out["As", name] = whole_form(S.mesh, p.kappa, p.beta)
+            out[name, "default"] = whole_form(space.mesh, 1.0, 0.0)
+            out[name, "mass"] = whole_form(space.mesh, *MASSED[name])
         else:
-            out["Af", name] = assemble_Af(V, p)
-            out["As", name] = assemble_As(S, p)
+            out[name, "default"] = assemble(space)
+            out[name, "mass"] = assembly._p1_matrix(space.mesh,
+                                                    *MASSED[name])
     out["B"] = whole_B(V, Q) if whole else assemble_B(V, Q)
     for c in ("l2", "h1"):
         exact_nodes = coupling_nodes(L, V, xbar, c, "exact",
@@ -229,24 +231,12 @@ def test_matrices_equal_whole_mesh_scatter(monkeypatch, n_fluid, n_solid):
                                       getattr(A, attr)), (name, attr, block)
 
 
-class TestFormParams:
-    def test_defaults(self):
-        p = FormParams()
-        assert (p.alpha, p.nu, p.beta, p.kappa) == (0, 1, 0, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FormParams(alpha=-1.0)
-        with pytest.raises(ValueError):
-            FormParams(kappa=0.0)
-
-
 class TestVolumeMatrices:
     def test_fluid_mass_total(self):
         # constants kill the stiffness part; the mass part integrates 1
         # over both components of the fluid box
         V, _ = fluid_spaces(4)
-        A = assemble_Af(V, FormParams(alpha=1.0))
+        A = assembly._p1_matrix(V.mesh, 1.0, 1.0)
         ones = np.ones(V.n_dofs)
         assert ones @ A @ ones == pytest.approx(2.0 * 16.0, abs=1e-12)
 
@@ -256,16 +246,16 @@ class TestVolumeMatrices:
         V, _ = fluid_spaces(4)
         v = interpolate(V, lambda p: np.stack([p[..., 1], -p[..., 0]],
                                               axis=-1))
-        A = assemble_Af(V, FormParams())
+        A = assemble_Af(V)
         c = v.coefficients
         assert c @ A @ c == pytest.approx(32.0, rel=1e-13)
 
     def test_structure_constants(self):
         S, _ = solid_spaces(3)
-        A = assemble_As(S, FormParams())
+        A = assemble_As(S)
         ones = np.ones(S.n_dofs)
         assert abs(ones @ A @ ones) < 1e-12
-        A = assemble_As(S, FormParams(beta=1.0))
+        A = assembly._p1_matrix(S.mesh, 1.0, 1.0)
         assert ones @ A @ ones == pytest.approx(2.0, abs=1e-13)
 
     def test_structure_quadratic_energy(self):
@@ -274,7 +264,7 @@ class TestVolumeMatrices:
         S, _ = solid_spaces(4)
         f = interpolate(S, lambda p: np.stack(
             [p[..., 0] ** 2, np.zeros_like(p[..., 0])], axis=-1))
-        A = assemble_As(S, FormParams())
+        A = assemble_As(S)
         mesh = S.mesh
         want = 0.0
         vals = vec_comp(S, f.coefficients, 0)
@@ -287,8 +277,8 @@ class TestVolumeMatrices:
     def test_symmetry(self):
         V, _ = fluid_spaces(2)
         S, L = solid_spaces(3)
-        Af = assemble_Af(V, FormParams(alpha=0.5))
-        As = assemble_As(S, FormParams(beta=2.0))
+        Af = assembly._p1_matrix(V.mesh, 1.0, 0.5)
+        As = assembly._p1_matrix(S.mesh, 1.0, 2.0)
         Cs = assemble_Cs(L, S, "h1")
         for M in (Af, As, Cs):
             assert abs(M - M.T).max() < 1e-14
@@ -724,7 +714,6 @@ class TestRightHandSides:
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_volume_loads_against_per_element_quadrature(self, coupling,
                                                          mode):
-        params = FormParams(alpha=0.7, nu=0.5, beta=1.3, kappa=2.0)
         eye = np.eye(2)
         assemble = assemble_Cf_exact if mode == "exact" else \
             assemble_Cf_approx
@@ -732,17 +721,15 @@ class TestRightHandSides:
         for xbar in (self.xbar, SHEARED):
             exact = polynomial_solution(xbar)
             F, G, _ = assemble_rhs(self.V, self.S, self.L, exact,
-                                   coupling, mode, params)
+                                   coupling, mode)
             want_F = per_element_load(
-                self.V, lambda x: params.alpha * exact.u(x),
-                lambda x: (params.nu * exact.grad_u(x)
-                           - exact.p(x)[:, None, None] * eye))
+                self.V, np.zeros_like,
+                lambda x: exact.grad_u(x) - exact.p(x)[:, None, None] * eye)
             lam_h = interpolate(self.L, exact.lam).coefficients
             want_F += assemble(self.L, self.V, xbar, coupling).T @ lam_h
             want_G = per_element_load(
-                self.S, lambda s: params.beta * exact.X(s) - exact.lam(s),
-                lambda s: (params.kappa * exact.grad_X(s)
-                           - h1 * exact.grad_lam(s)))
+                self.S, lambda s: -exact.lam(s),
+                lambda s: exact.grad_X(s) - h1 * exact.grad_lam(s))
             for got, want in ((F, want_F), (G, want_G)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

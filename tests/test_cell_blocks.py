@@ -13,7 +13,7 @@ import pytest
 import fdlm.assembly as assembly
 import fdlm.geom_intersect as geom_intersect
 import fdlm.mesh as mesh
-from fdlm.assembly import (FormParams, assemble_Af, assemble_B,
+from fdlm.assembly import (assemble_Af, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact,
                            assemble_rhs, coupling_gap, coupling_nodes)
 import fdlm.experiments_cli as xcli
@@ -228,7 +228,7 @@ def test_block_matrix_transients_bounded(level_64_32):
     # output's full capacity, one slot per scattered entry (3.4 and 6.8
     # MB), although only the slots written are ever backed by memory.
     _, _, (V, Q, _, _), _ = level_64_32
-    assert traced_peak_mb(assemble_Af, V, FormParams()) <= 8.0
+    assert traced_peak_mb(assemble_Af, V) <= 8.0
     assert traced_peak_mb(assemble_B, V, Q) <= 18.0
 
 

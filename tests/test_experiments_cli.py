@@ -249,6 +249,12 @@ class TestQuadratureErrorStudy:
         np.testing.assert_allclose(got, gaps, rtol=1e-12, atol=0)
 
 
+# One command line of each command, without --out.
+OUT_ARGV = [["run", "--test", "1", "--levels", "2"],
+            ["quaderr", "--test", "1", "--levels", "2"],
+            ["solve", "--n-fluid", "8", "--n-solid", "4"]]
+
+
 class TestCli:
     def test_unknown_flag(self):
         assert cli_main(["run", "--test", "1", "--frobnicate"]) == 2
@@ -277,32 +283,31 @@ class TestCli:
                          "--out", out]) == 1
         assert "fdlm: error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--test", "1", "--levels", "2"],
-        ["quaderr", "--test", "1", "--levels", "2"],
-        ["solve", "--n-fluid", "8", "--n-solid", "4"]])
-    def test_out_in_missing_directory_refused(self, argv, tmp_path,
-                                              monkeypatch, capsys):
+    @staticmethod
+    def assert_out_refused(argv, out, monkeypatch, capsys):
+        """argv with --out out exits 2 with one error line, building no
+        level."""
         def boom(*args):
             raise AssertionError("a level was built")
         monkeypatch.setattr(xcli, "build_level_spaces", boom)
-        out = str(tmp_path / "missing" / "x.csv")
         assert cli_main(argv + ["--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fdlm: error:")
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--test", "1", "--levels", "2"],
-        ["quaderr", "--test", "1", "--levels", "2"],
-        ["solve", "--n-fluid", "8", "--n-solid", "4"]])
+    @pytest.mark.parametrize("argv", OUT_ARGV)
+    def test_out_in_missing_directory_refused(self, argv, tmp_path,
+                                              monkeypatch, capsys):
+        self.assert_out_refused(argv, str(tmp_path / "missing" / "x.csv"),
+                                monkeypatch, capsys)
+
+    @pytest.mark.parametrize("argv", OUT_ARGV)
     def test_out_that_is_a_directory_refused(self, argv, tmp_path,
                                              monkeypatch, capsys):
-        def boom(*args):
-            raise AssertionError("a level was built")
-        monkeypatch.setattr(xcli, "build_level_spaces", boom)
-        assert cli_main(argv + ["--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("fdlm: error:")
+        self.assert_out_refused(argv, str(tmp_path), monkeypatch, capsys)
+
+    @pytest.mark.parametrize("argv", OUT_ARGV)
+    def test_empty_out_refused(self, argv, monkeypatch, capsys):
+        self.assert_out_refused(argv, "", monkeypatch, capsys)
 
     def test_unwritable_out_reported(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(xcli, "quadrature_error_study", lambda plan: [])

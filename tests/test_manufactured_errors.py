@@ -18,7 +18,6 @@ from fdlm.manufactured_errors import (dual_norm, error_norms, h1_error,
                                       inverse_inequality_check, l2_error,
                                       manufactured_solution, strong_form_f,
                                       zero_solution)
-from fdlm.assembly import FormParams
 from fdlm.mesh import midpoint_refine, uniform_mesh
 
 SIN_DUAL_NORM = 0.6383844356422991
@@ -268,7 +267,7 @@ class TestInverseInequality:
 class TestStrongForm:
     def test_indicator_term(self):
         exact = manufactured_solution()
-        f = strong_form_f(exact, FormParams())
+        f = strong_form_f(exact)
         smooth = lambda p: -np.asarray(exact.lap_u(p)) + exact.grad_p(p)
         inside = np.array([0.5, 0.5])
         s = exact.xbar.apply_inverse(inside)
@@ -276,12 +275,3 @@ class TestStrongForm:
         np.testing.assert_allclose(f(inside), want, rtol=1e-13)
         outside = np.array([1.9, 1.9])
         np.testing.assert_allclose(f(outside), smooth(outside), rtol=1e-13)
-
-    def test_mass_coefficient_enters(self):
-        exact = manufactured_solution()
-        f0 = strong_form_f(exact, FormParams())
-        f1 = strong_form_f(exact, FormParams(alpha=2.0))
-        pts = np.array([[1.5, -0.5], [0.1, 0.2]])
-        np.testing.assert_allclose(np.asarray(f1(pts)) - np.asarray(f0(pts)),
-                                   2.0 * np.asarray(exact.u(pts)),
-                                   rtol=1e-12)

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 import fdlm.saddle_solver as saddle
-from fdlm.assembly import (FormParams, assemble_Af, assemble_As, assemble_B,
+from fdlm.assembly import (_p1_matrix, assemble_Af, assemble_As, assemble_B,
                            assemble_Cf_exact, assemble_Cs, assemble_rhs,
                            pressure_mean_row)
 from fdlm.fespace import (multiplier_space, pressure_space, solid_space,
@@ -25,9 +25,9 @@ from fdlm.saddle_solver import (Blocks, SingularSystemError, build_system,
                                 dump_solution, solve)
 
 
-def level_setup(exact, params=FormParams(), n_fluid=16, n_solid=8):
+def level_setup(exact, fluid_block=assemble_Af, n_fluid=16, n_solid=8):
     """Spaces, blocks and data of a production mesh pair, by default the
-    smallest one."""
+    smallest one; fluid_block(V) gives the fluid block."""
     coarse = uniform_mesh((-2, -2), (2, 2), n_fluid)
     refined = midpoint_refine(coarse)
     solid = uniform_mesh((0, 0), (1, 1), n_solid, orientation="left")
@@ -36,14 +36,14 @@ def level_setup(exact, params=FormParams(), n_fluid=16, n_solid=8):
     S = solid_space(solid)
     L = multiplier_space(solid)
     blocks = Blocks(
-        Af=assemble_Af(V, params),
-        As=assemble_As(S, params),
+        Af=fluid_block(V),
+        As=assemble_As(S),
         B=assemble_B(V, Q),
         Cf=assemble_Cf_exact(L, V, exact.xbar),
         Cs=assemble_Cs(L, S, "l2"),
         mean_row=pressure_mean_row(Q),
     )
-    rhs = assemble_rhs(V, S, L, exact, "l2", "exact", params=params)
+    rhs = assemble_rhs(V, S, L, exact, "l2", "exact")
     return build_system(blocks, rhs, (V, S, L, Q))
 
 
@@ -86,19 +86,19 @@ def coo_reference(blocks, dirichlet_mask):
 
 
 class TestBuildSystem:
-    @pytest.mark.parametrize("params,offset", [
-        (FormParams(), (-0.62, -0.62)),
-        (FormParams(alpha=1.0), (-0.62, -0.62)),
-        (FormParams(), (-2.0, -2.0))],
+    @pytest.mark.parametrize("fluid_block,offset", [
+        (assemble_Af, (-0.62, -0.62)),
+        (lambda V: _p1_matrix(V.mesh, 1.0, 1.0), (-0.62, -0.62)),
+        (assemble_Af, (-2.0, -2.0))],
         ids=["stiffness", "with_mass", "structure_on_boundary"])
-    def test_equals_coo_reference(self, params, offset):
+    def test_equals_coo_reference(self, fluid_block, offset):
         # The operator applies the stacked matrix, also to vectors whose
         # Dirichlet entries are not zero; its Dirichlet rows are the
         # identity.  A structure placed in the corner of the fluid box
         # couples to Dirichlet velocity dofs, which Cf must not see.
         exact = copy.copy(manufactured_solution())
         exact.xbar = AffineMap(2.0 * np.eye(2), offset)
-        sys_ = level_setup(exact, params)
+        sys_ = level_setup(exact, fluid_block)
         A = sys_.matrix
         ref = coo_reference(sys_.blocks, sys_.dirichlet_mask)
         assert A.shape == ref.shape
@@ -320,12 +320,13 @@ class TestSolve:
             with pytest.raises(SingularSystemError):
                 solve(degenerate)
 
-    @pytest.mark.parametrize("params", [FormParams(alpha=1.0),
-                                        FormParams(alpha=10.0, nu=0.5)])
+    # (nu, alpha) of the fluid block nu K + alpha M.
+    @pytest.mark.parametrize("params", [(1.0, 1.0), (0.5, 10.0)])
     def test_mass_term_solved(self, params):
         # With alpha > 0 the sine transforms solve nu K + alpha h^2 I in
         # place of Af; flexible GMRES corrects the difference.
-        sol = solve(level_setup(manufactured_solution(), params))
+        sol = solve(level_setup(manufactured_solution(),
+                                lambda V: _p1_matrix(V.mesh, *params)))
         assert 0 < sol.iterations <= 30
         assert sol.residual_history[-1] <= 1e-12
 
@@ -337,12 +338,12 @@ def off_grid(mesh):
     return Triangulation(v, mesh.triangles)
 
 
-def velocity_block(n_fluid, params):
+def velocity_block(n_fluid, nu):
     """Velocity space on the refined (-2, 2)^2 mesh of n_fluid cells a
-    side, and its fluid block."""
+    side, and its fluid block nu K."""
     V = velocity_space(midpoint_refine(uniform_mesh((-2, -2), (2, 2),
                                                     n_fluid)))
-    return V, assemble_Af(V, params)
+    return V, _p1_matrix(V.mesh, nu)
 
 
 class TestFluidSolve:
@@ -366,7 +367,7 @@ class TestFluidSolve:
     @pytest.mark.parametrize("n_fluid", [8, 32])
     @pytest.mark.parametrize("nu", [1.0, 0.7])
     def test_velocity_solve_inverts_fluid_block(self, n_fluid, nu):
-        V, Af = velocity_block(n_fluid, FormParams(nu=nu))
+        V, Af = velocity_block(n_fluid, nu)
         fixed = V.dirichlet_mask
         velocity_solve = saddle._velocity_solver(Af, V)
         f = np.random.default_rng(n_fluid).standard_normal(V.n_dofs)
@@ -378,13 +379,13 @@ class TestFluidSolve:
 
     def test_velocity_solve_needs_square_cells(self):
         V = velocity_space(midpoint_refine(uniform_mesh((0, 0), (2, 1), 4)))
-        Af = assemble_Af(V, FormParams())
+        Af = assemble_Af(V)
         with pytest.raises(ValueError):
             saddle._velocity_solver(Af, V)
 
     def test_velocity_solve_needs_ring_dirichlet(self):
         V = velocity_space(midpoint_refine(uniform_mesh((-2, -2), (2, 2), 4)))
-        Af = assemble_Af(V, FormParams())
+        Af = assemble_Af(V)
         V.dirichlet_mask = V.dirichlet_mask.copy()
         V.dirichlet_mask[np.argmin(V.dirichlet_mask)] = True
         with pytest.raises(ValueError, match="outer ring"):
