@@ -148,9 +148,9 @@ def _csr(shape, parts, capacity, vector=False):
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def _gathered(shape, n_cells, rows, entries, coefs):
-    """Row blocks, over mesh._blocks of the rows, of sum_t coefs[t] A_t,
-    A_t the matrix that adds entry (m, i, j) of the cell blocks vals_t
+def _gathered(shape, n_cells, rows, entries):
+    """Row blocks, over mesh._blocks of the rows, of sum_t A_t, A_t the
+    matrix that adds entry (m, i, j) of the cell blocks vals_t
     (M, 3, C) at (rows[m, i], cols[m, j]).
 
     rows(c) gives the rows (k, 3) of the cells c, and entries(c) the
@@ -191,27 +191,25 @@ def _gathered(shape, n_cells, rows, entries, coefs):
         cols, terms = entries(cells)
         cols = np.take(cols, at, axis=0)
         A = None
-        for coef, vals in zip(coefs, terms):
+        for vals in terms:
             vals = np.take(vals.reshape(-1, vals.shape[2]), e, axis=0)
-            A_t = coef * _entries_csr(r, cols, vals,
-                                      (b.stop - b.start, shape[1]))
+            A_t = _entries_csr(r, cols, vals, (b.stop - b.start, shape[1]))
             A = A_t if A is None else A + A_t
         yield A
 
 
-def _p1_matrix(mesh, stiffness=0.0, mass=0.0, vector=True):
-    """stiffness K + mass M on mesh, K and M the scalar P1 stiffness and
-    mass matrices; a zero coefficient drops its term.  With vector, the
-    matrix of the vector P1 space, blockdiag(A, A)."""
+def _p1_matrix(mesh, stiffness=True, mass=False, vector=True):
+    """The scalar P1 stiffness matrix K on mesh, the mass matrix M, or
+    K + M, as stiffness and mass choose, each term unscaled.  With
+    vector, the matrix of the vector P1 space, blockdiag(A, A)."""
     rule = rule_for_degree(2)
     basis = _basis_table(rule)
     m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
-    coefs = [a for a in (stiffness, mass) if a != 0.0]
 
     def entries(c):
         areas = mesh.areas[c][:, None, None]
         terms = []
-        if stiffness != 0.0:
+        if stiffness:
             # grad phi_i . grad phi_j, summed in the order of
             # einsum("mid,mjd->mij"), which is several times slower; a
             # row of the cell blocks at a time.
@@ -221,20 +219,19 @@ def _p1_matrix(mesh, stiffness=0.0, mass=0.0, vector=True):
                 np.add(gx[:, i, None] * gx, gy[:, i, None] * gy, out=K[:, i])
             K *= areas
             terms.append(K)
-        if mass != 0.0:
+        if mass:
             terms.append(areas * m_unit)
         return mesh.triangles[c], terms
 
     nv, n_cells = mesh.n_vertices, mesh.n_triangles
-    parts = _gathered((nv, nv), n_cells, mesh.triangles.__getitem__,
-                      entries, coefs)
+    parts = _gathered((nv, nv), n_cells, mesh.triangles.__getitem__, entries)
     k = 2 if vector else 1
     return _csr((k * nv, k * nv), parts, 9 * n_cells, vector)
 
 
 def assemble_Af(V):
     """Fluid matrix: the full-gradient stiffness (grad u, grad v) on V."""
-    return _p1_matrix(V.mesh, 1.0)
+    return _p1_matrix(V.mesh)
 
 
 def assemble_As(S):
@@ -243,7 +240,7 @@ def assemble_As(S):
     The matrix alone is singular (constants); the full saddle system
     remains solvable through the coupling blocks.
     """
-    return _p1_matrix(S.mesh, 1.0)
+    return _p1_matrix(S.mesh)
 
 
 def assemble_B(V, Q):
@@ -278,8 +275,7 @@ def assemble_B(V, Q):
 
     shape = (Q.n_dofs, V.n_dofs)
     n_cells = mesh_v.n_triangles
-    return _csr(shape, _gathered(shape, n_cells, rows, entries, (1.0,)),
-                18 * n_cells)
+    return _csr(shape, _gathered(shape, n_cells, rows, entries), 18 * n_cells)
 
 
 def assemble_Cs(L, S, coupling):
@@ -288,7 +284,7 @@ def assemble_Cs(L, S, coupling):
     if L.mesh is not S.mesh and (L.mesh.n_vertices != S.mesh.n_vertices
                                  or L.mesh.domain != S.mesh.domain):
         raise ValueError("multiplier and structure spaces must share a mesh")
-    return _p1_matrix(S.mesh, 1.0 if coupling == "h1" else 0.0, 1.0)
+    return _p1_matrix(S.mesh, stiffness=coupling == "h1", mass=True)
 
 
 # -- fluid-structure coupling --------------------------------------------

@@ -190,7 +190,7 @@ def h1_error(space, coeff, exact_val, exact_grad):
 def _dual_norm_from_load(space, r):
     """Dual H1 norm of the functional with load vector r on a vector P1
     space, sqrt(r . (M + K)^-1 r), solved to a relative residual of 1e-12."""
-    c = _p1_matrix(space.mesh, 1.0, 1.0, vector=False)
+    c = _p1_matrix(space.mesh, mass=True, vector=False)
     val = r @ _structure_solver(c, space.mesh, 1e-12)(r)
     return float(np.sqrt(max(val, 0.0)))
 
@@ -258,7 +258,8 @@ def inverse_inequality_check(spaces, vectors=None, seed=0):
             mu = rng.standard_normal(space.n_dofs)
         if not np.any(mu):
             raise ValueError("mu must be nonzero")
-        M = _p1_matrix(space.mesh, mass=1.0, vector=False)
+        M = _p1_matrix(space.mesh, stiffness=False, mass=True,
+                       vector=False)
         r = np.concatenate([M @ mc for mc in mu.reshape(2, -1)])
         l2 = float(np.sqrt(mu @ r))
         dual = _dual_norm_from_load(space, r)

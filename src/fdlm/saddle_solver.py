@@ -317,11 +317,12 @@ def _grid_solver(mesh, dofs, nu, a, odd):
     with odd, the interior points, with K1 = tridiag(-1, 2, -1) and W = I;
     otherwise all points, with K1 the Neumann stiffness and
     W = diag(1/2, 1, ..., 1, 1/2).  That is the P1 form nu K + alpha M,
-    a = alpha h^2, with the mass lumped onto the grid.  The type-I sine or
-    cosine transform diagonalises K1 against W, with eigenvalues
-    4 sin^2(j pi / 2n), j = 1..n-1 or 0..n (Buzbee, Golub & Nielson,
-    SIAM J. Numer. Anal. 1970), so two solve P exactly.  With nu = 0, P
-    is diagonal, and z is f times its precomputed reciprocal.
+    a = alpha h^2, with the mass lumped onto the grid: nu is 1 and a is 0
+    for the velocity, whose block is K, and nu is gamma for the structure.
+    The type-I sine or cosine transform diagonalises K1 against W, with
+    eigenvalues 4 sin^2(j pi / 2n), j = 1..n-1 or 0..n (Buzbee, Golub &
+    Nielson, SIAM J. Numer. Anal. 1970), so two solve P exactly.  With
+    nu = 0, P is diagonal, and z is f times its precomputed reciprocal.
     """
     if abs(mesh.hy - mesh.hx) > 1e-12 * mesh.hx:
         raise ValueError("the mesh cells are not square")
@@ -347,12 +348,12 @@ def _grid_solver(mesh, dofs, nu, a, odd):
     return grid_solve
 
 
-def _velocity_solver(Af, V):
-    """Solve with Af = nu K + alpha M after Dirichlet elimination by sine
-    transforms: exactly for alpha = 0, and otherwise with nu K +
-    alpha h^2 I, which is spectrally equivalent.  An interior row of Af
-    sums to alpha h^2, and its diagonal is 4 nu + alpha h^2 / 2.  The
-    Dirichlet dofs must be the grid's outer ring; they are left as given.
+def _velocity_solver(V):
+    """Solve with the fluid block after Dirichlet elimination, exactly, by
+    sine transforms: the block is the stiffness K of the fixed form
+    (assembly.assemble_Af), the grid's 5-point Laplacian on the interior
+    rows.  The Dirichlet dofs must be the grid's outer ring; they are left
+    as given.
     """
     mesh = V.mesh
     if not np.array_equal(V.dirichlet_mask,
@@ -360,10 +361,7 @@ def _velocity_solver(Af, V):
         raise ValueError("the Dirichlet velocity dofs are not the outer "
                          "ring of the uniform grid")
     dofs = mesh.grid[1:-1, 1:-1] + V.n_vertices * np.arange(2)[:, None, None]
-    rows = dofs.ravel()
-    lumped = float(np.mean((Af @ np.ones(Af.shape[1]))[rows]))
-    nu = (float(np.mean(Af.diagonal()[rows])) - 0.5 * lumped) / 4.0
-    return _grid_solver(mesh, dofs, nu, lumped, odd=True)
+    return _grid_solver(mesh, dofs, 1.0, 0.0, odd=True)
 
 
 def _structure_solver(c, mesh, tol=_STRUCTURE_TOL):
@@ -438,7 +436,7 @@ def _stokes_solver(system):
         raise SingularSystemError("pressure mean row is not positive")
     msum = m.sum()
     A = system.matrix
-    velocity_solve = _velocity_solver(system.blocks.Af, V)
+    velocity_solve = _velocity_solver(V)
     tol2 = _INNER_TOL ** 2
 
     def stokes_solve(f, g, h):

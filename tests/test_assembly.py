@@ -130,10 +130,10 @@ def vector_block(A):
     return sp.block_diag((A, A), format="csr")
 
 
-def whole_form(mesh, grad_coef, mass_coef):
-    A = grad_coef * whole_stiffness(mesh)
-    if mass_coef != 0.0:
-        A = A + mass_coef * whole_mass(mesh)
+def whole_form(mesh, mass=False):
+    A = whole_stiffness(mesh)
+    if mass:
+        A = A + whole_mass(mesh)
     return vector_block(A.tocsr())
 
 
@@ -173,9 +173,6 @@ def whole_coupling(L, V, nodes):
 SCATTER_LEVELS = {level: 7 if k < 3 else 300
                   for sched in (xcli.test1_schedule, xcli.test2_schedule)
                   for k, level in enumerate(sched(4))}
-# Fluid and structure blocks with a mass term, (stiffness, mass): no
-# command assembles them, but the solver's mass-term tests build them.
-MASSED = {"Af": (1.3, 0.7), "As": (0.6, 1.9)}
 
 
 def level_matrices(V, Q, S, L, xbar, schemes, approx, whole):
@@ -184,13 +181,14 @@ def level_matrices(V, Q, S, L, xbar, schemes, approx, whole):
     out = {}
     for name, space, assemble in (("Af", V, assemble_Af),
                                   ("As", S, assemble_As)):
+        # "mass" is the unit K + M: no command assembles it, but the
+        # solver's mass-term tests build their fluid blocks from K and M.
         if whole:
-            out[name, "default"] = whole_form(space.mesh, 1.0, 0.0)
-            out[name, "mass"] = whole_form(space.mesh, *MASSED[name])
+            out[name, "default"] = whole_form(space.mesh)
+            out[name, "mass"] = whole_form(space.mesh, mass=True)
         else:
             out[name, "default"] = assemble(space)
-            out[name, "mass"] = assembly._p1_matrix(space.mesh,
-                                                    *MASSED[name])
+            out[name, "mass"] = assembly._p1_matrix(space.mesh, mass=True)
     out["B"] = whole_B(V, Q) if whole else assemble_B(V, Q)
     for c in ("l2", "h1"):
         exact_nodes = coupling_nodes(L, V, xbar, c, "exact",
@@ -236,7 +234,7 @@ class TestVolumeMatrices:
         # constants kill the stiffness part; the mass part integrates 1
         # over both components of the fluid box
         V, _ = fluid_spaces(4)
-        A = assembly._p1_matrix(V.mesh, 1.0, 1.0)
+        A = assembly._p1_matrix(V.mesh, mass=True)
         ones = np.ones(V.n_dofs)
         assert ones @ A @ ones == pytest.approx(2.0 * 16.0, abs=1e-12)
 
@@ -255,7 +253,7 @@ class TestVolumeMatrices:
         A = assemble_As(S)
         ones = np.ones(S.n_dofs)
         assert abs(ones @ A @ ones) < 1e-12
-        A = assembly._p1_matrix(S.mesh, 1.0, 1.0)
+        A = assembly._p1_matrix(S.mesh, mass=True)
         assert ones @ A @ ones == pytest.approx(2.0, abs=1e-13)
 
     def test_structure_quadratic_energy(self):
@@ -277,8 +275,8 @@ class TestVolumeMatrices:
     def test_symmetry(self):
         V, _ = fluid_spaces(2)
         S, L = solid_spaces(3)
-        Af = assembly._p1_matrix(V.mesh, 1.0, 0.5)
-        As = assembly._p1_matrix(S.mesh, 1.0, 2.0)
+        Af = assembly._p1_matrix(V.mesh, mass=True)
+        As = assembly._p1_matrix(S.mesh, mass=True)
         Cs = assemble_Cs(L, S, "h1")
         for M in (Af, As, Cs):
             assert abs(M - M.T).max() < 1e-14
