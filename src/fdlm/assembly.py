@@ -1,12 +1,13 @@
 """Assembly of the block matrices and right-hand sides.
 
-Vector dofs are blocked by component (dof = comp * n_vertices + vertex),
-so vector mass and stiffness matrices are block diagonal copies of
-scalar ones, and the fluid-structure coupling matrix couples equal
-components only.  Every matrix is written by one routine (_csr) into
-one preallocated CSR matrix, a block of rows at a time, in row order,
-each block summed from per-cell dof maps and per-cell blocks of
-entries; a vector block's second copy is written from its first.  The
+Vector dofs are blocked by component (dof = comp * n_vertices + vertex).
+The components of the stiffness, structure coupling and fluid-structure
+coupling matrices do not couple: each is blockdiag(A, A), and each is
+returned as its scalar block A alone, which the solver applies to both
+components; only the divergence matrix B couples them, and it is
+returned whole.  Every matrix is written by one routine (_csr) into one
+preallocated CSR matrix, a block of rows at a time, in row order, each
+block summed from per-cell dof maps and per-cell blocks of entries.  The
 mesh matrices take their rows in the blocks of mesh._blocks: one stable
 sort of the (cell, local row) pairs by row block gives each block its
 pairs in ascending (cell, local row) order (_gathered); the coupling
@@ -112,10 +113,9 @@ def _entries_csr(rows, cols, vals, shape):
     return A
 
 
-def _csr(shape, parts, capacity, vector=False):
+def _csr(shape, parts, capacity):
     """CSR matrix of shape from parts, the canonical CSR matrices of its
-    consecutive blocks of rows, in row order; with vector, the matrix is
-    blockdiag(A, A) and parts are the row blocks of A.
+    consecutive blocks of rows, in row order.
 
     Each part is written into one output as it comes, so no whole matrix
     of entries, and no part but the current one, is held next to the
@@ -123,10 +123,8 @@ def _csr(shape, parts, capacity, vector=False):
     the number of entries the parts are scattered from, which bounds
     their nonzeros; memory is only backed where it is written, and the
     arrays are trimmed in place (ndarray.resize, a realloc) when the
-    parts are done.  The second copy of a vector block is written from
-    the first.
+    parts are done.
     """
-    n_rows = shape[0] // 2 if vector else shape[0]
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     indices = np.empty(capacity, dtype=np.int32)
     data = np.empty(capacity)
@@ -138,13 +136,8 @@ def _csr(shape, parts, capacity, vector=False):
         indptr[row + 1:stop + 1] = A.indptr[1:] + nnz
         row, nnz = stop, end
     # Nothing else refers to the arrays, so they are resized in place.
-    size = 2 * nnz if vector else nnz
-    indices.resize(size, refcheck=False)
-    data.resize(size, refcheck=False)
-    if vector:
-        indices[nnz:] = indices[:nnz] + shape[1] // 2
-        data[nnz:] = data[:nnz]
-        indptr[n_rows + 1:] = indptr[1:n_rows + 1] + nnz
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
@@ -198,10 +191,10 @@ def _gathered(shape, n_cells, rows, entries):
         yield A
 
 
-def _p1_matrix(mesh, stiffness=True, mass=False, vector=True):
+def _p1_matrix(mesh, stiffness=True, mass=False):
     """The scalar P1 stiffness matrix K on mesh, the mass matrix M, or
-    K + M, as stiffness and mass choose, each term unscaled.  With
-    vector, the matrix of the vector P1 space, blockdiag(A, A)."""
+    K + M, as stiffness and mass choose, each term unscaled: the block A
+    of the vector P1 space's blockdiag(A, A)."""
     rule = rule_for_degree(2)
     basis = _basis_table(rule)
     m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
@@ -225,17 +218,18 @@ def _p1_matrix(mesh, stiffness=True, mass=False, vector=True):
 
     nv, n_cells = mesh.n_vertices, mesh.n_triangles
     parts = _gathered((nv, nv), n_cells, mesh.triangles.__getitem__, entries)
-    k = 2 if vector else 1
-    return _csr((k * nv, k * nv), parts, 9 * n_cells, vector)
+    return _csr((nv, nv), parts, 9 * n_cells)
 
 
 def assemble_Af(V):
-    """Fluid matrix: the full-gradient stiffness (grad u, grad v) on V."""
+    """Fluid matrix: the full-gradient stiffness (grad u, grad v) on V,
+    as the scalar block of each velocity component."""
     return _p1_matrix(V.mesh)
 
 
 def assemble_As(S):
-    """Structure matrix: the stiffness (grad X, grad Y) on S.
+    """Structure matrix: the stiffness (grad X, grad Y) on S, as the
+    scalar block of each displacement component.
 
     The matrix alone is singular (constants); the full saddle system
     remains solvable through the coupling blocks.
@@ -279,7 +273,8 @@ def assemble_B(V, Q):
 
 
 def assemble_Cs(L, S, coupling):
-    """Structure coupling matrix: vector mass (l2) or mass + stiffness (h1)."""
+    """Structure coupling matrix: mass (l2) or mass + stiffness (h1), as
+    the scalar block of each component."""
     _check_coupling(coupling)
     if L.mesh is not S.mesh and (L.mesh.n_vertices != S.mesh.n_vertices
                                  or L.mesh.domain != S.mesh.domain):
@@ -500,8 +495,8 @@ def _rows_csr(V, n_rows, streams):
 
 def _coupling_matrix(L, V, groups, n_streams, n_cells):
     """Coupling matrix of the groups of n_streams node sets of n_cells
-    cells in all: rows multiplier, columns velocity dofs, equal
-    components only.
+    cells in all: rows multiplier, columns velocity vertices, the scalar
+    block of each component.
 
     The rows final after each group are scattered as one row block
     (_csr), the entries of the streams in stream order.  So each row sees
@@ -511,7 +506,7 @@ def _coupling_matrix(L, V, groups, n_streams, n_cells):
     """
     parts = (_rows_csr(V, n_rows, streams)
              for n_rows, streams in _final_rows(L, V, groups, n_streams))
-    return _csr((L.n_dofs, V.n_dofs), parts, 9 * n_cells, vector=True)
+    return _csr((L.n_vertices, V.n_vertices), parts, 9 * n_cells)
 
 
 def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
@@ -561,7 +556,7 @@ def matrix_1norm_diff(Aex, Aap):
 
 def coupling_gap(L, V, xbar, coupling):
     """Largest row sum of |C_exact - C_approx| over the multiplier rows,
-    C the scalar block of Cf = blockdiag(C, C): the gap of the whole
+    C the coupling matrix (the scalar block): the gap of the assembled
     matrices (experiments_cli.coupling_gap_norm), bit for bit, without
     either matrix.
 

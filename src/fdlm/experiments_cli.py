@@ -117,10 +117,12 @@ def build_level_spaces(n_fluid, n_solid):
 def coupling_gap_norm(Cf_ex, Cf_ap):
     """Reported size of the coupling quadrature error.
 
-    Column sums are taken over multiplier dofs (transposed layout): each
-    sum is the total integration error committed against one multiplier
-    basis function, which is the quantity the single-point rules control
-    through the mesh ratio.  Column sums over velocity dofs would instead
+    Cf_ex and Cf_ap are the coupling matrices, the scalar block of each
+    component.  Column sums are taken over multiplier vertices
+    (transposed layout): each sum is the total integration error
+    committed against one multiplier basis function, which is the
+    quantity the single-point rules control through the mesh ratio.
+    Column sums over velocity vertices would instead
     aggregate every multiplier hat living on one fluid patch and stay O(1)
     under structure-only refinement.
     """

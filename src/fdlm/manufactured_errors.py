@@ -23,7 +23,7 @@ import numpy as np
 from .assembly import _basis_table, _load, _mesh_nodes, _p1_matrix
 from .mesh import AffineMap
 from .quadrature import rule_for_degree
-from .saddle_solver import _structure_solver
+from .saddle_solver import _each_component, _structure_solver
 
 __all__ = [
     "ManufacturedSolution",
@@ -190,7 +190,7 @@ def h1_error(space, coeff, exact_val, exact_grad):
 def _dual_norm_from_load(space, r):
     """Dual H1 norm of the functional with load vector r on a vector P1
     space, sqrt(r . (M + K)^-1 r), solved to a relative residual of 1e-12."""
-    c = _p1_matrix(space.mesh, mass=True, vector=False)
+    c = _p1_matrix(space.mesh, mass=True)
     val = r @ _structure_solver(c, space.mesh, 1e-12)(r)
     return float(np.sqrt(max(val, 0.0)))
 
@@ -258,9 +258,8 @@ def inverse_inequality_check(spaces, vectors=None, seed=0):
             mu = rng.standard_normal(space.n_dofs)
         if not np.any(mu):
             raise ValueError("mu must be nonzero")
-        M = _p1_matrix(space.mesh, stiffness=False, mass=True,
-                       vector=False)
-        r = np.concatenate([M @ mc for mc in mu.reshape(2, -1)])
+        M = _p1_matrix(space.mesh, stiffness=False, mass=True)
+        r = _each_component(M, mu)
         l2 = float(np.sqrt(mu @ r))
         dual = _dual_norm_from_load(space, r)
         ratios.append(space.mesh.h * l2 / dual)

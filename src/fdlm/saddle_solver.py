@@ -9,7 +9,9 @@ multiplier enforcing zero pressure mean.  The system reads
     [ -B    0     0     0    m  ] [p]      [0]
     [ 0     0     0    m^T   0  ] [s]      [0]
 
-and is symmetric indefinite.  Velocity Dirichlet rows and columns are
+and is symmetric indefinite.  Af, As, Cf and Cs are blockdiag(A, A) of
+one scalar matrix A each, which is all the blocks store; every product
+applies A to each component.  Velocity Dirichlet rows and columns are
 eliminated symmetrically (unit diagonal, zero load).  GMRES needs only
 the action of this matrix, so it is never stacked: SaddleOperator
 applies it from the assembled blocks, masking the Dirichlet velocity
@@ -57,7 +59,9 @@ class SingularSystemError(RuntimeError):
 
 
 class Blocks:
-    """Container for the assembled matrix blocks and the mean row."""
+    """Container for the assembled matrix blocks and the mean row: Af,
+    As, Cf and Cs are the scalar blocks of the vector blocks
+    blockdiag(A, A), B is the whole divergence matrix."""
 
     def __init__(self, Af, As, B, Cf, Cs, mean_row):
         self.Af = Af
@@ -69,20 +73,19 @@ class Blocks:
 
 
 class BlockSystem:
-    """Global system with its right-hand side and dof layout.
+    """Global system with its right-hand side.
 
     matrix is the SaddleOperator of the blocks: it has the eliminated
-    matrix's shape, dot, @ and nnz, but stores no matrix of its own.
-    The solve's preconditioner applies the same masked blocks.
+    matrix's shape, dot, @ and nnz, and the dof layout, but stores no
+    matrix of its own.  The solve's preconditioner applies the same
+    masked blocks.
     """
 
-    def __init__(self, matrix, rhs, offsets, spaces, blocks, dirichlet_mask):
+    def __init__(self, matrix, rhs, spaces, blocks):
         self.matrix = matrix
         self.rhs = rhs
-        self.offsets = offsets
         self.spaces = spaces
         self.blocks = blocks
-        self.dirichlet_mask = dirichlet_mask
 
     @property
     def n_dofs(self):
@@ -90,10 +93,7 @@ class BlockSystem:
 
     def split(self, x):
         """Slice a global vector into (u, X, lambda, p, sigma) parts."""
-        o = self.offsets
-        return (x[o["u"]:o["x"]], x[o["x"]:o["lambda"]],
-                x[o["lambda"]:o["p"]], x[o["p"]:o["sigma"]],
-                float(x[o["sigma"]]))
+        return (*self.matrix.split(x), float(x[-1]))
 
 
 class DiscreteSolution:
@@ -120,6 +120,18 @@ class DiscreteSolution:
         return self.residual_norm / self.rhs_norm
 
 
+def _each_component(A, x, out=None):
+    """blockdiag(A, A) @ x: the scalar block A applied to each half of x,
+    into out if given.  Each row of each half is summed in the stored
+    order, as the stacked matrix's row would be, so the product is that
+    of the stacked matrix bit for bit; so is A.T's."""
+    if out is None:
+        out = np.empty(2 * A.shape[0])
+    for x_c, out_c in zip(np.split(x, 2), np.split(out, 2)):
+        out_c[:] = A @ x_c
+    return out
+
+
 def _stored(M, cols, rows=None):
     """Nonzeros of the canonical CSR matrix M outside the columns marked
     True in cols and, if given, the rows marked in rows."""
@@ -133,6 +145,8 @@ def _stored(M, cols, rows=None):
 class SaddleOperator:
     """The global matrix after Dirichlet elimination, applied block by
     block from the caller's own blocks; nothing is stacked or copied.
+    The vector blocks Af, As, Cf and Cs are blockdiag(A, A) of the
+    stored scalar A, applied to each component (_each_component).
 
     With free = ~fixed the Dirichlet-free part of a velocity vector,
     x = (u, X, lambda, p, sigma) maps to
@@ -153,23 +167,29 @@ class SaddleOperator:
         self.Cf, self.Cs, self.m = blocks.Cf, blocks.Cs, blocks.mean_row
         self.CfT, self.CsT, self.BT = self.Cf.T, self.Cs.T, self.B.T
         self.fixed = fixed
-        sizes = (self.Af.shape[0], self.As.shape[0], self.Cs.shape[0],
-                 self.B.shape[0])
+        sizes = (2 * self.Af.shape[0], 2 * self.As.shape[0],
+                 2 * self.Cs.shape[0], self.B.shape[0])
         self._cuts = list(itertools.accumulate(sizes))
         self.shape = (self._cuts[-1] + 1,) * 2
 
     @property
     def nnz(self):
         """Entries the stacked eliminated matrix would store: the nonzeros
-        of each block outside the Dirichlet rows and columns, those of
+        of each block outside the Dirichlet rows and columns, a vector
+        block's once per component with that component's mask, those of
         the off-diagonal blocks twice, and the unit diagonal of the
         Dirichlet rows.  Counted on each access."""
         fixed = self.fixed
-        return int(_stored(self.Af, fixed, fixed) + np.count_nonzero(fixed)
-                   + 2 * (_stored(self.Cf, fixed) + _stored(self.B, fixed)
-                          + np.count_nonzero(self.Cs.data)
-                          + np.count_nonzero(self.m))
-                   + np.count_nonzero(self.As.data))
+        vector = sum(_stored(self.Af, f, f) + 2 * _stored(self.Cf, f)
+                     for f in np.split(fixed, 2))
+        return int(vector + np.count_nonzero(fixed)
+                   + 2 * (_stored(self.B, fixed) + np.count_nonzero(self.m)
+                          + 2 * np.count_nonzero(self.Cs.data)
+                          + np.count_nonzero(self.As.data)))
+
+    def split(self, x):
+        """Views of the (u, X, lambda, p) parts of a global vector x."""
+        return np.split(x[:-1], self._cuts[:-1])
 
     def free(self, u):
         """u with its Dirichlet entries set to zero."""
@@ -185,15 +205,17 @@ class SaddleOperator:
 
     def dot(self, x):
         y = np.empty(self.shape[0])
-        u, X, lam, p = np.split(x[:-1], self._cuts[:-1])
-        y_u, y_X, y_lam, y_p = np.split(y[:-1], self._cuts[:-1])
+        u, X, lam, p = self.split(x)
+        y_u, y_X, y_lam, y_p = self.split(y)
         uf = self.free(u)
-        y_u[:] = self.Af @ uf
-        y_u += self.CfT @ lam
+        _each_component(self.Af, uf, out=y_u)
+        y_u += _each_component(self.CfT, lam)
         y_u -= self.BT @ p
         y_u[self.fixed] = u[self.fixed]
-        np.subtract(self.As @ X, self.CsT @ lam, out=y_X)
-        np.subtract(self.Cf @ uf, self.Cs @ X, out=y_lam)
+        _each_component(self.As, X, out=y_X)
+        y_X -= _each_component(self.CsT, lam)
+        _each_component(self.Cf, uf, out=y_lam)
+        y_lam -= _each_component(self.Cs, X)
         np.subtract(self.m * x[-1], self.B @ uf, out=y_p)
         y[-1] = self.m @ p
         return y
@@ -204,24 +226,25 @@ class SaddleOperator:
 def build_system(blocks, rhs, spaces):
     """The bordered global system with Dirichlet dofs eliminated.
 
-    blocks: Blocks instance of canonical CSR matrices; rhs: (F, G, D)
-    tuple; spaces: (V, S, L, Q), where L and S must live on the same
-    structure mesh.  The velocity space's dirichlet_mask marks the
-    constrained dofs; their load is set to zero.  The matrix is a
-    SaddleOperator over the blocks themselves, which are neither
-    stacked nor copied.
+    blocks: Blocks instance of canonical CSR matrices, Af, As, Cf and
+    Cs the scalar blocks, of vertices by vertices; rhs: (F, G, D) tuple;
+    spaces: (V, S, L, Q), where L and S must live on the same structure
+    mesh.  The velocity space's dirichlet_mask marks the constrained
+    dofs; their load is set to zero.  The matrix is a SaddleOperator
+    over the blocks themselves, which are neither stacked nor copied.
     """
     V, S, L, Q = spaces
     nu, ns, nl, npre = V.n_dofs, S.n_dofs, L.n_dofs, Q.n_dofs
-    if L.n_vertices != S.n_vertices:
+    kv, ks, kl = V.n_vertices, S.n_vertices, L.n_vertices
+    if kl != ks:
         raise ValueError("multiplier and structure meshes differ")
-    if blocks.Af.shape != (nu, nu):
+    if blocks.Af.shape != (kv, kv):
         raise ValueError("fluid block shape mismatch")
-    if blocks.As.shape != (ns, ns):
+    if blocks.As.shape != (ks, ks):
         raise ValueError("structure block shape mismatch")
     if blocks.B.shape != (npre, nu):
         raise ValueError("divergence block shape mismatch")
-    if blocks.Cf.shape != (nl, nu) or blocks.Cs.shape != (nl, ns):
+    if blocks.Cf.shape != (kl, kv) or blocks.Cs.shape != (kl, ks):
         raise ValueError("coupling block shape mismatch")
     if blocks.mean_row.shape != (npre,):
         raise ValueError("mean row length mismatch")
@@ -232,12 +255,7 @@ def build_system(blocks, rhs, spaces):
 
     fixed = V.dirichlet_mask
     b[:nu][fixed] = 0.0
-    offsets = {"u": 0, "x": nu, "lambda": nu + ns, "p": nu + ns + nl,
-               "sigma": nu + ns + nl + npre}
-    mask = np.zeros(b.size, dtype=bool)
-    mask[:nu] = fixed
-    return BlockSystem(SaddleOperator(blocks, fixed), b, offsets, spaces,
-                       blocks, mask)
+    return BlockSystem(SaddleOperator(blocks, fixed), b, spaces, blocks)
 
 
 # GMRES restart length, and the cap on its iterations over all cycles.
@@ -379,7 +397,8 @@ def _structure_solver(c, mesh, tol=_STRUCTURE_TOL):
     stops at a relative residual 2-norm of tol, which needs no P-solve of
     the last residual; non-positive curvature, or no convergence in fewer
     than _INNER_MAX_ITER steps, raises SingularSystemError.  The returned
-    function maps vectors of length 2k, k = c.shape[0].
+    function maps vectors of length 2k, k = c.shape[0]; c is applied to
+    each half.
     """
     n2 = mesh.n_cells_per_side ** 2
     k = c.shape[0]
@@ -402,7 +421,7 @@ def _structure_solver(c, mesh, tol=_STRUCTURE_TOL):
             z = precondition(r)
             rz, rz_old = r @ z, rz
             d = z + (rz / rz_old) * d
-            q = (c @ d.reshape(2, k).T).T.ravel()
+            q = _each_component(c, d)
             dq = d @ q
             if not dq > 0.0:
                 break
@@ -531,16 +550,15 @@ def solve(system):
     A = system.matrix
     b = system.rhs
     stokes_solve = _stokes_solver(system)
-    k = S.n_vertices
-    cs_solve = _structure_solver(system.blocks.Cs[:k, :k], S.mesh)
+    cs_solve = _structure_solver(system.blocks.Cs, S.mesh)
 
     def precondition(r):
         z = np.empty_like(r)
         (ru, rX, rl, rp, rs), (zu, zX, zl, zp, _) = (system.split(r),
                                                      system.split(z))
         zu[:], zp[:], z[-1] = stokes_solve(ru, rp, rs)
-        zX[:] = -cs_solve(rl - A.Cf @ A.free(zu))
-        zl[:] = cs_solve(A.As @ zX - rX)
+        zX[:] = -cs_solve(rl - _each_component(A.Cf, A.free(zu)))
+        zl[:] = cs_solve(_each_component(A.As, zX) - rX)
         return z
 
     x, iterations, history, res_norm = _gmres(A.dot, precondition, b, 1e-12)

@@ -27,6 +27,7 @@ from fdlm.manufactured_errors import manufactured_solution, zero_solution
 from fdlm.mesh import AffineMap, DomainViolationError, midpoint_refine, \
     uniform_mesh
 from fdlm.quadrature import conical_product_rule, rule_for_degree
+from vector_blocks import vector_block
 
 
 def standard_map():
@@ -99,7 +100,7 @@ def coupling_oracle(L, V, xbar, mu_c, v_c, coupling):
 # -- whole-mesh oracle ---------------------------------------------------
 # The scatter the assembly used before it took its rows in blocks: the
 # (R, C) blocks of every cell of the whole mesh in one COO matrix, summed
-# by one tocsr(), with vector blocks copied by block_diag.
+# by one tocsr(); a vector block is that of one component.
 
 
 def coo_scatter(rows, cols, vals, shape):
@@ -126,15 +127,11 @@ def whole_stiffness(mesh):
     return coo_scatter(tri, tri, vals, (nv, nv))
 
 
-def vector_block(A):
-    return sp.block_diag((A, A), format="csr")
-
-
 def whole_form(mesh, mass=False):
     A = whole_stiffness(mesh)
     if mass:
         A = A + whole_mass(mesh)
-    return vector_block(A.tocsr())
+    return A.tocsr()
 
 
 def whole_B(V, Q):
@@ -152,7 +149,7 @@ def whole_Cs(L, S, coupling):
     A = whole_mass(S.mesh)
     if coupling == "h1":
         A = A + whole_stiffness(S.mesh)
-    return vector_block(A.tocsr())
+    return A.tocsr()
 
 
 def whole_coupling(L, V, nodes):
@@ -162,8 +159,7 @@ def whole_coupling(L, V, nodes):
     rows = np.concatenate([L.mesh.triangles[n.parent] for n in sets])
     cols = np.concatenate([V.mesh.triangles[n.owner] for n in sets])
     vals = np.concatenate([assembly._cell_entries(L, V, n) for n in sets])
-    return vector_block(coo_scatter(rows, cols, vals,
-                                    (L.n_vertices, V.n_vertices)))
+    return coo_scatter(rows, cols, vals, (L.n_vertices, V.n_vertices))
 
 
 # Levels 0-3 of both schedules, each with the small block size it is
@@ -234,7 +230,7 @@ class TestVolumeMatrices:
         # constants kill the stiffness part; the mass part integrates 1
         # over both components of the fluid box
         V, _ = fluid_spaces(4)
-        A = assembly._p1_matrix(V.mesh, mass=True)
+        A = vector_block(assembly._p1_matrix(V.mesh, mass=True))
         ones = np.ones(V.n_dofs)
         assert ones @ A @ ones == pytest.approx(2.0 * 16.0, abs=1e-12)
 
@@ -244,16 +240,16 @@ class TestVolumeMatrices:
         V, _ = fluid_spaces(4)
         v = interpolate(V, lambda p: np.stack([p[..., 1], -p[..., 0]],
                                               axis=-1))
-        A = assemble_Af(V)
+        A = vector_block(assemble_Af(V))
         c = v.coefficients
         assert c @ A @ c == pytest.approx(32.0, rel=1e-13)
 
     def test_structure_constants(self):
         S, _ = solid_spaces(3)
-        A = assemble_As(S)
+        A = vector_block(assemble_As(S))
         ones = np.ones(S.n_dofs)
         assert abs(ones @ A @ ones) < 1e-12
-        A = assembly._p1_matrix(S.mesh, mass=True)
+        A = vector_block(assembly._p1_matrix(S.mesh, mass=True))
         assert ones @ A @ ones == pytest.approx(2.0, abs=1e-13)
 
     def test_structure_quadratic_energy(self):
@@ -262,7 +258,7 @@ class TestVolumeMatrices:
         S, _ = solid_spaces(4)
         f = interpolate(S, lambda p: np.stack(
             [p[..., 0] ** 2, np.zeros_like(p[..., 0])], axis=-1))
-        A = assemble_As(S)
+        A = vector_block(assemble_As(S))
         mesh = S.mesh
         want = 0.0
         vals = vec_comp(S, f.coefficients, 0)
@@ -330,20 +326,20 @@ class TestDivergenceMatrix:
 class TestStructureCoupling:
     def test_constants_l2(self):
         S, L = solid_spaces(4)
-        C = assemble_Cs(L, S, "l2")
+        C = vector_block(assemble_Cs(L, S, "l2"))
         ones = np.ones(S.n_dofs)
         assert ones @ C @ ones == pytest.approx(2.0, abs=1e-13)
 
     def test_constants_h1_stiffness_vanishes(self):
         S, L = solid_spaces(4)
-        C = assemble_Cs(L, S, "h1")
+        C = vector_block(assemble_Cs(L, S, "h1"))
         ones = np.ones(S.n_dofs)
         assert ones @ C @ ones == pytest.approx(2.0, abs=1e-13)
 
     def test_linear_fields_h1(self):
         # int s1 * s1 + int grad s1 . grad s1 = 1/3 + 1
         S, L = solid_spaces(4)
-        C = assemble_Cs(L, S, "h1")
+        C = vector_block(assemble_Cs(L, S, "h1"))
         f = interpolate(S, lambda p: np.stack(
             [p[..., 0], np.zeros_like(p[..., 0])], axis=-1))
         c = f.coefficients
@@ -358,7 +354,7 @@ class TestStructureCoupling:
         rule = rule_for_degree(6)
         mesh = S.mesh
         for coupling in ("l2", "h1"):
-            C = assemble_Cs(L, S, coupling)
+            C = vector_block(assemble_Cs(L, S, coupling))
             want = 0.0
             for t in range(mesh.n_triangles):
                 verts = mesh.vertices[mesh.triangles[t]]
@@ -399,12 +395,13 @@ class TestFluidCoupling:
                              np.full(self.V.n_vertices, -0.5)])
         yc = np.concatenate([np.full(self.S.n_vertices, 1.5),
                              np.full(self.S.n_vertices, -0.5)])
-        Cs = assemble_Cs(self.L, self.S, "l2")
+        Cs = vector_block(assemble_Cs(self.L, self.S, "l2"))
         for coupling in ("l2", "h1"):
             for Cf in (assemble_Cf_exact(self.L, self.V, self.xbar, coupling),
                        assemble_Cf_approx(self.L, self.V, self.xbar,
                                           coupling)):
-                np.testing.assert_allclose(Cf @ vc, Cs @ yc, atol=1e-12)
+                np.testing.assert_allclose(vector_block(Cf) @ vc, Cs @ yc,
+                                           atol=1e-12)
 
     def test_linear_fields_by_hand(self):
         # mu = (s1, 0), v = (x1, 0): the mass part is
@@ -415,17 +412,18 @@ class TestFluidCoupling:
         v = interpolate(self.V, lambda p: np.stack(
             [p[..., 0], np.zeros_like(p[..., 0])], axis=-1))
         mass = 2.0 / 3.0 - 0.31
-        C = assemble_Cf_exact(self.L, self.V, self.xbar, "l2")
+        C = vector_block(assemble_Cf_exact(self.L, self.V, self.xbar, "l2"))
         assert mu.coefficients @ C @ v.coefficients == pytest.approx(
             mass, rel=1e-13)
-        C = assemble_Cf_exact(self.L, self.V, self.xbar, "h1")
+        C = vector_block(assemble_Cf_exact(self.L, self.V, self.xbar, "h1"))
         assert mu.coefficients @ C @ v.coefficients == pytest.approx(
             mass + 2.0, rel=1e-13)
 
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_exact_matrix_against_fine_quadrature(self, coupling):
         for xbar in (self.xbar, SHEARED):
-            C = assemble_Cf_exact(self.L, self.V, xbar, coupling)
+            C = vector_block(assemble_Cf_exact(self.L, self.V, xbar,
+                                               coupling))
             rng = np.random.default_rng(11)
             for _ in range(3):
                 mu = rng.standard_normal(self.L.n_dofs)
@@ -441,7 +439,8 @@ class TestFluidCoupling:
         rule = rule_for_degree(2)
         mesh = self.L.mesh
         for xbar in (self.xbar, SHEARED):
-            C = assemble_Cf_approx(self.L, self.V, xbar, coupling)
+            C = vector_block(assemble_Cf_approx(self.L, self.V, xbar,
+                                                coupling))
             rng = np.random.default_rng(3)
             mu_f = FEFunction(self.L, rng.standard_normal(self.L.n_dofs))
             v_f = FEFunction(self.V, rng.standard_normal(self.V.n_dofs))
@@ -482,7 +481,8 @@ class TestFluidCoupling:
         ones_v = np.ones(self.V.n_dofs)
         for C in (assemble_Cf_exact(self.L, self.V, self.xbar),
                   assemble_Cf_approx(self.L, self.V, self.xbar)):
-            assert ones_l @ C @ ones_v == pytest.approx(2.0, rel=1e-12)
+            assert ones_l @ vector_block(C) @ ones_v == pytest.approx(
+                2.0, rel=1e-12)
 
     def test_escaping_map_rejected(self):
         with pytest.raises(DomainViolationError):
@@ -724,7 +724,8 @@ class TestRightHandSides:
                 self.V, np.zeros_like,
                 lambda x: exact.grad_u(x) - exact.p(x)[:, None, None] * eye)
             lam_h = interpolate(self.L, exact.lam).coefficients
-            want_F += assemble(self.L, self.V, xbar, coupling).T @ lam_h
+            want_F += (vector_block(assemble(self.L, self.V, xbar, coupling)).T
+                       @ lam_h)
             want_G = per_element_load(
                 self.S, lambda s: -exact.lam(s),
                 lambda s: exact.grad_X(s) - h1 * exact.grad_lam(s))

@@ -13,16 +13,17 @@ from scipy.sparse.linalg import splu, spsolve
 
 import fdlm.saddle_solver as saddle
 from fdlm.assembly import (_p1_matrix, assemble_Af, assemble_As, assemble_B,
-                           assemble_Cf_exact, assemble_Cs, assemble_rhs,
-                           pressure_mean_row)
+                           assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
+                           assemble_rhs, pressure_mean_row)
 from fdlm.fespace import (multiplier_space, pressure_space, solid_space,
                           velocity_space)
-from fdlm.experiments_cli import solve_level
+from fdlm.experiments_cli import build_level_spaces, solve_level
 from fdlm.manufactured_errors import manufactured_solution, zero_solution
 from fdlm.mesh import (AffineMap, Triangulation, midpoint_refine,
                        uniform_mesh)
 from fdlm.saddle_solver import (Blocks, SingularSystemError, build_system,
                                 dump_solution, solve)
+from vector_blocks import vector_block
 
 
 def level_setup(exact, fluid_block=assemble_Af, n_fluid=16, n_solid=8):
@@ -63,20 +64,34 @@ def manufactured_sol(manufactured_system):
     return solve(manufactured_system)
 
 
-def coo_reference(blocks, dirichlet_mask):
+def dirichlet_mask(system):
+    """The Dirichlet velocity dofs of the system, marked in a global
+    vector."""
+    fixed = system.spaces[0].dirichlet_mask
+    mask = np.zeros(system.n_dofs, dtype=bool)
+    mask[:fixed.size] = fixed
+    return mask
+
+
+def coo_reference(system):
     """The eliminated global matrix, stacked: the whole system in COO,
-    every entry in a Dirichlet row or column masked out, a unit diagonal
-    appended in those rows, converted to CSR; stored zeros dropped."""
+    each vector block blockdiag(A, A) of its scalar block, every entry in
+    a Dirichlet row or column masked out, a unit diagonal appended in
+    those rows, converted to CSR; stored zeros dropped."""
+    blocks = system.blocks
+    dirichlet = dirichlet_mask(system)
+    Af, As, Cf, Cs = (vector_block(M) for M in (blocks.Af, blocks.As,
+                                                blocks.Cf, blocks.Cs))
     m = sp.csr_matrix(blocks.mean_row.reshape(1, -1))
     A = sp.bmat([
-        [blocks.Af, None, blocks.Cf.T, -blocks.B.T, None],
-        [None, blocks.As, -blocks.Cs.T, None, None],
-        [blocks.Cf, -blocks.Cs, None, None, None],
+        [Af, None, Cf.T, -blocks.B.T, None],
+        [None, As, -Cs.T, None, None],
+        [Cf, -Cs, None, None, None],
         [-blocks.B, None, None, None, m.T],
         [None, None, None, m, None],
     ], format="coo")
-    keep = ~(dirichlet_mask[A.row] | dirichlet_mask[A.col])
-    fixed = np.flatnonzero(dirichlet_mask)
+    keep = ~(dirichlet[A.row] | dirichlet[A.col])
+    fixed = np.flatnonzero(dirichlet)
     rows = np.concatenate([A.row[keep], fixed])
     cols = np.concatenate([A.col[keep], fixed])
     data = np.concatenate([A.data[keep], np.ones(fixed.size)])
@@ -100,9 +115,9 @@ class TestBuildSystem:
         exact.xbar = AffineMap(2.0 * np.eye(2), offset)
         sys_ = level_setup(exact, fluid_block)
         A = sys_.matrix
-        ref = coo_reference(sys_.blocks, sys_.dirichlet_mask)
+        ref = coo_reference(sys_)
         assert A.shape == ref.shape
-        fixed = sys_.dirichlet_mask
+        fixed = dirichlet_mask(sys_)
         for x in np.random.default_rng(2).standard_normal((3, A.shape[0])):
             want = ref @ x
             got = A @ x
@@ -115,7 +130,7 @@ class TestBuildSystem:
                                             ("level2_system", 595_770)])
     def test_nnz_equals_reference(self, request, system, nnz):
         sys_ = request.getfixturevalue(system)
-        ref = coo_reference(sys_.blocks, sys_.dirichlet_mask)
+        ref = coo_reference(sys_)
         assert sys_.matrix.nnz == ref.nnz == nnz
 
     def test_no_stored_zeros(self, manufactured_system):
@@ -126,7 +141,28 @@ class TestBuildSystem:
         # On right-angled cells the P1 stiffness is the 5-point stencil:
         # the couplings across the cell diagonals are exact zeros.
         n = sys_.spaces[0].mesh.n_cells_per_side + 1
-        assert b.Af.nnz == 2 * (5 * n * n - 4 * n)
+        assert b.Af.nnz == 5 * n * n - 4 * n
+
+    @pytest.mark.parametrize("n_fluid,n_solid,coupling,assemble_Cf", [
+        (16, 8, "l2", assemble_Cf_exact), (16, 23, "h1", assemble_Cf_approx)],
+        ids=["16-8-l2-exact", "16-23-h1-approx"])
+    def test_each_component_equals_stacked_product(self, n_fluid, n_solid,
+                                                   coupling, assemble_Cf):
+        # Bit for bit, for each scalar block and its transpose, also
+        # written into a view.
+        V, _, S, L = build_level_spaces(n_fluid, n_solid)
+        xbar = manufactured_solution().xbar
+        rng = np.random.default_rng(6)
+        for A in (assemble_Af(V), assemble_As(S), assemble_Cs(L, S, coupling),
+                  assemble_Cf(L, V, xbar, coupling)):
+            for M, stacked in ((A, vector_block(A)), (A.T, vector_block(A).T)):
+                x = rng.standard_normal(2 * M.shape[1])
+                want = stacked @ x
+                assert np.array_equal(saddle._each_component(M, x), want)
+                out = np.full(2 * M.shape[0] + 1, np.nan)
+                saddle._each_component(M, x, out=out[:-1])
+                assert np.array_equal(out[:-1], want)
+                assert np.isnan(out[-1])
 
     def test_build_transient_bounded(self, level2_system):
         # The load is 0.33 MB; any stacked copy of the 595,770-entry
@@ -148,7 +184,7 @@ class TestBuildSystem:
 
     def test_matrix_symmetric_after_elimination(self, manufactured_system):
         sys_ = manufactured_system
-        A = coo_reference(sys_.blocks, sys_.dirichlet_mask)
+        A = coo_reference(sys_)
         assert abs(A - A.T).max() < 1e-12
         x, y = np.random.default_rng(3).standard_normal((2, sys_.n_dofs))
         Ax, Ay = sys_.matrix @ x, sys_.matrix @ y
@@ -157,8 +193,8 @@ class TestBuildSystem:
 
     def test_dirichlet_rows(self, manufactured_system):
         sys_ = manufactured_system
-        A = coo_reference(sys_.blocks, sys_.dirichlet_mask)
-        fixed = np.flatnonzero(sys_.dirichlet_mask)
+        A = coo_reference(sys_)
+        fixed = np.flatnonzero(dirichlet_mask(sys_))
         assert fixed.size == 2 * 4 * 32
         diag = A.diagonal()
         np.testing.assert_array_equal(diag[fixed], 1.0)
@@ -203,8 +239,9 @@ class TestBuildSystem:
         V, S, _, Q = sys_.spaces
         L = multiplier_space(uniform_mesh((0, 0), (1, 1), 4,
                                           orientation="left"))
-        bad = Blocks(b.Af, b.As, b.B, sp.csr_matrix((L.n_dofs, V.n_dofs)),
-                     sp.csr_matrix((L.n_dofs, S.n_dofs)), b.mean_row)
+        bad = Blocks(b.Af, b.As, b.B,
+                     sp.csr_matrix((L.n_vertices, V.n_vertices)),
+                     sp.csr_matrix((L.n_vertices, S.n_vertices)), b.mean_row)
         rhs = (np.zeros(V.n_dofs), np.zeros(S.n_dofs), np.zeros(L.n_dofs))
         with pytest.raises(ValueError):
             build_system(bad, rhs, (V, S, L, Q))
@@ -290,8 +327,7 @@ class TestSolve:
 
     def test_dirichlet_values_enforced(self, manufactured_system,
                                        manufactured_sol):
-        fixed = manufactured_system.dirichlet_mask[
-            :manufactured_system.spaces[0].n_dofs]
+        fixed = manufactured_system.spaces[0].dirichlet_mask
         np.testing.assert_array_equal(
             manufactured_sol.u.coefficients[fixed], 0.0)
 
@@ -344,10 +380,10 @@ def off_grid(mesh):
 
 def velocity_block(n_fluid):
     """Velocity space on the refined (-2, 2)^2 mesh of n_fluid cells a
-    side, and its fluid block K."""
+    side, and its fluid block blockdiag(K, K)."""
     V = velocity_space(midpoint_refine(uniform_mesh((-2, -2), (2, 2),
                                                     n_fluid)))
-    return V, assemble_Af(V)
+    return V, vector_block(assemble_Af(V))
 
 
 class TestFluidSolve:
@@ -406,12 +442,12 @@ class TestFluidSolve:
         # Catches a sign slip in the Bm rows, which the outer GMRES would
         # otherwise absorb at the cost of many more iterations.
         sys_ = manufactured_system
-        A = coo_reference(sys_.blocks, sys_.dirichlet_mask)
-        o = sys_.offsets
-        fluid = np.r_[:o["x"], o["p"]:A.shape[0]]
+        A = coo_reference(sys_)
+        V, S, L, _ = sys_.spaces
+        nu = V.n_dofs
+        fluid = np.r_[:nu, nu + S.n_dofs + L.n_dofs:A.shape[0]]
         r = np.random.default_rng(1).standard_normal(fluid.size)
         want = spsolve(A[fluid][:, fluid].tocsc(), r)
-        nu = o["x"]
         monkeypatch.setattr(saddle, "_INNER_TOL", 1e-14)
         stokes_solve = saddle._stokes_solver(sys_)
         u, p, sigma = stokes_solve(r[:nu], r[nu:-1], r[-1])
@@ -428,11 +464,12 @@ MMD_SHIFT = 1e-8
 def mmd_reference(system):
     """Solution vector of the whole shifted system factored in SuperLU's
     MMD_AT_PLUS_A order, the shift removed by iterative refinement."""
-    A = coo_reference(system.blocks, system.dirichlet_mask)
+    A = coo_reference(system)
     b = system.rhs
     rowmax = abs(A).max(axis=1).toarray().ravel()
     sign = np.ones(A.shape[0])
-    sign[system.offsets["lambda"]:] = -1.0
+    V, S, _, _ = system.spaces
+    sign[V.n_dofs + S.n_dofs:] = -1.0
     lu = splu((A + sp.diags(MMD_SHIFT * rowmax * sign)).tocsc(),
               permc_spec="MMD_AT_PLUS_A",
               options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
@@ -503,10 +540,8 @@ class TestGridAndMmdReference:
 def structure_block(n, coupling, orientation="left"):
     """The structure mesh of n x n cells and its scalar block c."""
     mesh = uniform_mesh((0, 0), (1, 1), n, orientation=orientation)
-    k = mesh.n_vertices
-    c = assemble_Cs(multiplier_space(mesh), solid_space(mesh),
-                    coupling)[:k, :k]
-    return mesh, c
+    return mesh, assemble_Cs(multiplier_space(mesh), solid_space(mesh),
+                             coupling)
 
 
 def grid_preconditioner(mesh, gamma, h2):
@@ -607,8 +642,7 @@ class TestStructureSolve:
 
     def test_needs_square_cells(self):
         mesh = uniform_mesh((0, 0), (2, 1), 4, orientation="left")
-        c = assemble_Cs(multiplier_space(mesh), solid_space(mesh),
-                        "l2")[:mesh.n_vertices, :mesh.n_vertices]
+        c = assemble_Cs(multiplier_space(mesh), solid_space(mesh), "l2")
         with pytest.raises(ValueError, match="not square"):
             saddle._structure_solver(c, mesh)
 
