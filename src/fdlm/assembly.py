@@ -7,17 +7,18 @@ returned as its scalar block A alone, which the solver applies to both
 components; only the divergence matrix B couples them, and it is
 returned whole.  Every matrix is written by one routine (_csr) into one
 preallocated CSR matrix, a block of rows at a time, in row order, each
-block summed from per-cell dof maps and per-cell blocks of entries.  The
-mesh matrices take their rows in the blocks of mesh._blocks: one stable
-sort of the (cell, local row) pairs by row block gives each block its
-pairs in ascending (cell, local row) order (_gathered); the coupling
-matrix takes them as they become final in its groups (below).  Either
-way each row is summed from the same entries in the same order as a
-whole-mesh scatter would sum it, so the matrices are bit for bit those
-of one whole-mesh COO matrix, and no whole-mesh array of entries or
-COO indices is built.  The hat gradients and centroids are computed
-(mesh.grads, mesh.centroids) for the cells at hand: a row block's
-cells once each, a node set's cells with the set.
+block summed from per-cell dof maps and per-cell entries.  The mesh
+matrices take their rows in the blocks of mesh._blocks: one stable sort
+of the (cell, local row) pairs by row gives each block its pairs, each
+row's in ascending (cell, local row) order, and each pair forms its own
+row of entries alone (_gathered); the coupling matrix takes its rows as
+they become final in its groups (below).  Either way each row is summed
+from the same entries in the same order as a whole-mesh scatter would
+sum it, so the matrices are bit for bit those of one whole-mesh COO
+matrix, and no whole-mesh array of entries or COO indices is built.
+The hat gradients and centroids are computed (mesh.grads,
+mesh.centroids) for the cells at hand: a row block's cells once per
+pair, a node set's cells with the set.
 
 The coupling matrix, the coupling loads and every right-hand side run
 through one quadrature core over node sets: M cells of K nodes, cell m
@@ -141,51 +142,30 @@ def _csr(shape, parts, capacity):
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-def _gathered(shape, n_cells, rows, entries):
+def _gathered(shape, rows, entries):
     """Row blocks, over mesh._blocks of the rows, of sum_t A_t, A_t the
-    matrix that adds entry (m, i, j) of the cell blocks vals_t
-    (M, 3, C) at (rows[m, i], cols[m, j]).
+    matrix that adds row i of the cell blocks vals_t (M, 3, C) of the
+    cells m at (rows[m, i], cols[m]).
 
-    rows(c) gives the rows (k, 3) of the cells c, and entries(c) the
-    columns (k, C) and the list of the blocks vals_t[c] (k, 3, C) of the
-    distinct cells c.  One stable sort of the (cell, local row) pairs by
-    row block hands each block, in ascending (cell, local row) order,
-    every pair whose row is in it, so each row sees the entries of the
-    whole-mesh scatter in the same order, and each A_t and the sum are
-    the same bit for bit (_entries_csr).  A block computes the entries of
-    each of its cells once, however many of the cell's rows it holds.
-    The pairs' row blocks are found a block of cells at a time, in the
-    smallest unsigned type that holds them, and only the sorted pairs
-    are held across the blocks.
+    rows (M, 3) gives each cell's rows.  One stable sort of the (cell,
+    local row) pairs by row hands each block every pair whose row is in
+    it, each row's pairs in ascending (cell, local row) order; entries(c,
+    i) gives, per pair, the columns (k, C) of cell c and the list of the
+    rows i of its blocks vals_t (k, C).  So each row sees the entries of
+    the whole-mesh scatter in the same order, and each A_t and the sum
+    are the same bit for bit (_entries_csr).
     """
-    blocks = list(_blocks(shape[0]))
-    ends = np.array([b.stop for b in blocks])
-    blk = np.empty(3 * n_cells, dtype=np.min_scalar_type(len(blocks) - 1))
-    counts = np.zeros(len(blocks), dtype=np.int64)
-    for b in _blocks(n_cells):
-        k = np.searchsorted(ends, rows(np.arange(b.start, b.stop)).ravel(),
-                            side="right")
-        blk[3 * b.start:3 * b.stop] = k
-        counts += np.bincount(k, minlength=len(blocks))
-    # Pair (cell, i) is at flat index 3 * cell + i of blk, so the sort's
-    # indices are the pairs, as divmod reads them.
-    pairs = np.argsort(blk, kind="stable")
-    del blk
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for k, b in enumerate(blocks):
-        c, i = np.divmod(pairs[offsets[k]:offsets[k + 1]], 3)
-        # c ascends, so a cell's pairs are adjacent: pair e is local row
-        # i[e] of cell at[e] of the distinct cells, row e of their blocks
-        # with the cell axis flattened.
-        new = np.diff(c, prepend=-1) != 0
-        cells, at = c[new], np.cumsum(new) - 1
-        e = 3 * at + i
-        r = rows(cells).ravel()[e] - b.start
-        cols, terms = entries(cells)
-        cols = np.take(cols, at, axis=0)
+    flat = rows.ravel()
+    # Pair (cell, i) is at flat index 3 * cell + i, as divmod reads it.
+    pairs = np.argsort(flat, kind="stable")
+    ends = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=shape[0]), out=ends[1:])
+    for b in _blocks(shape[0]):
+        p = pairs[ends[b.start]:ends[b.stop]]
+        cols, terms = entries(*np.divmod(p, 3))
+        r = flat[p] - b.start
         A = None
         for vals in terms:
-            vals = np.take(vals.reshape(-1, vals.shape[2]), e, axis=0)
             A_t = _entries_csr(r, cols, vals, (b.stop - b.start, shape[1]))
             A = A_t if A is None else A + A_t
         yield A
@@ -194,31 +174,30 @@ def _gathered(shape, n_cells, rows, entries):
 def _p1_matrix(mesh, stiffness=True, mass=False):
     """The scalar P1 stiffness matrix K on mesh, the mass matrix M, or
     K + M, as stiffness and mass choose, each term unscaled: the block A
-    of the vector P1 space's blockdiag(A, A)."""
+    of the vector P1 space's blockdiag(A, A).  Each (cell, local row)
+    pair forms its row of K and M alone."""
     rule = rule_for_degree(2)
     basis = _basis_table(rule)
     m_unit = np.einsum("k,ki,kj->ij", rule.weights, basis, basis)
 
-    def entries(c):
-        areas = mesh.areas[c][:, None, None]
+    def entries(c, i):
+        areas = mesh.areas[c][:, None]
         terms = []
         if stiffness:
             # grad phi_i . grad phi_j, summed in the order of
-            # einsum("mid,mjd->mij"), which is several times slower; a
-            # row of the cell blocks at a time.
-            gx, gy = mesh.grads(c).transpose(2, 0, 1)
-            K = np.empty((c.size, 3, 3))
-            for i in range(3):
-                np.add(gx[:, i, None] * gx, gy[:, i, None] * gy, out=K[:, i])
+            # einsum("mid,mjd->mij"), which is several times slower.
+            g = mesh.grads(c)
+            gi = g[np.arange(c.size), i]
+            K = gi[:, 0, None] * g[..., 0] + gi[:, 1, None] * g[..., 1]
             K *= areas
             terms.append(K)
         if mass:
-            terms.append(areas * m_unit)
+            terms.append(areas * m_unit[i])
         return mesh.triangles[c], terms
 
-    nv, n_cells = mesh.n_vertices, mesh.n_triangles
-    parts = _gathered((nv, nv), n_cells, mesh.triangles.__getitem__, entries)
-    return _csr((nv, nv), parts, 9 * n_cells)
+    nv = mesh.n_vertices
+    parts = _gathered((nv, nv), mesh.triangles, entries)
+    return _csr((nv, nv), parts, 9 * mesh.n_triangles)
 
 
 def assemble_Af(V):
@@ -242,34 +221,39 @@ def assemble_B(V, Q):
 
     Assembled over refined elements with the centroid rule, which is
     exact because the integrand is linear (constant divergence times a
-    linear pressure function).  Q must live on the parent mesh of V.
+    linear pressure function).  V must live on the midpoint refinement
+    of Q's mesh (midpoint_refine), which is checked: the cells are the
+    pressure triangles, and each (triangle, local row) pair forms its row
+    of the four children's entries.
     """
-    mesh_v = V.mesh
-    mesh_q = Q.mesh
-    if (mesh_v.n_cells_per_side != 2 * mesh_q.n_cells_per_side
-            or mesh_v.domain != mesh_q.domain
-            or mesh_v.n_triangles != 4 * mesh_q.n_triangles):
+    mesh_v, mesh_q = V.mesh, Q.mesh
+    # Child k of parent q is 4q + k and keeps the parent's corner k
+    # (midpoint_refine), which entries reads.
+    if (mesh_v.n_triangles != 4 * mesh_q.n_triangles
+            or not np.array_equal(mesh_v.vertices[:mesh_q.n_vertices],
+                                  mesh_q.vertices)
+            or not np.array_equal(mesh_v.triangles.reshape(-1, 4, 3)[:, :3]
+                                  .diagonal(axis1=1, axis2=2),
+                                  mesh_q.triangles)):
         raise ValueError("velocity mesh is not the midpoint refinement "
                          "of the pressure mesh")
 
-    def rows(c):
-        return mesh_q.triangles[c // 4]
-
-    def entries(c):
-        # Pressure basis values at child centroids.
-        q = c // 4
-        psi = _hats(mesh_q, q, mesh_v.centroids(c)[:, None, :],
-                    mesh_q.grads(q))[:, 0]
-        vals = np.einsum("m,mi,mjc->mijc", mesh_v.areas[c], psi,
-                         mesh_v.grads(c))
-        # Columns in (vertex, component) order, like the last two axes
-        # of vals.
-        cols = mesh_v.triangles[c][:, :, None] + V.n_vertices * np.arange(2)
-        return cols.reshape(-1, 6), [vals.reshape(-1, 3, 6)]
+    def entries(q, i):
+        # Per pair, the 24 columns of the children 4q..4q+3, each child's
+        # in (vertex, component) order like the last two axes of vals.
+        # psi_i at each child's centroid is its own product with the
+        # parent's gradients, as the whole-mesh scatter evaluates it.
+        c, p = 4 * q[:, None] + np.arange(4), q[:, None]
+        psi = _hats(mesh_q, p, mesh_v.centroids(c)[..., None, :],
+                    mesh_q.grads(p))[np.arange(q.size), :, 0, i]
+        vals = (mesh_v.areas[c] * psi)[..., None, None] * mesh_v.grads(c)
+        cols = (np.take(mesh_v.triangles, c, axis=0)[..., None]
+                + V.n_vertices * np.arange(2))
+        return cols.reshape(-1, 24), [vals.reshape(-1, 24)]
 
     shape = (Q.n_dofs, V.n_dofs)
-    n_cells = mesh_v.n_triangles
-    return _csr(shape, _gathered(shape, n_cells, rows, entries), 18 * n_cells)
+    parts = _gathered(shape, mesh_q.triangles, entries)
+    return _csr(shape, parts, 18 * mesh_v.n_triangles)
 
 
 def assemble_Cs(L, S, coupling):
@@ -300,10 +284,10 @@ class _Blocks:
 
 
 def _hats(mesh, tris, pts, grads):
-    """Values (M, K, 3) of the P1 hats of triangles tris (M,) at pts
-    (M, K, 2), grads their gradients (mesh.grads(tris))."""
-    d = pts - mesh.centroids(tris)[:, None, :]
-    return 1.0 / 3.0 + d @ grads.swapaxes(1, 2)
+    """Values (..., K, 3) of the P1 hats of triangles tris (...) at pts
+    (..., K, 2), grads their gradients (mesh.grads(tris))."""
+    d = pts - mesh.centroids(tris)[..., None, :]
+    return 1.0 / 3.0 + d @ grads.swapaxes(-1, -2)
 
 
 def _load(mesh, groups, field, fluid=False):

@@ -17,7 +17,11 @@ checklist of the reproduced results:
   11  dual norm of zero and of a unit constant field
   12  inverse-inequality ratio sequence stays bounded under refinement
 
-The expensive artifacts (matrix-gap studies, the four solve sweeps) are
+One more test pins the Test 2 gradient-pairing displacement slopes of
+both assemblies.  It records a finding, that exact assembly gives the
+lower slope on this schedule, and checks no criterion.
+
+The expensive artifacts (matrix-gap studies, the five solve sweeps) are
 module-scoped fixtures shared across criteria; the full file runs at desk
 scale in a few minutes.
 """
@@ -100,13 +104,14 @@ def quaderr_t2():
 
 @pytest.fixture(scope="module")
 def solve_studies():
-    """The four convergence sweeps, with per-solve health numbers."""
+    """The five convergence sweeps, with per-solve health numbers."""
     studies = {}
     for key, test_id, coupling, mode in (
             ("t1_exact_l2", 1, "l2", "exact"),
             ("t1_exact_h1", 1, "h1", "exact"),
             ("t1_approx_l2", 1, "l2", "approx"),
-            ("t2_approx_h1", 2, "h1", "approx")):
+            ("t2_approx_h1", 2, "h1", "approx"),
+            ("t2_exact_h1", 2, "h1", "exact")):
         schedule = schedule1(4) if test_id == 1 else schedule2(4)
         records, health = [], []
         for level, (n_fluid, n_solid) in enumerate(schedule):
@@ -173,6 +178,17 @@ def test_06_approximate_gradient_pairing_suboptimal(solve_studies):
     last = solve_studies["t2_approx_h1"]["records"][-1]
     ok = 0.2 <= last["rate_x"] <= 0.5
     _report(6, ok, "displacement slope=%.3f in [0.2, 0.5]" % last["rate_x"])
+
+
+def test_test2_gradient_pairing_slopes_recorded(solve_studies):
+    # Over levels 0-3 the exact displacement slope lies below the approx
+    # one, inside acceptance 06's window too: the window alone does not
+    # tell the quadrature's effect from the schedule's.
+    slopes = {mode: solve_studies["t2_%s_h1" % mode]["records"][-1]["rate_x"]
+              for mode in ("approx", "exact")}
+    assert slopes["approx"] == pytest.approx(0.45994, abs=0.005)
+    assert slopes["exact"] == pytest.approx(0.33555, abs=0.005)
+    assert slopes["exact"] < slopes["approx"]
 
 
 def test_07_nested_elements_make_both_assemblies_agree():

@@ -215,14 +215,38 @@ def test_matrices_equal_whole_mesh_scatter(monkeypatch, n_fluid, n_solid):
     for block in (None, SCATTER_LEVELS[n_fluid, n_solid]):
         if block:
             monkeypatch.setattr(fdlm.mesh, "_BLOCK", block)
-        got = level_matrices(*geometry, whole=False)
-        assert got.keys() == want.keys()
-        for name, A in want.items():
-            assert got[name].shape == A.shape
-            assert got[name].indices.dtype == A.indices.dtype
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got[name], attr),
-                                      getattr(A, attr)), (name, attr, block)
+        assert_same_matrices(level_matrices(*geometry, whole=False), want,
+                             block)
+
+
+def assert_same_matrices(got, want, block):
+    assert got.keys() == want.keys()
+    for name, A in want.items():
+        assert got[name].shape == A.shape
+        assert got[name].indices.dtype == A.indices.dtype
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got[name], attr),
+                                  getattr(A, attr)), (name, attr, block)
+
+
+# Fluid boxes whose spacing is not a power of two: there psi_i evaluated
+# at the four children of a parent in one _hats call differs from one
+# child at a time in the last bit, which power-of-two spacings hide.
+ODD_SPACINGS = {"n12": ((-2, -2), (2, 2), 12),
+                "offset-n10": ((-1.3, -1.3), (2.1, 2.1), 10)}
+
+
+@pytest.mark.parametrize("box", sorted(ODD_SPACINGS))
+def test_fluid_blocks_equal_whole_mesh_scatter_off_power_of_two(monkeypatch,
+                                                                box):
+    coarse = uniform_mesh(*ODD_SPACINGS[box])
+    V, Q = velocity_space(midpoint_refine(coarse)), pressure_space(coarse)
+    want = {"Af": whole_form(V.mesh), "B": whole_B(V, Q)}
+    for block in (None, 7):
+        if block:
+            monkeypatch.setattr(fdlm.mesh, "_BLOCK", block)
+        assert_same_matrices({"Af": assemble_Af(V), "B": assemble_B(V, Q)},
+                             want, block)
 
 
 class TestVolumeMatrices:
@@ -319,6 +343,11 @@ class TestDivergenceMatrix:
     def test_mesh_pairing_checked(self):
         coarse = uniform_mesh((-2, -2), (2, 2), 4)
         V = velocity_space(midpoint_refine(coarse))
+        with pytest.raises(ValueError):
+            assemble_B(V, pressure_space(uniform_mesh((-2, -2), (2, 2), 8)))
+        # The same sizes and box as a refinement, but no child keeps its
+        # parent's corner and vertex numbering.
+        V = velocity_space(uniform_mesh((-2, -2), (2, 2), 16))
         with pytest.raises(ValueError):
             assemble_B(V, pressure_space(uniform_mesh((-2, -2), (2, 2), 8)))
 

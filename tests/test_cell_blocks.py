@@ -196,6 +196,48 @@ def test_error_norms_do_not_depend_on_block_size(monkeypatch):
     assert got == want
 
 
+# A refined fluid mesh, whose midpoints follow its parent vertices, and
+# a structure mesh with the other diagonal.
+GATHERED_MESHES = {
+    "refined": lambda: mesh.midpoint_refine(
+        mesh.uniform_mesh((-2, -2), (2, 2), 6)),
+    "structure": lambda: mesh.uniform_mesh((0, 0), (1, 1), 9, "left")}
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+@pytest.mark.parametrize("name", sorted(GATHERED_MESHES))
+def test_gathered_hands_out_each_pair_once_in_row_order(monkeypatch, name,
+                                                        block):
+    if block:
+        small_blocks(monkeypatch)
+    m = GATHERED_MESHES[name]()
+    rows, calls = m.triangles, []
+
+    def entries(c, i):
+        calls.append((c, i))
+        return c[:, None], [np.ones((c.size, 1))]
+
+    shape = (m.n_vertices, m.n_triangles)
+    handed = []
+    for b, A in zip(mesh._blocks(shape[0]),
+                    assembly._gathered(shape, rows, entries), strict=True):
+        (c, i), = calls
+        calls.clear()
+        r = rows[c, i]
+        # Every pair in the block that holds its row, ...
+        assert np.all((b.start <= r) & (r < b.stop))
+        assert A.shape == (b.stop - b.start, shape[1])
+        assert A.sum() == c.size
+        # ... and each row's pairs in ascending cell order.
+        by_row = np.argsort(r, kind="stable")
+        same_row = np.diff(r[by_row]) == 0
+        assert np.all(np.diff(c[by_row])[same_row] > 0)
+        handed.append(3 * c + i)
+    # Every (cell, local row) pair exactly once.
+    assert np.array_equal(np.sort(np.concatenate(handed)),
+                          np.arange(rows.size))
+
+
 @pytest.fixture(scope="module")
 def level_64_32():
     """Test 1 level 2, l2 exact: its spaces, supermesh and solution."""
