@@ -37,6 +37,13 @@ and, for h1, gradients; approx coupling is two streams on whole
 structure elements, the edge midpoints weighing values and (h1 only)
 the centroids weighing gradients, every node located in the fluid mesh.
 
+The caller builds each level's coupling geometry once and hands it to
+every consumer: the supermesh's IntersectionTable (build_all_schemes)
+for exact coupling, the located approx node groups (approx_nodes) for
+approx coupling.  The geometry is the assembly mode: assemble_rhs reads
+the mode from it, and assemble_Cf_approx reads the number of streams
+from the groups.
+
 Every node set comes in groups (sets, done), in cell order: sets has
 one node set per stream, and every cell or element before done has all
 of its cells in this group or an earlier one.  The mesh triangles
@@ -66,8 +73,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import scipy.sparse as sp
 
-from .geom_intersect import IntersectionTable, _supermesh, build_all_schemes
-from .mesh import DomainViolationError, _blocks
+from .geom_intersect import IntersectionTable, _supermesh
+from .mesh import DomainViolationError, _blocks, _same_mesh
 from .quadrature import rule_for_degree
 
 __all__ = [
@@ -78,8 +85,8 @@ __all__ = [
     "assemble_Cf_exact",
     "assemble_Cf_approx",
     "assemble_rhs",
+    "approx_nodes",
     "coupling_gap",
-    "coupling_nodes",
     "matrix_1norm_diff",
     "pressure_mean_row",
 ]
@@ -258,10 +265,10 @@ def assemble_B(V, Q):
 
 def assemble_Cs(L, S, coupling):
     """Structure coupling matrix: mass (l2) or mass + stiffness (h1), as
-    the scalar block of each component."""
+    the scalar block of each component.  L and S must share the mesh:
+    one object, or equal vertices and triangles."""
     _check_coupling(coupling)
-    if L.mesh is not S.mesh and (L.mesh.n_vertices != S.mesh.n_vertices
-                                 or L.mesh.domain != S.mesh.domain):
+    if not _same_mesh(L.mesh, S.mesh):
         raise ValueError("multiplier and structure spaces must share a mesh")
     return _p1_matrix(S.mesh, stiffness=coupling == "h1", mass=True)
 
@@ -359,32 +366,27 @@ def _subcell_set(xbar, grad, rule, parent, owner, subcells, s_areas):
                    xbar, True, grad)
 
 
-def coupling_nodes(L, V, xbar, coupling, mode, rule=None, schemes=None):
-    """Node sets of the exact or approx coupling, as a re-iterable
-    sequence of groups (sets, done): sets holds one node set per stream,
-    and every structure element before done has all of its cells in
-    this group or an earlier one.
-
-    Exact: one stream, the supermesh subcells under rule, built anew in
-    the blocks of subcells of mesh._blocks on every pass; done is the
-    parent of a block's last subcell.  Approx: one group per block of
-    structure elements of mesh._blocks, with one node per cell, the edge
-    midpoints (degree-2 rule) and, for h1, the centroids as a second
-    stream, located in the fluid mesh.  They do not depend on rule, so
-    build them once and pass them to assemble_Cf_approx and
-    assemble_rhs to locate their nodes once.
+def approx_nodes(L, V, xbar, coupling):
+    """Node sets of the approx coupling, as a list of groups (sets, done),
+    one per block of structure elements of mesh._blocks: sets holds the
+    edge midpoints (degree-2 rule, one node per cell) and, for h1, the
+    centroids as a second stream, placed by xbar and located in the fluid
+    mesh, and done is the block's end.  Build them once per level and
+    pass them to assemble_Cf_approx and assemble_rhs, which locate no
+    node themselves.
     """
     _check_coupling(coupling)
-    if mode not in ("exact", "approx"):
-        raise ValueError("mode must be 'exact' or 'approx'")
+    return [(_approx_sets(L, V, xbar, coupling == "h1", b), b.stop)
+            for b in _blocks(L.mesh.n_triangles)]
+
+
+def _subcell_nodes(xbar, coupling, rule, schemes):
+    """Node sets of the exact coupling: one stream, the subcells of the
+    IntersectionTable schemes under rule, built anew in the blocks of
+    subcells of mesh._blocks on every pass, each group's done the parent
+    of its block's last subcell."""
+    _check_coupling(coupling)
     grad = coupling == "h1"
-    if mode == "approx":
-        return [(_approx_sets(L, V, xbar, grad, b), b.stop)
-                for b in _blocks(L.mesh.n_triangles)]
-    if rule is None:
-        raise ValueError("exact coupling nodes need a quadrature rule")
-    if schemes is None:
-        schemes = build_all_schemes(L.mesh, xbar, V.mesh)
 
     def block(b):
         parent = schemes.parent[b]
@@ -493,39 +495,26 @@ def _coupling_matrix(L, V, groups, n_streams, n_cells):
     return _csr((L.n_vertices, V.n_vertices), parts, 9 * n_cells)
 
 
-def assemble_Cf_exact(L, V, xbar, coupling="l2", schemes=None):
-    """Coupling matrix integrated exactly on the supermesh subcells.
+def assemble_Cf_exact(L, V, xbar, coupling, schemes):
+    """Coupling matrix integrated exactly on the subcells of the
+    IntersectionTable schemes (build_all_schemes with xbar).
 
     The integrand is a degree-2 polynomial on every subcell, where the
-    degree-2 rule is exact.  A precomputed IntersectionTable
-    (build_all_schemes) can be passed to amortize the clipping cost.
+    degree-2 rule is exact.
     """
-    groups = coupling_nodes(L, V, xbar, coupling, "exact",
-                            rule_for_degree(2), schemes)
+    groups = _subcell_nodes(xbar, coupling, rule_for_degree(2), schemes)
     return _coupling_matrix(L, V, groups, 1, groups.n_cells)
 
 
-def _approx_nodes(L, V, xbar, coupling, nodes):
-    """The approx node groups nodes, checked against coupling, or built."""
-    _check_coupling(coupling)
-    if nodes is None:
-        return coupling_nodes(L, V, xbar, coupling, "approx")
-    if any(n.grad for sets, _ in nodes for n in sets) != (coupling == "h1"):
-        raise ValueError("approx nodes were built for the other coupling")
-    return nodes
+def assemble_Cf_approx(L, V, nodes):
+    """Coupling matrix with single-element rules on the structure
+    elements, on the approx node groups nodes (approx_nodes).
 
-
-def assemble_Cf_approx(L, V, xbar, coupling="l2", nodes=None):
-    """Coupling matrix with a single quadrature rule per structure element.
-
-    Mass part: degree-2 edge-midpoint rule; gradient part (h1 only):
-    one-point centroid rule.  Each quadrature node is located in the
-    fluid mesh independently.  The approx node groups (coupling_nodes)
-    can be passed to reuse the point location.
+    Mass part: degree-2 edge-midpoint rule; gradient part (h1 only, the
+    groups' second stream): one-point centroid rule.
     """
-    groups = _approx_nodes(L, V, xbar, coupling, nodes)
-    return _coupling_matrix(L, V, groups, 2 if coupling == "h1" else 1,
-                            sum(n.parent.size for sets, _ in groups
+    return _coupling_matrix(L, V, nodes, len(nodes[0][0]),
+                            sum(n.parent.size for sets, _ in nodes
                                 for n in sets))
 
 
@@ -558,7 +547,7 @@ def coupling_gap(L, V, xbar, coupling):
     rows of block k, the worker clips, fans and pulls back block k + 1.
     Both spend most of their time in numpy, which releases the
     interpreter lock, so on two cores they overlap.  The worker calls
-    neither point location nor a quadrature rule, an error in a block is
+    neither point location nor rule_for_degree, an error in a block is
     raised when that block is reached, and the worker is joined before
     the call returns or raises.
     """
@@ -630,38 +619,33 @@ def _structure_rhs(S, exact, coupling):
     return _load(S.mesh, _mesh_nodes(S.mesh, rule_for_degree(6)), field)
 
 
-def assemble_rhs(V, S, L, exact, coupling, mode, nodes=None):
+def assemble_rhs(V, S, L, exact, coupling, nodes):
     """Right-hand side vectors (F, G, D) for the block system.
 
     F(v) = (grad u, grad v) - (div v, p) + c(lambda, v o xbar),
     G(Y) = (grad X, grad Y) - c(lambda, Y),
     D(mu) = c(mu, d) with d = u(xbar) - X,
 
-    where xbar is the solution's placement map exact.xbar, which also
-    places the coupling nodes.
-
-    mode selects the coupling node sets (coupling_nodes): "exact" the
-    supermesh subcells under the degree-6 rule, with D on the degree-6
-    structure nodes, "approx" the single-element rules for both.  nodes,
-    if given, is mode's geometry built with xbar, reused instead of built:
-    the IntersectionTable (build_all_schemes) or the approx node groups.
+    where xbar is the solution's placement map exact.xbar, with which
+    nodes, the level's coupling geometry, was built.  It fixes the
+    assembly: an IntersectionTable (build_all_schemes) loads F on its
+    subcells under the degree-6 rule and D on the degree-6 structure
+    nodes; approx node groups (approx_nodes) load both, and must have
+    been built for coupling.
     """
     _check_coupling(coupling)
-    if nodes is not None and (isinstance(nodes, IntersectionTable)
-                              != (mode == "exact")):
-        raise ValueError("nodes were built for the other assembly mode")
     xbar = exact.xbar
-    if mode == "approx":
-        nodes = _approx_nodes(L, V, xbar, coupling, nodes)
+    if isinstance(nodes, IntersectionTable):
+        F_nodes = _subcell_nodes(xbar, coupling, rule_for_degree(6), nodes)
+        D_nodes = _mesh_nodes(L.mesh, rule_for_degree(6), coupling == "h1")
+    elif len(nodes[0][0]) != 1 + (coupling == "h1"):
+        raise ValueError("approx nodes were built for the other coupling")
     else:
-        nodes = coupling_nodes(L, V, xbar, coupling, mode,
-                               rule_for_degree(6), nodes)
+        F_nodes = D_nodes = nodes
     F = (_volume_rhs_fluid(V, exact)
-         + _load(V.mesh, nodes, _features(exact.lam, exact.grad_lam),
+         + _load(V.mesh, F_nodes, _features(exact.lam, exact.grad_lam),
                  fluid=True))
     G = _structure_rhs(S, exact, coupling)
-    if mode == "exact":
-        nodes = _mesh_nodes(L.mesh, rule_for_degree(6), coupling == "h1")
     # d = u(xbar(s)) - X(s) is smooth on the structure.
-    D = _load(L.mesh, nodes, _features(exact.d, exact.grad_d))
+    D = _load(L.mesh, D_nodes, _features(exact.d, exact.grad_d))
     return F, G, D

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (assemble_Af, assemble_As, assemble_B,
+from .assembly import (approx_nodes, assemble_Af, assemble_As, assemble_B,
                        assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
-                       assemble_rhs, coupling_gap, coupling_nodes,
-                       matrix_1norm_diff, pressure_mean_row)
+                       assemble_rhs, coupling_gap, matrix_1norm_diff,
+                       pressure_mean_row)
 from .fespace import (multiplier_space, pressure_space, solid_space,
                       velocity_space)
 from .geom_intersect import build_all_schemes
@@ -130,14 +130,15 @@ def coupling_gap_norm(Cf_ex, Cf_ap):
 
 
 def _coupling(L, V, xbar, coupling, mode):
-    """Coupling matrix of one assembly mode and the geometry it was built
-    from, for assemble_rhs to reuse: the supermesh table (exact) or the
-    located node sets (approx)."""
+    """Coupling matrix of one assembly mode and the level's geometry it
+    was built from, for assemble_rhs to reuse: the supermesh table
+    (exact) or the located approx node groups (approx).  This is the one
+    place the mode is chosen; every consumer reads it from the geometry."""
     if mode == "exact":
         nodes = build_all_schemes(L.mesh, xbar, V.mesh)
-        return assemble_Cf_exact(L, V, xbar, coupling, schemes=nodes), nodes
-    nodes = coupling_nodes(L, V, xbar, coupling, "approx")
-    return assemble_Cf_approx(L, V, xbar, coupling, nodes=nodes), nodes
+        return assemble_Cf_exact(L, V, xbar, coupling, nodes), nodes
+    nodes = approx_nodes(L, V, xbar, coupling)
+    return assemble_Cf_approx(L, V, nodes), nodes
 
 
 def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None):
@@ -154,7 +155,7 @@ def solve_level(n_fluid, n_solid, coupling, assembly_mode, exact=None):
         Cs=assemble_Cs(L, S, coupling),
         mean_row=pressure_mean_row(Q),
     )
-    rhs = assemble_rhs(V, S, L, exact, coupling, assembly_mode, nodes)
+    rhs = assemble_rhs(V, S, L, exact, coupling, nodes)
     del nodes
     system = build_system(blocks, rhs, (V, S, L, Q))
     sol = solve(system)
@@ -183,14 +184,15 @@ def _convergence_record(n_fluid, n_solid, plan, exact):
     return record
 
 
-def run_convergence(plan):
-    """Solve every level of the plan and return rate-annotated records;
-    the gap column builds the other mode's matrix after each solve."""
-    exact = manufactured_solution()
+def _study(plan, level_record):
+    """Rate-annotated records of level_record(n_fluid, n_solid), which
+    builds a level's spaces and its record, over the plan's levels.  A
+    level that leaves the fluid domain or gives a singular system is
+    named in the error."""
     records = []
     for level, (n_fluid, n_solid) in enumerate(plan.schedule):
         try:
-            record = _convergence_record(n_fluid, n_solid, plan, exact)
+            record = level_record(n_fluid, n_solid)
         except (DomainViolationError, SingularSystemError) as exc:
             raise type(exc)("level %d (n_fluid=%d, n_solid=%d): %s"
                             % (level, n_fluid, n_solid, exc)) from exc
@@ -199,20 +201,25 @@ def run_convergence(plan):
     return compute_rates(records, plan.test_id)
 
 
+def run_convergence(plan):
+    """Solve every level of the plan and return rate-annotated records;
+    the gap column builds the other mode's matrix after each solve."""
+    exact = manufactured_solution()
+    return _study(plan, lambda n_fluid, n_solid: _convergence_record(
+        n_fluid, n_solid, plan, exact))
+
+
 def quadrature_error_study(plan):
     """Coupling-matrix gap per level, without solving the systems or
     building either coupling matrix (assembly.coupling_gap)."""
     xbar = manufactured_solution().xbar
-    records = []
-    for level, (n_fluid, n_solid) in enumerate(plan.schedule):
-        V, Q, S, L = build_level_spaces(n_fluid, n_solid)
-        records.append({
-            "level": level,
-            "h_omega": FLUID_SIDE / n_fluid,
-            "h_solid": SOLID_SIDE / n_solid,
-            "cf_diff_1norm": coupling_gap(L, V, xbar, plan.coupling),
-        })
-    return compute_rates(records, plan.test_id)
+
+    def record(n_fluid, n_solid):
+        V, _, _, L = build_level_spaces(n_fluid, n_solid)
+        return {"h_omega": FLUID_SIDE / n_fluid,
+                "h_solid": SOLID_SIDE / n_solid,
+                "cf_diff_1norm": coupling_gap(L, V, xbar, plan.coupling)}
+    return _study(plan, record)
 
 
 def fitted_slope(hs, errors):

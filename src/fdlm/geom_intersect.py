@@ -22,12 +22,14 @@ keeps at most six vertices), fanned, pulled back through the map's
 inverse and measured before the next block, so only the table grows
 with the mesh.  The blocks come from one generator (``_supermesh``),
 which yields each block's element slice with its subcells.
-``build_all_schemes`` joins the subcells into the table, which
-``assembly.coupling_nodes`` reads back as a stream of groups of
-subcells.  The streamed coupling gap (``assembly.coupling_gap``) makes
-each block one group of its own, every element of the block done, and
-advances the generator in a worker thread, one block ahead of the
-group it integrates; so ``_supermesh`` calls nothing that the
+``build_all_schemes`` joins the subcells into the table, which the
+caller builds once per level and hands to
+``assembly.assemble_Cf_exact`` and ``assembly.assemble_rhs``; each
+reads it back as a stream of groups of subcells under its own rule.
+The streamed coupling gap (``assembly.coupling_gap``) makes each block
+one group of its own, every element of the block done, and advances
+the generator in a worker thread, one block ahead of the group it
+integrates; so ``_supermesh`` calls nothing that the
 benchmark tracer wraps (point location, ``rule_for_degree``).
 
 Clipping runs in physical coordinates; tolerance-based predicates are
@@ -362,8 +364,9 @@ def build_all_schemes(solid_mesh, xbar, fluid_mesh):
     (2, 2) matrix is the Jacobian of every element; a sequence of
     per-element maps is not accepted.  The table holds geometry only;
     the quadrature rule is chosen where it is integrated
-    (assembly.coupling_nodes).  Raises DomainViolationError if any
-    mapped element leaves the fluid rectangle.
+    (assembly.assemble_Cf_exact, assembly.assemble_rhs).  Raises
+    DomainViolationError if any mapped element leaves the fluid
+    rectangle.
     """
     return _table(_supermesh(solid_mesh, xbar, fluid_mesh),
                   solid_mesh.n_triangles)

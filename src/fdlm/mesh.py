@@ -57,6 +57,13 @@ def _blocks(n):
         yield slice(start, min(start + _BLOCK, n))
 
 
+def _same_mesh(a, b):
+    """Whether meshes a and b are one object or have equal vertices and
+    triangles."""
+    return a is b or (np.array_equal(a.vertices, b.vertices)
+                      and np.array_equal(a.triangles, b.triangles))
+
+
 def _normals(p):
     """(..., 3, 2): row i is the edge of the triangles p (..., 3, 2)
     opposite corner i turned by a right angle, (dy, -dx); divided by

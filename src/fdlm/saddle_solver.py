@@ -48,6 +48,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .fespace import FEFunction
+from .mesh import _same_mesh
 
 __all__ = ["Blocks", "BlockSystem", "DiscreteSolution",
            "SingularSystemError", "build_system", "solve",
@@ -229,14 +230,15 @@ def build_system(blocks, rhs, spaces):
     blocks: Blocks instance of canonical CSR matrices, Af, As, Cf and
     Cs the scalar blocks, of vertices by vertices; rhs: (F, G, D) tuple;
     spaces: (V, S, L, Q), where L and S must live on the same structure
-    mesh.  The velocity space's dirichlet_mask marks the constrained
-    dofs; their load is set to zero.  The matrix is a SaddleOperator
+    mesh: one object, or equal vertices and triangles.  The velocity
+    space's dirichlet_mask marks the constrained dofs; their load is set
+    to zero.  The matrix is a SaddleOperator
     over the blocks themselves, which are neither stacked nor copied.
     """
     V, S, L, Q = spaces
     nu, ns, nl, npre = V.n_dofs, S.n_dofs, L.n_dofs, Q.n_dofs
     kv, ks, kl = V.n_vertices, S.n_vertices, L.n_vertices
-    if kl != ks:
+    if not _same_mesh(L.mesh, S.mesh):
         raise ValueError("multiplier and structure meshes differ")
     if blocks.Af.shape != (kv, kv):
         raise ValueError("fluid block shape mismatch")

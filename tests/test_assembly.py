@@ -15,9 +15,9 @@ import scipy.sparse as sp
 
 import fdlm.assembly as assembly
 import fdlm.mesh
-from fdlm.assembly import (assemble_Af, assemble_As, assemble_B,
-                           assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
-                           assemble_rhs, coupling_nodes, matrix_1norm_diff,
+from fdlm.assembly import (approx_nodes, assemble_Af, assemble_As,
+                           assemble_B, assemble_Cf_approx, assemble_Cf_exact,
+                           assemble_Cs, assemble_rhs, matrix_1norm_diff,
                            pressure_mean_row)
 import fdlm.experiments_cli as xcli
 from fdlm.fespace import (FEFunction, interpolate, multiplier_space,
@@ -27,6 +27,7 @@ from fdlm.manufactured_errors import manufactured_solution, zero_solution
 from fdlm.mesh import AffineMap, DomainViolationError, midpoint_refine, \
     uniform_mesh
 from fdlm.quadrature import conical_product_rule, rule_for_degree
+from coupling_geometry import coupling_matrix, geometry, mode_rhs
 from vector_blocks import vector_block
 
 
@@ -187,8 +188,8 @@ def level_matrices(V, Q, S, L, xbar, schemes, approx, whole):
             out[name, "mass"] = assembly._p1_matrix(space.mesh, mass=True)
     out["B"] = whole_B(V, Q) if whole else assemble_B(V, Q)
     for c in ("l2", "h1"):
-        exact_nodes = coupling_nodes(L, V, xbar, c, "exact",
-                                     rule_for_degree(2), schemes)
+        exact_nodes = assembly._subcell_nodes(xbar, c, rule_for_degree(2),
+                                              schemes)
         if whole:
             out["Cs", c] = whole_Cs(L, S, c)
             out["Cf exact", c] = whole_coupling(L, V, exact_nodes)
@@ -196,8 +197,7 @@ def level_matrices(V, Q, S, L, xbar, schemes, approx, whole):
         else:
             out["Cs", c] = assemble_Cs(L, S, c)
             out["Cf exact", c] = assemble_Cf_exact(L, V, xbar, c, schemes)
-            out["Cf approx", c] = assemble_Cf_approx(L, V, xbar, c,
-                                                     approx[c])
+            out["Cf approx", c] = assemble_Cf_approx(L, V, approx[c])
     return out
 
 
@@ -208,8 +208,7 @@ def test_matrices_equal_whole_mesh_scatter(monkeypatch, n_fluid, n_solid):
     V, Q, S, L = xcli.build_level_spaces(n_fluid, n_solid)
     xbar = manufactured_solution().xbar
     schemes = build_all_schemes(L.mesh, xbar, V.mesh)
-    approx = {c: coupling_nodes(L, V, xbar, c, "approx")
-              for c in ("l2", "h1")}
+    approx = {c: approx_nodes(L, V, xbar, c) for c in ("l2", "h1")}
     geometry = (V, Q, S, L, xbar, schemes, approx)
     want = level_matrices(*geometry, whole=True)
     for block in (None, SCATTER_LEVELS[n_fluid, n_solid]):
@@ -405,10 +404,21 @@ class TestStructureCoupling:
                 want, rel=1e-12)
 
     def test_mesh_mismatch(self):
-        S, _ = solid_spaces(3)
-        L = multiplier_space(uniform_mesh((0, 0), (1, 1), 4))
-        with pytest.raises(ValueError):
-            assemble_Cs(L, S, "l2")
+        # Another size, or S's grid cut along the other diagonal, which
+        # has S's vertices and domain but not its triangles, is refused;
+        # an equal copy of S's mesh is S's mesh.
+        S, L = solid_spaces(3)
+        for n, orientation in ((4, "left"), (3, "right")):
+            other = multiplier_space(uniform_mesh((0, 0), (1, 1), n,
+                                                  orientation))
+            with pytest.raises(ValueError, match="share a mesh"):
+                assemble_Cs(other, S, "l2")
+        copy = multiplier_space(uniform_mesh((0, 0), (1, 1), 3, "left"))
+        assert copy.mesh is not S.mesh
+        for coupling in ("l2", "h1"):
+            A, B = assemble_Cs(copy, S, coupling), assemble_Cs(L, S, coupling)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(A, attr), getattr(B, attr))
 
 
 class TestFluidCoupling:
@@ -426,9 +436,8 @@ class TestFluidCoupling:
                              np.full(self.S.n_vertices, -0.5)])
         Cs = vector_block(assemble_Cs(self.L, self.S, "l2"))
         for coupling in ("l2", "h1"):
-            for Cf in (assemble_Cf_exact(self.L, self.V, self.xbar, coupling),
-                       assemble_Cf_approx(self.L, self.V, self.xbar,
-                                          coupling)):
+            for Cf in (coupling_matrix(self.L, self.V, self.xbar, coupling,
+                                       mode) for mode in ("exact", "approx")):
                 np.testing.assert_allclose(vector_block(Cf) @ vc, Cs @ yc,
                                            atol=1e-12)
 
@@ -441,18 +450,20 @@ class TestFluidCoupling:
         v = interpolate(self.V, lambda p: np.stack(
             [p[..., 0], np.zeros_like(p[..., 0])], axis=-1))
         mass = 2.0 / 3.0 - 0.31
-        C = vector_block(assemble_Cf_exact(self.L, self.V, self.xbar, "l2"))
+        C = vector_block(coupling_matrix(self.L, self.V, self.xbar, "l2",
+                                         "exact"))
         assert mu.coefficients @ C @ v.coefficients == pytest.approx(
             mass, rel=1e-13)
-        C = vector_block(assemble_Cf_exact(self.L, self.V, self.xbar, "h1"))
+        C = vector_block(coupling_matrix(self.L, self.V, self.xbar, "h1",
+                                         "exact"))
         assert mu.coefficients @ C @ v.coefficients == pytest.approx(
             mass + 2.0, rel=1e-13)
 
     @pytest.mark.parametrize("coupling", ["l2", "h1"])
     def test_exact_matrix_against_fine_quadrature(self, coupling):
         for xbar in (self.xbar, SHEARED):
-            C = vector_block(assemble_Cf_exact(self.L, self.V, xbar,
-                                               coupling))
+            C = vector_block(coupling_matrix(self.L, self.V, xbar, coupling,
+                                             "exact"))
             rng = np.random.default_rng(11)
             for _ in range(3):
                 mu = rng.standard_normal(self.L.n_dofs)
@@ -468,8 +479,8 @@ class TestFluidCoupling:
         rule = rule_for_degree(2)
         mesh = self.L.mesh
         for xbar in (self.xbar, SHEARED):
-            C = vector_block(assemble_Cf_approx(self.L, self.V, xbar,
-                                                coupling))
+            C = vector_block(coupling_matrix(self.L, self.V, xbar, coupling,
+                                             "approx"))
             rng = np.random.default_rng(3)
             mu_f = FEFunction(self.L, rng.standard_normal(self.L.n_dofs))
             v_f = FEFunction(self.V, rng.standard_normal(self.V.n_dofs))
@@ -501,35 +512,29 @@ class TestFluidCoupling:
         L = multiplier_space(mesh_b)
         xbar = AffineMap(np.eye(2), (-1.0, -1.0))
         for coupling in ("l2", "h1"):
-            Cex = assemble_Cf_exact(L, V, xbar, coupling)
-            Cap = assemble_Cf_approx(L, V, xbar, coupling)
+            Cex, Cap = (coupling_matrix(L, V, xbar, coupling, mode)
+                        for mode in ("exact", "approx"))
             assert matrix_1norm_diff(Cex, Cap) < 1e-14
 
     def test_total_mass(self):
         ones_l = np.ones(self.L.n_dofs)
         ones_v = np.ones(self.V.n_dofs)
-        for C in (assemble_Cf_exact(self.L, self.V, self.xbar),
-                  assemble_Cf_approx(self.L, self.V, self.xbar)):
+        for C in (coupling_matrix(self.L, self.V, self.xbar, "l2", mode)
+                  for mode in ("exact", "approx")):
             assert ones_l @ vector_block(C) @ ones_v == pytest.approx(
                 2.0, rel=1e-12)
 
     def test_escaping_map_rejected(self):
         with pytest.raises(DomainViolationError):
-            assemble_Cf_approx(self.L, self.V,
-                               AffineMap(10.0 * np.eye(2), (0.0, 0.0)))
+            approx_nodes(self.L, self.V,
+                         AffineMap(10.0 * np.eye(2), (0.0, 0.0)), "l2")
 
     def test_bad_coupling_name(self):
-        with pytest.raises(ValueError):
-            assemble_Cf_exact(self.L, self.V, self.xbar, "energy")
-
-    def test_exact_nodes_need_a_rule(self):
-        with pytest.raises(ValueError, match="rule"):
-            coupling_nodes(self.L, self.V, self.xbar, "l2", "exact")
-
-    def test_node_mode_checked(self):
-        with pytest.raises(ValueError, match="mode"):
-            coupling_nodes(self.L, self.V, self.xbar, "l2", "adaptive",
-                           rule_for_degree(2))
+        schemes = build_all_schemes(self.L.mesh, self.xbar, self.V.mesh)
+        with pytest.raises(ValueError, match="coupling"):
+            assemble_Cf_exact(self.L, self.V, self.xbar, "energy", schemes)
+        with pytest.raises(ValueError, match="coupling"):
+            approx_nodes(self.L, self.V, self.xbar, "energy")
 
 
 class TestCouplingNodes:
@@ -542,7 +547,10 @@ class TestCouplingNodes:
         self.xbar = standard_map()
 
     def nodes(self, coupling, mode, rule=rule_for_degree(2)):
-        return coupling_nodes(self.L, self.V, self.xbar, coupling, mode, rule)
+        if mode == "approx":
+            return approx_nodes(self.L, self.V, self.xbar, coupling)
+        schemes = build_all_schemes(self.L.mesh, self.xbar, self.V.mesh)
+        return assembly._subcell_nodes(self.xbar, coupling, rule, schemes)
 
     @staticmethod
     def stream(groups, k, field):
@@ -601,31 +609,18 @@ class TestCouplingNodes:
                 np.testing.assert_array_equal(fa, fb)
 
     def test_approx_nodes_checked_against_coupling(self):
+        # Groups of the other coupling would add or drop the gradient
+        # term of F.
         nodes = {c: self.nodes(c, "approx") for c in ("l2", "h1")}
         for built, asked in (("l2", "h1"), ("h1", "l2")):
             with pytest.raises(ValueError, match="coupling"):
-                assemble_Cf_approx(self.L, self.V, self.xbar, asked,
-                                   nodes=nodes[built])
-            with pytest.raises(ValueError, match="coupling"):
                 assemble_rhs(self.V, self.S, self.L,
-                             manufactured_solution(), asked, "approx",
-                             nodes=nodes[built])
-
-    def test_rhs_nodes_checked_against_mode(self):
-        exact = manufactured_solution()
-        given = {"exact": build_all_schemes(self.L.mesh, exact.xbar,
-                                            self.V.mesh),
-                 "approx": coupling_nodes(self.L, self.V, exact.xbar, "l2",
-                                          "approx")}
-        for built, asked in (("approx", "exact"), ("exact", "approx")):
-            with pytest.raises(ValueError, match="mode"):
-                assemble_rhs(self.V, self.S, self.L, exact, "l2", asked,
-                             nodes=given[built])
+                             manufactured_solution(), asked, nodes[built])
 
     def test_exact_matrix_repeats_with_shared_schemes(self):
         schemes = build_all_schemes(self.L.mesh, self.xbar, self.V.mesh)
         C1, C2 = (assemble_Cf_exact(self.L, self.V, self.xbar, "h1",
-                                    schemes=schemes) for _ in range(2))
+                                    schemes) for _ in range(2))
         assert C1.nnz > 0
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(C1, attr), getattr(C2, attr))
@@ -742,18 +737,16 @@ class TestRightHandSides:
     def test_volume_loads_against_per_element_quadrature(self, coupling,
                                                          mode):
         eye = np.eye(2)
-        assemble = assemble_Cf_exact if mode == "exact" else \
-            assemble_Cf_approx
         h1 = 1.0 if coupling == "h1" else 0.0
         for xbar in (self.xbar, SHEARED):
             exact = polynomial_solution(xbar)
-            F, G, _ = assemble_rhs(self.V, self.S, self.L, exact,
-                                   coupling, mode)
+            F, G, _ = mode_rhs(self.V, self.S, self.L, exact, coupling, mode)
             want_F = per_element_load(
                 self.V, np.zeros_like,
                 lambda x: exact.grad_u(x) - exact.p(x)[:, None, None] * eye)
             lam_h = interpolate(self.L, exact.lam).coefficients
-            want_F += (vector_block(assemble(self.L, self.V, xbar, coupling)).T
+            want_F += (vector_block(coupling_matrix(self.L, self.V, xbar,
+                                                    coupling, mode)).T
                        @ lam_h)
             want_G = per_element_load(
                 self.S, lambda s: -exact.lam(s),
@@ -762,15 +755,15 @@ class TestRightHandSides:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_solution_gives_zero_data(self):
-        F, G, D = assemble_rhs(self.V, self.S, self.L,
-                               zero_solution(), "l2", "exact")
+        F, G, D = mode_rhs(self.V, self.S, self.L, zero_solution(), "l2",
+                           "exact")
         assert not F.any() and not G.any() and not D.any()
 
     def test_constraint_data_against_fine_quadrature(self):
         # d is polynomial of degree 7 in s, so both the assembled value
         # and the degree-9 reference integrate it exactly
         exact = manufactured_solution()
-        _, _, D = assemble_rhs(self.V, self.S, self.L, exact, "l2", "exact")
+        _, _, D = mode_rhs(self.V, self.S, self.L, exact, "l2", "exact")
         rule = conical_product_rule(5)
         mesh = self.L.mesh
         mu_const = np.concatenate([np.ones(self.L.n_vertices),
@@ -788,28 +781,26 @@ class TestRightHandSides:
         # with X = 0 and lambda = 0 only the constraint data survives,
         # and it reduces to integrals of u o xbar
         exact = manufactured_solution()
-        _, G, _ = assemble_rhs(self.V, self.S, self.L,
-                               zero_solution(), "h1", "approx")
+        _, G, _ = mode_rhs(self.V, self.S, self.L, zero_solution(), "h1",
+                           "approx")
         assert not G.any()
-        F, G, D = assemble_rhs(self.V, self.S, self.L, exact, "h1", "exact")
+        F, G, D = mode_rhs(self.V, self.S, self.L, exact, "h1", "exact")
         assert F.any() and G.any() and D.any()
 
     def test_mode_checked(self):
-        with pytest.raises(ValueError):
-            assemble_rhs(self.V, self.S, self.L, zero_solution(), "l2",
-                         "adaptive")
-        with pytest.raises(ValueError):
-            assemble_rhs(self.V, self.S, self.L, zero_solution(), "linf",
-                         "exact")
+        # Either mode's geometry refuses an unknown coupling name.
+        for mode in ("exact", "approx"):
+            nodes = geometry(self.L, self.V, self.xbar, "l2", mode)
+            with pytest.raises(ValueError, match="coupling"):
+                assemble_rhs(self.V, self.S, self.L, zero_solution(), "linf",
+                             nodes)
 
     def test_exact_and_approx_agree_to_quadrature_error(self):
         # both integrate the same functional, so on a fixed mesh the
         # difference is small but nonzero
         exact = manufactured_solution()
-        F1, _, D1 = assemble_rhs(self.V, self.S, self.L, exact, "l2",
-                                 "exact")
-        F2, _, D2 = assemble_rhs(self.V, self.S, self.L, exact, "l2",
-                                 "approx")
+        F1, _, D1 = mode_rhs(self.V, self.S, self.L, exact, "l2", "exact")
+        F2, _, D2 = mode_rhs(self.V, self.S, self.L, exact, "l2", "approx")
         scale = np.abs(F1).max()
         assert 0.0 < np.abs(F1 - F2).max() < 0.05 * scale
         assert 0.0 < np.abs(D1 - D2).max()

@@ -13,15 +13,16 @@ import pytest
 import fdlm.assembly as assembly
 import fdlm.geom_intersect as geom_intersect
 import fdlm.mesh as mesh
-from fdlm.assembly import (assemble_Af, assemble_B,
+from fdlm.assembly import (approx_nodes, assemble_Af, assemble_B,
                            assemble_Cf_approx, assemble_Cf_exact,
-                           assemble_rhs, coupling_gap, coupling_nodes)
+                           assemble_rhs, coupling_gap)
 import fdlm.experiments_cli as xcli
 from fdlm.experiments_cli import (build_level_spaces, coupling_gap_norm,
                                   solve_level)
 from fdlm.geom_intersect import build_all_schemes
 from fdlm.manufactured_errors import error_norms, manufactured_solution
 from fdlm.mesh import DomainViolationError
+from coupling_geometry import coupling_matrix
 
 # A block size that leaves a short last block at every mesh used here.
 SMALL_BLOCK = 7
@@ -53,13 +54,12 @@ def level_arrays(n_fluid, n_solid, coupling, mode):
     schemes = build_all_schemes(L.mesh, exact.xbar, V.mesh)
     table = (schemes.parent, schemes.owner, schemes.subcells,
              schemes.s_areas, schemes.offsets)
-    C = assemble_Cf_exact(L, V, exact.xbar, coupling, schemes=schemes)
+    C = assemble_Cf_exact(L, V, exact.xbar, coupling, schemes)
     nodes = schemes
     if mode == "approx":
-        nodes = coupling_nodes(L, V, exact.xbar, coupling, "approx")
-        table += csr_arrays(assemble_Cf_approx(L, V, exact.xbar, coupling,
-                                               nodes=nodes))
-    return assemble_rhs(V, S, L, exact, coupling, mode, nodes=nodes) \
+        nodes = approx_nodes(L, V, exact.xbar, coupling)
+        table += csr_arrays(assemble_Cf_approx(L, V, nodes))
+    return assemble_rhs(V, S, L, exact, coupling, nodes) \
         + table + csr_arrays(C)
 
 
@@ -125,11 +125,11 @@ def test_every_node_stream_keeps_the_group_contract(monkeypatch, coupling):
     assert np.array_equal(check_groups(mesh_groups, 1)[0], elements)
 
     schemes = build_all_schemes(L.mesh, xbar, V.mesh)
-    exact = coupling_nodes(L, V, xbar, coupling, "exact",
-                           assembly.rule_for_degree(2), schemes)
+    exact = assembly._subcell_nodes(xbar, coupling,
+                                    assembly.rule_for_degree(2), schemes)
     assert np.array_equal(check_groups(exact, 1)[0], schemes.parent)
 
-    approx = coupling_nodes(L, V, xbar, coupling, "approx")
+    approx = approx_nodes(L, V, xbar, coupling)
     assert len(approx) > 1
     for got, want in zip(check_groups(approx, len(approx_parents)),
                          approx_parents):
@@ -253,7 +253,7 @@ def test_rhs_transient_bounded(level_64_32):
     # cell's contribution kept for one sort and bincount at 6.5 MB.
     exact, _, (V, _, S, L), schemes = level_64_32
     peak = traced_peak_mb(
-        lambda: assemble_rhs(V, S, L, exact, "l2", "exact", nodes=schemes))
+        lambda: assemble_rhs(V, S, L, exact, "l2", schemes))
     assert peak <= 5.0
 
 
@@ -296,7 +296,7 @@ def level_64_181():
     """Test 2 level 3, h1 approx: its spaces and approx node groups."""
     exact = manufactured_solution()
     V, _, S, L = build_level_spaces(64, 181)
-    nodes = coupling_nodes(L, V, exact.xbar, "h1", "approx")
+    nodes = approx_nodes(L, V, exact.xbar, "h1")
     return exact, (V, S, L), nodes
 
 
@@ -304,8 +304,7 @@ def test_approx_matrix_transient_bounded(level_64_181):
     # int64 COO indices, copied to int32 by coo_matrix, peaked at
     # 122.2 MB here.
     exact, (V, _, L), nodes = level_64_181
-    peak = traced_peak_mb(assemble_Cf_approx, L, V, exact.xbar, "h1",
-                          nodes)
+    peak = traced_peak_mb(assemble_Cf_approx, L, V, nodes)
     assert peak <= 105.0
 
 
@@ -314,7 +313,7 @@ def test_approx_rhs_transient_bounded(level_64_181):
     # 37.4 MB here.
     exact, (V, S, L), nodes = level_64_181
     peak = traced_peak_mb(
-        lambda: assemble_rhs(V, S, L, exact, "h1", "approx", nodes=nodes))
+        lambda: assemble_rhs(V, S, L, exact, "h1", nodes))
     assert peak <= 8.0
 
 
@@ -327,8 +326,8 @@ def whole_gaps():
             for n_fluid, n_solid in schedule:
                 V, _, _, L = build_level_spaces(n_fluid, n_solid)
                 gaps[study, name, n_fluid] = coupling_gap_norm(
-                    assemble_Cf_exact(L, V, xbar, coupling),
-                    assemble_Cf_approx(L, V, xbar, coupling))
+                    *(coupling_matrix(L, V, xbar, coupling, mode)
+                      for mode in ("exact", "approx")))
     return gaps
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import fdlm.experiments_cli as xcli
-from fdlm.assembly import assemble_rhs
 from fdlm.experiments_cli import (CONVERGENCE_HEADER, QUADERR_HEADER,
                                   ExperimentPlan, build_level_spaces,
                                   cli_main, compute_rates, fitted_slope,
@@ -23,6 +22,7 @@ schedule1 = xcli.test1_schedule
 schedule2 = xcli.test2_schedule
 from fdlm.manufactured_errors import manufactured_solution
 from fdlm.mesh import DomainViolationError, Triangulation
+from coupling_geometry import mode_rhs
 
 
 class TestSchedules:
@@ -151,12 +151,11 @@ class TestSolveLevel:
         monkeypatch.setattr(Triangulation, "locate_points", counting)
         _, _, system = xcli.solve_level(16, 8, coupling, "approx")
         assert len(calls) == 1
-        # the shared node set gives the data of a fresh assemble_rhs,
-        # which locates the nodes again, bit for bit
+        # the shared node set gives the data of assemble_rhs on freshly
+        # built groups, which locate the nodes again, bit for bit
         V, S, L, Q = system.spaces
         exact = manufactured_solution()
-        want = np.concatenate(assemble_rhs(V, S, L, exact, coupling,
-                                           "approx"))
+        want = np.concatenate(mode_rhs(V, S, L, exact, coupling, "approx"))
         want[:V.n_dofs][V.dirichlet_mask] = 0.0
         np.testing.assert_array_equal(system.rhs[:want.size], want)
         assert len(calls) == 2
@@ -171,7 +170,7 @@ class TestSolveLevel:
         if mode == "approx":
             other = ["build_all_schemes", "assemble_Cf_exact"]
         else:
-            other = ["coupling_nodes", "assemble_Cf_approx",
+            other = ["approx_nodes", "assemble_Cf_approx",
                      "matrix_1norm_diff"]
             monkeypatch.setattr(Triangulation, "locate_points", boom)
         for name in other:
@@ -282,6 +281,30 @@ class TestCli:
         assert cli_main(["run", "--test", "1", "--levels", "2",
                          "--out", out]) == 1
         assert "fdlm: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "quaderr"])
+    def test_level_named_in_study_errors(self, command, tmp_path,
+                                         monkeypatch, capsys):
+        # The gap of level 1 fails in both studies: run builds it from
+        # the coupling matrices, quaderr streams it.
+        name = "coupling_gap" if command == "quaderr" else "coupling_gap_norm"
+        gap = getattr(xcli, name)
+        calls = []
+        message = "mapped structure element leaves the fluid domain"
+
+        def failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DomainViolationError(message)
+            return gap(*args)
+
+        monkeypatch.setattr(xcli, name, failing_second)
+        assert cli_main([command, "--test", "2", "--coupling", "h1",
+                         "--levels", "3",
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert ("fdlm: error: level 1 (n_fluid=16, n_solid=23): %s"
+                % message) in err
 
     @staticmethod
     def assert_out_refused(argv, out, monkeypatch, capsys):

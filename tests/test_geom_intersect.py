@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdlm.assembly import (assemble_Cf_approx, assemble_Cf_exact,
-                           matrix_1norm_diff)
+from fdlm.assembly import matrix_1norm_diff
 from fdlm.experiments_cli import build_level_spaces, coupling_gap_norm
 from fdlm.fespace import multiplier_space, velocity_space
 from fdlm.geom_intersect import (IntersectionTable, build_all_schemes,
@@ -25,6 +24,7 @@ from fdlm.geom_intersect import (IntersectionTable, build_all_schemes,
 from fdlm.mesh import (AffineMap, DomainViolationError, midpoint_refine,
                        uniform_mesh)
 from fdlm.quadrature import rule_for_degree
+from coupling_geometry import coupling_matrix
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -371,8 +371,8 @@ class TestBatchedSupermesh:
         for coupling in ("l2", "h1"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ex = assemble_Cf_exact(L, V, amap, coupling)
-            ap = assemble_Cf_approx(L, V, amap, coupling)
+                ex = coupling_matrix(L, V, amap, coupling, "exact")
+            ap = coupling_matrix(L, V, amap, coupling, "approx")
             scale = matrix_1norm_diff(ex, 0 * ex) if ex.nnz else 1.0
             assert matrix_1norm_diff(ex, ap) <= 1e-12 * scale
 
@@ -433,7 +433,7 @@ def test_gap_norm_stable_under_tiny_map_perturbation(amap, coupling):
         moved = AffineMap(amap.matrix, amap.offset + shift * np.array(
             [1.0, -0.7]))
         gaps.append(coupling_gap_norm(
-            assemble_Cf_exact(L, V, moved, coupling),
-            assemble_Cf_approx(L, V, moved, coupling)))
+            *(coupling_matrix(L, V, moved, coupling, mode)
+              for mode in ("exact", "approx"))))
     assert gaps[0] > 0
     assert abs(gaps[1] - gaps[0]) <= 1e-8 * gaps[0]

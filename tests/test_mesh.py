@@ -8,7 +8,7 @@ import pytest
 
 import fdlm.mesh
 from fdlm import experiments_cli
-from fdlm.assembly import coupling_nodes
+from fdlm.assembly import approx_nodes
 from fdlm.manufactured_errors import manufactured_solution
 from fdlm.mesh import (_EDGE_BAND, AffineMap, Triangulation, element_map,
                        midpoint_refine, uniform_mesh)
@@ -340,8 +340,8 @@ class TestLocatePoint:
         for n_fluid, n_solid in experiments_cli.test2_schedule(4):
             V, _, _, L = experiments_cli.build_level_spaces(n_fluid, n_solid)
             x = np.concatenate([n.x.reshape(-1, 2)
-                                for sets, _ in coupling_nodes(
-                                    L, V, exact.xbar, "h1", "approx")
+                                for sets, _ in approx_nodes(
+                                    L, V, exact.xbar, "h1")
                                 for n in sets])
             fluid = V.mesh
             np.testing.assert_array_equal(fluid.locate_points(x),

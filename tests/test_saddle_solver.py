@@ -13,8 +13,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 import fdlm.saddle_solver as saddle
 from fdlm.assembly import (_p1_matrix, assemble_Af, assemble_As, assemble_B,
-                           assemble_Cf_approx, assemble_Cf_exact, assemble_Cs,
-                           assemble_rhs, pressure_mean_row)
+                           assemble_Cs, pressure_mean_row)
 from fdlm.fespace import (multiplier_space, pressure_space, solid_space,
                           velocity_space)
 from fdlm.experiments_cli import build_level_spaces, solve_level
@@ -23,6 +22,7 @@ from fdlm.mesh import (AffineMap, Triangulation, midpoint_refine,
                        uniform_mesh)
 from fdlm.saddle_solver import (Blocks, SingularSystemError, build_system,
                                 dump_solution, solve)
+from coupling_geometry import coupling_matrix, mode_rhs
 from vector_blocks import vector_block
 
 
@@ -40,11 +40,11 @@ def level_setup(exact, fluid_block=assemble_Af, n_fluid=16, n_solid=8):
         Af=fluid_block(V),
         As=assemble_As(S),
         B=assemble_B(V, Q),
-        Cf=assemble_Cf_exact(L, V, exact.xbar),
+        Cf=coupling_matrix(L, V, exact.xbar, "l2", "exact"),
         Cs=assemble_Cs(L, S, "l2"),
         mean_row=pressure_mean_row(Q),
     )
-    rhs = assemble_rhs(V, S, L, exact, "l2", "exact")
+    rhs = mode_rhs(V, S, L, exact, "l2", "exact")
     return build_system(blocks, rhs, (V, S, L, Q))
 
 
@@ -143,18 +143,18 @@ class TestBuildSystem:
         n = sys_.spaces[0].mesh.n_cells_per_side + 1
         assert b.Af.nnz == 5 * n * n - 4 * n
 
-    @pytest.mark.parametrize("n_fluid,n_solid,coupling,assemble_Cf", [
-        (16, 8, "l2", assemble_Cf_exact), (16, 23, "h1", assemble_Cf_approx)],
+    @pytest.mark.parametrize("n_fluid,n_solid,coupling,mode", [
+        (16, 8, "l2", "exact"), (16, 23, "h1", "approx")],
         ids=["16-8-l2-exact", "16-23-h1-approx"])
     def test_each_component_equals_stacked_product(self, n_fluid, n_solid,
-                                                   coupling, assemble_Cf):
+                                                   coupling, mode):
         # Bit for bit, for each scalar block and its transpose, also
         # written into a view.
         V, _, S, L = build_level_spaces(n_fluid, n_solid)
         xbar = manufactured_solution().xbar
         rng = np.random.default_rng(6)
         for A in (assemble_Af(V), assemble_As(S), assemble_Cs(L, S, coupling),
-                  assemble_Cf(L, V, xbar, coupling)):
+                  coupling_matrix(L, V, xbar, coupling, mode)):
             for M, stacked in ((A, vector_block(A)), (A.T, vector_block(A).T)):
                 x = rng.standard_normal(2 * M.shape[1])
                 want = stacked @ x
@@ -245,6 +245,17 @@ class TestBuildSystem:
         rhs = (np.zeros(V.n_dofs), np.zeros(S.n_dofs), np.zeros(L.n_dofs))
         with pytest.raises(ValueError):
             build_system(bad, rhs, (V, S, L, Q))
+        # S's grid cut along the other diagonal fits every block, but Cs
+        # and Cf would pair different elements; an equal copy of S's mesh
+        # is S's mesh.
+        other, equal = (multiplier_space(uniform_mesh((0, 0), (1, 1), 8,
+                                                      orientation=o))
+                        for o in ("right", "left"))
+        rhs = (np.zeros(V.n_dofs), np.zeros(S.n_dofs), np.zeros(S.n_dofs))
+        with pytest.raises(ValueError, match="meshes differ"):
+            build_system(b, rhs, (V, S, other, Q))
+        assert equal.mesh is not S.mesh
+        build_system(b, rhs, (V, S, equal, Q))
 
     def test_misaligned_loads_rejected(self, manufactured_system):
         # The total length is right in every case: a load one entry short
